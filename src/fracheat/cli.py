@@ -20,7 +20,8 @@ from .forward import make_step_operators, run_forward
 from .grid import make_grid
 from .inverse import DenominatorNearZero, NoiseSpec
 from .manufactured import build_manufactured
-from .riesz import assemble, quadrature_oracle
+from .riesz import QuadratureConvergenceError, assemble, quadrature_oracle
+from .solvers import SolverError
 from .studies import (
     StudyConfig,
     convergence_study_space,
@@ -130,19 +131,15 @@ def _cmd_inverse(args: argparse.Namespace) -> int:
     noise = None
     if args.delta is not None and args.delta > 0:
         noise = NoiseSpec(delta=args.delta, seed=config.seeds[0])
-    try:
-        result = run_inverse_case(
-            config.example,
-            grid,
-            source=config.source,
-            solver=config.solver,
-            tol=config.tol,
-            noise=noise,
-            smooth_window=config.smooth_window,
-        )
-    except DenominatorNearZero as exc:
-        print(f"inverse run failed: {exc}", file=sys.stderr)
-        return 1
+    result = run_inverse_case(
+        config.example,
+        grid,
+        source=config.source,
+        solver=config.solver,
+        tol=config.tol,
+        noise=noise,
+        smooth_window=config.smooth_window,
+    )
     emit_outputs(result, Path(config.out))
     print(f"inverse {config.example} N={grid.N} M={grid.M} s={grid.s} "
           f"[{result.measurement_provenance}]: Linf error in r = {result.linf_r:.6e}, "
@@ -253,7 +250,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except DenominatorNearZero as exc:
+    except (DenominatorNearZero, SolverError, QuadratureConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (ValueError, OSError) as exc:

@@ -112,3 +112,24 @@ def test_operator_dump(tmp_path):
     # dumped matrix is symmetric: entry (0,1) equals entry (1,0)
     second = [float(v) for v in lines[2].split(",")]
     assert first[1] == second[0]
+
+
+def test_solver_error_exits_cleanly(tmp_path, capsys):
+    # 1e-30 is below the rounding error of any residual evaluation
+    assert main(["inverse", "--example", "1", "--N", "20", "--M", "5", "--solver", "cg",
+                 "--tol", "1e-30", "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cg:")
+    assert "Traceback" not in err
+
+
+def test_quadrature_error_exits_cleanly(tmp_path, capsys, monkeypatch):
+    import fracheat.cli
+    from fracheat import QuadratureConvergenceError
+
+    def unconverged(*args, **kwargs):
+        raise QuadratureConvergenceError("far-field quadrature not converged")
+
+    monkeypatch.setattr(fracheat.cli, "quadrature_oracle", unconverged)
+    assert main(["oracle-check", "--N", "12", "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == "error: far-field quadrature not converged\n"

@@ -1,0 +1,66 @@
+"""Properties of the large-system route: FFT matvec and circulant-preconditioned CG."""
+
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from fracheat import assemble, build_manufactured, make_grid, make_step_operators
+from fracheat.riesz import _FFT_MIN_SIZE, RieszOperator
+
+orders = st.floats(0.01, 0.99)
+sizes = st.integers(2, 1200)
+seeds = st.integers(0, 2**32 - 1)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(s=orders, n_cells=sizes, seed=seeds)
+@example(s=0.5, n_cells=_FFT_MIN_SIZE, seed=0)  # last size on np.convolve
+@example(s=0.5, n_cells=_FFT_MIN_SIZE + 1, seed=0)  # first size on the FFT
+def test_apply_matches_dense(s, n_cells, seed):
+    op = assemble(make_grid(1, 1, n_cells, 1, s))
+    dense = op.dense()
+    v = np.random.default_rng(seed).standard_normal(op.size)
+    err = np.max(np.abs(op.apply(v) - dense @ v))
+    # relative to the size of the terms summed, which rounding scales with
+    assert err <= 1e-12 * np.max(np.abs(dense) @ np.abs(v))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(s=orders, n_cells=sizes, log_tau=st.floats(-3.0, 3.0), seed=seeds)
+@example(s=0.99, n_cells=1200, log_tau=3.0, seed=0)
+@example(s=0.5, n_cells=5, log_tau=3.0, seed=0)  # floored preconditioner eigenvalues
+def test_cg_route_matches_cholesky(s, n_cells, log_tau, seed):
+    tol = 1e-10
+    tau = 10.0**log_tau
+    grid = make_grid(1, 1, n_cells, 1, s)
+    op = assemble(grid)
+    direct = make_step_operators(grid, op=op, tau=tau, solver="cholesky")
+    iterative = make_step_operators(grid, op=op, tau=tau, solver="cg", tol=tol)
+    b = np.random.default_rng(seed).standard_normal(op.size)
+    x = iterative.solve_l(b)
+    ref = direct.solve_l(b)
+    dense_l = np.eye(op.size) + (tau / 2.0) * op.dense()
+    assert np.linalg.norm(b - dense_l @ x) <= tol * np.linalg.norm(b)
+    # Gershgorin: lambda_max(L) <= 1 + tau max(diag A), and lambda_min(L) >= 1
+    cond = 1.0 + tau * float(np.max(op.diag))
+    assert np.linalg.norm(x - ref) <= cond * tol * np.linalg.norm(ref)
+
+
+def test_first_step_solve_takes_few_matvecs(monkeypatch):
+    # a diagonal (Jacobi) preconditioner takes about 500 matvecs on this solve
+    grid = make_grid(1, 1, 1024, 10, 0.9)
+    op = assemble(grid)
+    spec, data = build_manufactured("example2", grid, op=op)
+    ops = make_step_operators(grid, op=op, solver="cg")
+    t_mid = grid.tau / 2.0
+    rhs = ops.apply_r(data.phi) + grid.tau * spec.r_exact(t_mid) * data.forcing(t_mid)
+    calls = []
+    original = RieszOperator.apply
+
+    def counted(self, v):
+        calls.append(1)
+        return original(self, v)
+
+    monkeypatch.setattr(RieszOperator, "apply", counted)
+    ops.solve_l(rhs)
+    assert len(calls) <= 20

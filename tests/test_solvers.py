@@ -11,6 +11,7 @@ from fracheat import (
     eigendecompose,
     energy_norm,
     make_grid,
+    make_step_operators,
 )
 
 
@@ -88,7 +89,7 @@ class TestConjugateGradient:
         b = rng.standard_normal(n_cells - 1)
         direct = cholesky(dense).solve(b)
         jacobi = np.diag(dense)
-        iterative = cg_solve(lambda v: dense @ v, b, tol=1e-12, precond=jacobi)
+        iterative = cg_solve(lambda v: dense @ v, b, tol=1e-12, precond=lambda r: r / jacobi)
         rel = np.linalg.norm(iterative - direct) / np.linalg.norm(direct)
         assert rel <= 1e-10
 
@@ -99,6 +100,15 @@ class TestConjugateGradient:
             cg_solve(lambda v: dense @ v, b, tol=1e-15, maxit=2)
         assert np.isfinite(info.value.residual)
         assert info.value.residual > 1e-15
+
+    def test_unattainable_tol_raises(self):
+        # the recursively updated residual falls below 1e-30; the true one
+        # cannot, so restarts stop lowering it well before maxit
+        grid = make_grid(1, 1, 50, 10, 0.5)
+        ops = make_step_operators(grid, solver="cg", tol=1e-30)
+        with pytest.raises(SolverError, match="stalls") as info:
+            ops.solve_l(np.ones(49))
+        assert 0.0 < info.value.residual < 1e-12
 
     def test_rejects_nonpositive_tol(self):
         with pytest.raises(ValueError):
