@@ -33,6 +33,7 @@ from .inverse import (
     perturb_measurements,
     recover_r_step,
     run_inverse,
+    run_inverse_batch,
     smooth_measurements,
 )
 from .manufactured import ManufacturedProblem, build_manufactured
@@ -117,6 +118,7 @@ __all__ = [
     "recover_r_step",
     "run_forward",
     "run_inverse",
+    "run_inverse_batch",
     "run_inverse_case",
     "smooth_measurements",
     "spectral_duhamel_oracle",

@@ -50,7 +50,7 @@ class StepOperators:
 
     L and R are polynomials in A, so they commute with it; ``solve_l`` is a
     Cholesky factor reused across all right-hand sides, or a CG closure for
-    large systems.
+    large systems.  It takes one right-hand side (n,) or a block (n, K).
     """
 
     grid: Grid
@@ -102,6 +102,9 @@ def make_step_operators(
             return v + half * op.apply(v)
 
         def solve_l(b: np.ndarray) -> np.ndarray:
+            b = np.asarray(b, dtype=float)
+            if b.ndim == 2:  # one right-hand side per column
+                return np.stack([solve_l(col) for col in b.T], axis=1)
             return cg_solve(apply_l, b, tol=tol, maxit=maxit, precond=precond)
 
     else:

@@ -1,19 +1,24 @@
 """Simultaneous recovery of the time coefficient and the state.
 
 The overdetermination pairing h <U, omega> turns each Crank-Nicolson step
-into a scalar equation for the midpoint coefficient.  With the split
+into a scalar equation for the midpoint coefficient.  Since
+L^{-1} R = 2 L^{-1} - I, the split
 
-    Y = L^{-1} R U^n,   S = L^{-1} F^{n+1/2},   V = (U^n + Y) / 2,
+    V = L^{-1} U^n,   Y = L^{-1} R U^n = 2 V - U^n,   S = L^{-1} F^{n+1/2}
 
-the step U^{n+1} = Y + tau r S is linear in r, and pairing the discrete flux
-identity with the weight gives the closed expression
+makes the step U^{n+1} = Y + tau r S linear in r, and pairing the discrete
+flux identity with the weight gives the closed expression
 
     r^{n+1/2} = [ (w^{n+1} - w^n)/tau + h <A V, omega> ]
                 / [ h <F^{n+1/2}, omega> - tau/2 h <A S, omega> ].
 
-Two L-solves per step, no nonlinear iteration.  The denominator is the
-discrete identifiability margin; its vanishing means the forcing has lost
-visibility in the measurement and is reported, not papered over.
+A is symmetric, so both pairings are dot products with the one vector
+A omega.  Two L-solves per step, no nonlinear iteration.  The denominator
+does not depend on the measurements, so K measurement series over one grid
+march together: the states form an n x K block, V is one block solve, and S,
+A omega and the denominator are shared by every column.  The denominator is
+the discrete identifiability margin; its vanishing means the forcing has
+lost visibility in the measurement and is reported, not papered over.
 
 Measurement utilities cover the three data provenances: exact analytic
 values, discrete pairings of a computed trajectory, and seeded noisy copies
@@ -24,7 +29,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
@@ -38,6 +43,7 @@ __all__ = [
     "discrete_measurement",
     "recover_r_step",
     "run_inverse",
+    "run_inverse_batch",
     "measurements_from_trajectory",
     "perturb_measurements",
     "smooth_measurements",
@@ -78,12 +84,16 @@ class NoiseSpec:
 
 @dataclass(frozen=True)
 class RecoveryStepInternals:
-    """Intermediates of one recovery step, exposed for the algebraic cross-checks."""
+    """Intermediates of one recovery step, exposed for the algebraic cross-checks.
+
+    ``y`` and ``v`` have the shape of the state, (n,) or (n, K); ``numerator``
+    has one entry per series and ``denominator`` is shared by all of them.
+    """
 
     y: np.ndarray
     s_vec: np.ndarray
     v: np.ndarray
-    numerator: float
+    numerator: Union[float, np.ndarray]
     denominator: float
 
 
@@ -99,23 +109,29 @@ def discrete_measurement(u: np.ndarray, weight: np.ndarray, h: float) -> float:
 def recover_r_step(
     ops: StepOperators,
     u_n: np.ndarray,
-    w_n: float,
-    w_np1: float,
+    w_n: Union[float, np.ndarray],
+    w_np1: Union[float, np.ndarray],
     f_mid: np.ndarray,
     weight: np.ndarray,
-) -> Tuple[float, np.ndarray, RecoveryStepInternals]:
-    """One step of the recovery: closed-form r^{n+1/2}, then U^{n+1} = Y + tau r S."""
+) -> Tuple[Union[float, np.ndarray], np.ndarray, RecoveryStepInternals]:
+    """One step of the recovery: closed-form r^{n+1/2}, then U^{n+1} = Y + tau r S.
+
+    ``u_n`` is one state (n,) with scalar measurements, or K states (n, K)
+    with measurements of shape (K,); r^{n+1/2} comes back in the same form.
+    """
     h = ops.grid.h
     tau = ops.tau
     f_mid = np.asarray(f_mid, dtype=float)
+    weight = np.asarray(weight, dtype=float)
 
-    y = ops.solve_l(ops.apply_r(u_n))
+    v = ops.solve_l(u_n)
+    y = 2.0 * v - u_n
     s_vec = ops.solve_l(f_mid)
-    v = 0.5 * (u_n + y)
+    a_weight = ops.apply_a(weight)
 
     f_pair = discrete_measurement(f_mid, weight, h)
-    numerator = (w_np1 - w_n) / tau + discrete_measurement(ops.apply_a(v), weight, h)
-    denominator = f_pair - (tau / 2.0) * discrete_measurement(ops.apply_a(s_vec), weight, h)
+    numerator = (w_np1 - w_n) / tau + h * (a_weight @ v)
+    denominator = f_pair - (tau / 2.0) * h * float(a_weight @ s_vec)
 
     # Relative guard: scale-free version of "the denominator does not vanish".
     threshold = 1e-12 * max(1.0, abs(f_pair))
@@ -123,11 +139,55 @@ def recover_r_step(
         raise DenominatorNearZero(denominator, threshold)
 
     r_mid = numerator / denominator
-    u_np1 = y + tau * r_mid * s_vec
+    u_np1 = y + np.multiply.outer(s_vec, tau * r_mid)
     internals = RecoveryStepInternals(
         y=y, s_vec=s_vec, v=v, numerator=numerator, denominator=denominator
     )
     return r_mid, u_np1, internals
+
+
+def _march(
+    problem: ProblemData,
+    grid: Grid,
+    w: np.ndarray,
+    ops: StepOperators,
+    compatibility_tol: float,
+    states: Optional[np.ndarray] = None,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Recover K series at once: w is (M+1, K); returns r (M, K) and U^M (n, K).
+
+    When ``states`` is given, U^n of the first series is written to
+    ``states[n]`` along the way.
+    """
+    if w.shape[0] != grid.M + 1:
+        raise ValueError(f"expected {grid.M + 1} measurements, got {w.shape[0]}")
+    if problem.phi.size != grid.interior_dim:
+        raise ValueError("phi length does not match the grid")
+
+    w0_discrete = discrete_measurement(problem.phi, problem.weight, grid.h)
+    gap = np.max(np.abs(w0_discrete - w[0]) / np.maximum(np.abs(w[0]), 1e-300))
+    if gap > compatibility_tol:
+        warnings.warn(
+            f"initial measurement incompatible with phi: relative gap {gap:.3e}",
+            stacklevel=3,
+        )
+
+    t_mid = grid.midpoint_times()
+    u = np.repeat(problem.phi[:, None], w.shape[1], axis=1)
+    if states is not None:
+        states[0] = u[:, 0]
+    recovered = np.empty((grid.M, w.shape[1]))
+    for n in range(grid.M):
+        f_mid = problem.forcing(float(t_mid[n]))
+        try:
+            recovered[n], u, _ = recover_r_step(ops, u, w[n], w[n + 1], f_mid, problem.weight)
+        except DenominatorNearZero as exc:
+            raise DenominatorNearZero(exc.value, exc.threshold, step=n) from exc
+        if states is not None:
+            states[n + 1] = u[:, 0]
+    if not (np.all(np.isfinite(recovered)) and np.all(np.isfinite(u))):
+        raise ValueError("recovery produced non-finite values")
+    return recovered, u
 
 
 def run_inverse(
@@ -148,37 +208,35 @@ def run_inverse(
         measurements = problem.measurements
         if measurements is None:
             raise ValueError("no measurements: pass them or set problem.measurements")
-    w = measurements.values
-    if w.size != grid.M + 1:
-        raise ValueError(f"expected {grid.M + 1} measurements, got {w.size}")
-    if problem.phi.size != grid.interior_dim:
-        raise ValueError("phi length does not match the grid")
     if ops is None:
         ops = make_step_operators(grid)
-
-    w0_discrete = discrete_measurement(problem.phi, problem.weight, grid.h)
-    gap = abs(w0_discrete - w[0]) / max(abs(w[0]), 1e-300)
-    if gap > compatibility_tol:
-        warnings.warn(
-            f"initial measurement incompatible with phi: relative gap {gap:.3e}",
-            stacklevel=2,
-        )
-
-    t_mid = grid.midpoint_times()
     states = np.empty((grid.M + 1, grid.interior_dim))
-    states[0] = problem.phi
-    recovered = np.empty(grid.M)
-    for n in range(grid.M):
-        f_mid = problem.forcing(float(t_mid[n]))
-        try:
-            r_mid, u_np1, _ = recover_r_step(
-                ops, states[n], float(w[n]), float(w[n + 1]), f_mid, problem.weight
-            )
-        except DenominatorNearZero as exc:
-            raise DenominatorNearZero(exc.value, exc.threshold, step=n) from exc
-        recovered[n] = r_mid
-        states[n + 1] = u_np1
-    return Trajectory(states=states), CoefficientSeries(values=recovered)
+    recovered, _ = _march(
+        problem, grid, measurements.values[:, None], ops, compatibility_tol, states
+    )
+    return Trajectory(states=states), CoefficientSeries(values=recovered[:, 0])
+
+
+def run_inverse_batch(
+    problem: ProblemData,
+    grid: Grid,
+    measurements: np.ndarray,
+    ops: Optional[StepOperators] = None,
+    compatibility_tol: float = 1e-2,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Recover K measurement series in one march over the time steps.
+
+    ``measurements`` is an (M+1, K) array, one series per column.  Returns the
+    recovered coefficients (M, K) and the final states U^M (n, K); column k
+    is what :func:`run_inverse` returns for series k.  The denominator is
+    shared, so a :class:`DenominatorNearZero` fails every series at once.
+    """
+    w = np.asarray(measurements, dtype=float)
+    if w.ndim != 2:
+        raise ValueError(f"expected an (M+1, K) array of series, got shape {w.shape}")
+    if ops is None:
+        ops = make_step_operators(grid)
+    return _march(problem, grid, w, ops, compatibility_tol)
 
 
 def measurements_from_trajectory(

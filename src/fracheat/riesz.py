@@ -244,6 +244,8 @@ class QuadratureConvergenceError(RuntimeError):
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
+# how often quadrature_oracle may double its far-field panel count to converge
+_QUADRATURE_DOUBLINGS = 4
 
 
 def _gauss_panel(fn, a: float, b: float) -> float:
@@ -338,7 +340,9 @@ def quadrature_oracle(
     optional analytic second derivative (a finite-difference estimate is used
     otherwise).  ``refinement`` scales the far-field panel count relative to
     the grid.  With ``check`` the far field is recomputed at double refinement
-    and disagreement beyond ``rtol`` raises :class:`QuadratureConvergenceError`.
+    until two successive counts agree to ``rtol``; disagreement that persists
+    through ``_QUADRATURE_DOUBLINGS`` doublings raises
+    :class:`QuadratureConvergenceError`.
     """
     if refinement < 1:
         raise ValueError("refinement must be >= 1")
@@ -359,13 +363,16 @@ def quadrature_oracle(
         return out
 
     result = evaluate(panels)
-    if check:
-        finer = evaluate(2 * panels)
+    if not check:
+        return result
+    for _ in range(_QUADRATURE_DOUBLINGS):
+        panels *= 2
+        finer = evaluate(panels)
         scale = 1.0 + float(np.max(np.abs(finer)))
         gap = float(np.max(np.abs(finer - result)))
-        if gap > rtol * scale:
-            raise QuadratureConvergenceError(
-                f"far-field quadrature not converged: gap {gap:.3e} at {panels} panels"
-            )
+        if gap <= rtol * scale:
+            return finer
         result = finer
-    return result
+    raise QuadratureConvergenceError(
+        f"far-field quadrature not converged: gap {gap:.3e} at {panels} panels"
+    )

@@ -53,14 +53,21 @@ class SpdFactorization:
         return self.lower.shape[0]
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        return cho_solve((self.lower, True), np.asarray(b, dtype=float))
+        # the factor was checked finite once, in cholesky()
+        return cho_solve((self.lower, True), np.asarray(b, dtype=float), check_finite=False)
 
 
 def cholesky(mat: np.ndarray) -> SpdFactorization:
-    """Factor a dense SPD matrix; a non-positive pivot signals an assembly bug."""
+    """Factor a dense SPD matrix; a non-positive pivot signals an assembly bug.
+
+    A non-finite entry is rejected here, once, so every later solve with the
+    factor can skip that scan.
+    """
     mat = np.asarray(mat, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] < 1:
         raise ValueError(f"expected a square matrix, got shape {mat.shape}")
+    if not np.all(np.isfinite(mat)):
+        raise NotSpdError("matrix has non-finite entries")
     scale = np.max(np.abs(mat))
     if scale > 0 and np.max(np.abs(mat - mat.T)) > 1e-12 * scale:
         raise NotSpdError("matrix is not symmetric")

@@ -25,6 +25,7 @@ from .inverse import (
     NoiseSpec,
     perturb_measurements,
     run_inverse,
+    run_inverse_batch,
     smooth_measurements,
 )
 from .manufactured import ManufacturedProblem, build_manufactured
@@ -113,6 +114,29 @@ def rate_fit(errors: Sequence[float], steps: Sequence[float]) -> float:
     return float(np.polyfit(np.log(steps), np.log(errors), 1)[0])
 
 
+def _r_rows(
+    grid: Grid, problem: ManufacturedProblem, recovered: np.ndarray
+) -> List[Tuple[float, float, float, float]]:
+    t_mid = grid.midpoint_times()
+    exact = problem.r_at_midpoints(grid)
+    return [
+        (float(t_mid[n]), float(recovered[n]), float(exact[n]),
+         float(abs(recovered[n] - exact[n])))
+        for n in range(grid.M)
+    ]
+
+
+def _u_rows(
+    grid: Grid, problem: ManufacturedProblem, final: np.ndarray
+) -> List[Tuple[float, float, float, float]]:
+    x = grid.interior_x()
+    exact = problem.u_exact(grid.T, x)
+    return [
+        (float(x[i]), float(final[i]), float(exact[i]), float(abs(final[i] - exact[i])))
+        for i in range(x.size)
+    ]
+
+
 @dataclass(frozen=True)
 class InverseRunResult:
     """One inverse run against a benchmark, with errors versus the exact data."""
@@ -127,31 +151,13 @@ class InverseRunResult:
     l2_r: float
     measurement_provenance: str
 
-    def r_rows(self) -> List[Tuple[float, float, float, float]]:
-        t_mid = self.grid.midpoint_times()
-        exact = self.problem.r_at_midpoints(self.grid)
-        rec = self.recovered.values
-        return [
-            (float(t_mid[n]), float(rec[n]), float(exact[n]), float(abs(rec[n] - exact[n])))
-            for n in range(self.grid.M)
-        ]
-
-    def u_rows(self) -> List[Tuple[float, float, float, float]]:
-        x = self.grid.interior_x()
-        exact = self.problem.u_exact(self.grid.T, x)
-        num = self.trajectory.final
-        return [
-            (float(x[i]), float(num[i]), float(exact[i]), float(abs(num[i] - exact[i])))
-            for i in range(x.size)
-        ]
-
 
 def _errors_against_exact(
-    problem: ManufacturedProblem, grid: Grid, trajectory: Trajectory, recovered: CoefficientSeries
+    problem: ManufacturedProblem, grid: Grid, final: np.ndarray, recovered: np.ndarray
 ) -> Tuple[float, float, float, float]:
     x = grid.interior_x()
-    du = trajectory.final - problem.u_exact(grid.T, x)
-    dr = recovered.values - problem.r_at_midpoints(grid)
+    du = final - problem.u_exact(grid.T, x)
+    dr = recovered - problem.r_at_midpoints(grid)
     linf_u = float(np.max(np.abs(du)))
     l2_u = float(np.sqrt(grid.h * np.sum(du * du)))
     linf_r = float(np.max(np.abs(dr)))
@@ -192,7 +198,9 @@ def run_inverse_case(
             # noisy data is incompatible with phi at t=0 by construction
             warnings.simplefilter("ignore", UserWarning)
         trajectory, recovered = run_inverse(data, grid, measurements=measurements, ops=ops)
-    linf_u, l2_u, linf_r, l2_r = _errors_against_exact(spec, grid, trajectory, recovered)
+    linf_u, l2_u, linf_r, l2_r = _errors_against_exact(
+        spec, grid, trajectory.final, recovered.values
+    )
     return InverseRunResult(
         grid=grid,
         problem=spec,
@@ -311,7 +319,11 @@ def convergence_study_space(config: StudyConfig) -> ConvergenceTable:
 
 @dataclass(frozen=True)
 class NoiseCase:
-    """One (delta, seed) recovery, raw and (optionally) smoothed."""
+    """One (delta, seed) recovery, raw and (optionally) smoothed.
+
+    ``recovered`` and ``final`` are the raw series' r^{n+1/2} and U^M; they
+    are NaN when the case did not complete.
+    """
 
     delta: float
     seed: int
@@ -319,7 +331,8 @@ class NoiseCase:
     linf_r: float
     l2_r: float
     linf_r_smoothed: Optional[float]
-    result: Optional[InverseRunResult]
+    recovered: np.ndarray
+    final: np.ndarray
     failure: str = ""
 
 
@@ -329,6 +342,8 @@ class NoiseStudyResult:
     s: float
     cases: Tuple[NoiseCase, ...]
     smooth_window: int
+    grid: Grid
+    problem: ManufacturedProblem
 
     def mean_linf_r(self) -> dict:
         """Mean raw coefficient error per noise level, over completed seeds."""
@@ -346,61 +361,59 @@ class NoiseStudyResult:
 def noise_study(config: StudyConfig) -> NoiseStudyResult:
     """Recover the coefficient from noisy measurements over a seed ensemble.
 
-    A denominator failure aborts only its own (delta, seed) case.  When the
-    configured smoothing window exceeds 1, each case is recovered twice: from
-    the raw noisy series and from the smoothed one.
+    Every (delta, seed) series, and its smoothed copy when the configured
+    smoothing window exceeds 1, is recovered in one batched march over one
+    grid, operator and factorization.  The recovery denominator does not
+    depend on the data, so a denominator failure fails every case.
     """
-    n = config.n_values[0]
-    m = config.m_values[0]
-    grid = make_grid(config.l, config.t_final, n, m, config.s)
+    grid = make_grid(config.l, config.t_final, config.n_values[0], config.m_values[0], config.s)
+    op = assemble(grid, config.scheme)
+    spec, data = build_manufactured(config.example, grid, source=config.source, op=op)
+    ops = make_step_operators(grid, op=op, solver=config.solver, tol=config.tol)
+
+    keys = [(delta, seed) for delta in config.deltas for seed in config.seeds]
+    if not keys:
+        raise ValueError("the noise study needs at least one delta and one seed")
+    smooth = config.smooth_window > 1
+    series = []
+    for delta, seed in keys:
+        noise = NoiseSpec(delta=delta, seed=seed)
+        raw = perturb_measurements(data.measurements, noise) if delta > 0.0 else data.measurements
+        series.append(raw.values)
+        if smooth:
+            series.append(smooth_measurements(raw, config.smooth_window).values)
+
+    # noisy data is incompatible with phi at t=0 by construction
+    noisy = any(delta > 0.0 for delta in config.deltas)
+    failure = ""
+    try:
+        recovered, final = run_inverse_batch(
+            data, grid, np.column_stack(series), ops,
+            compatibility_tol=math.inf if noisy else 1e-2,
+        )
+    except DenominatorNearZero as exc:
+        failure = str(exc)
+        recovered = np.full((grid.M, len(series)), np.nan)
+        final = np.full((grid.interior_dim, len(series)), np.nan)
+
     cases: List[NoiseCase] = []
-    for delta in config.deltas:
-        for seed in config.seeds:
-            spec = NoiseSpec(delta=delta, seed=seed)
-            try:
-                raw = run_inverse_case(
-                    config.example, grid, config.source, config.solver, config.tol,
-                    noise=spec, scheme=config.scheme,
-                )
-                smoothed_err = None
-                if config.smooth_window > 1:
-                    smoothed = run_inverse_case(
-                        config.example,
-                        grid,
-                        config.source,
-                        config.solver,
-                        config.tol,
-                        noise=spec,
-                        smooth_window=config.smooth_window,
-                        scheme=config.scheme,
-                    )
-                    smoothed_err = smoothed.linf_r
-                cases.append(
-                    NoiseCase(
-                        delta=delta,
-                        seed=seed,
-                        completed=True,
-                        linf_r=raw.linf_r,
-                        l2_r=raw.l2_r,
-                        linf_r_smoothed=smoothed_err,
-                        result=raw,
-                    )
-                )
-            except DenominatorNearZero as exc:
-                cases.append(
-                    NoiseCase(
-                        delta=delta,
-                        seed=seed,
-                        completed=False,
-                        linf_r=float("nan"),
-                        l2_r=float("nan"),
-                        linf_r_smoothed=None,
-                        result=None,
-                        failure=str(exc),
-                    )
-                )
+    stride = 2 if smooth else 1
+    for k, (delta, seed) in enumerate(keys):
+        col = stride * k
+        _, _, linf_r, l2_r = _errors_against_exact(spec, grid, final[:, col], recovered[:, col])
+        smoothed_err = None
+        if smooth:
+            smoothed_err = _errors_against_exact(
+                spec, grid, final[:, col + 1], recovered[:, col + 1]
+            )[2]
+        cases.append(NoiseCase(
+            delta=delta, seed=seed, completed=not failure, linf_r=linf_r, l2_r=l2_r,
+            linf_r_smoothed=smoothed_err, recovered=recovered[:, col], final=final[:, col],
+            failure=failure,
+        ))
     return NoiseStudyResult(
-        example=config.example, s=config.s, cases=tuple(cases), smooth_window=config.smooth_window
+        example=config.example, s=config.s, cases=tuple(cases),
+        smooth_window=config.smooth_window, grid=grid, problem=spec,
     )
 
 
@@ -420,21 +433,20 @@ def emit_outputs(result, outdir) -> List[Path]:
         summary_rows = []
         for case in result.cases:
             tag = f"delta{case.delta:g}_seed{case.seed}"
-            if case.completed and case.result is not None:
-                written.append(
-                    write_csv(
-                        outdir / f"r_recovered_{tag}.csv",
-                        ("t_mid", "r_recovered", "r_exact", "abs_error"),
-                        case.result.r_rows(),
-                    )
+            written.append(
+                write_csv(
+                    outdir / f"r_recovered_{tag}.csv",
+                    ("t_mid", "r_recovered", "r_exact", "abs_error"),
+                    _r_rows(result.grid, result.problem, case.recovered),
                 )
-                written.append(
-                    write_csv(
-                        outdir / f"u_final_{tag}.csv",
-                        ("x", "u_num", "u_exact", "abs_error"),
-                        case.result.u_rows(),
-                    )
+            )
+            written.append(
+                write_csv(
+                    outdir / f"u_final_{tag}.csv",
+                    ("x", "u_num", "u_exact", "abs_error"),
+                    _u_rows(result.grid, result.problem, case.final),
                 )
+            )
             summary_rows.append(
                 (
                     case.delta,
@@ -457,14 +469,14 @@ def emit_outputs(result, outdir) -> List[Path]:
             write_csv(
                 outdir / "r_series.csv",
                 ("t_mid", "r_recovered", "r_exact", "abs_error"),
-                result.r_rows(),
+                _r_rows(result.grid, result.problem, result.recovered.values),
             )
         )
         written.append(
             write_csv(
                 outdir / "u_final.csv",
                 ("x", "u_num", "u_exact", "abs_error"),
-                result.u_rows(),
+                _u_rows(result.grid, result.problem, result.trajectory.final),
             )
         )
     else:
@@ -476,6 +488,23 @@ _LIST_KEYS = {"n_values", "m_values", "deltas", "seeds"}
 _INT_KEYS = {"smooth_window"}
 _FLOAT_KEYS = {"s", "l", "t_final", "tol"}
 _BOOL_KEYS = {"tau_equals_h"}
+
+
+def _parse_value(key: str, value: str):
+    """Convert one config value; a malformed number raises ValueError."""
+    if key in _LIST_KEYS:
+        parts = [p for p in value.split(",") if p.strip()]
+        convert = int if key in ("n_values", "m_values", "seeds") else float
+        return tuple(convert(p) for p in parts)
+    if key in _INT_KEYS:
+        return int(value)
+    if key in _FLOAT_KEYS:
+        return float(value)
+    if key in _BOOL_KEYS:
+        if value.lower() not in ("true", "false", "0", "1"):
+            raise ValueError(f"boolean expected, got {value!r}")
+        return value.lower() in ("true", "1")
+    return value
 
 
 def load_config(path) -> StudyConfig:
@@ -491,23 +520,10 @@ def load_config(path) -> StudyConfig:
             raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, _, value = line.partition("=")
         key = key.strip()
-        value = value.strip()
         if key not in known:
             raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-        if key in _LIST_KEYS:
-            parts = [p for p in value.split(",") if p.strip()]
-            if key in ("n_values", "m_values", "seeds"):
-                values[key] = tuple(int(p) for p in parts)
-            else:
-                values[key] = tuple(float(p) for p in parts)
-        elif key in _INT_KEYS:
-            values[key] = int(value)
-        elif key in _FLOAT_KEYS:
-            values[key] = float(value)
-        elif key in _BOOL_KEYS:
-            if value.lower() not in ("true", "false", "0", "1"):
-                raise ValueError(f"{path}:{lineno}: boolean expected, got {value!r}")
-            values[key] = value.lower() in ("true", "1")
-        else:
-            values[key] = value
+        try:
+            values[key] = _parse_value(key, value.strip())
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
     return StudyConfig(**values)

@@ -1,0 +1,179 @@
+"""Properties of the batched recovery: K measurement series in one march."""
+
+import contextlib
+import warnings
+
+import numpy as np
+import pytest
+from hypothesis import example, given, reject, settings
+from hypothesis import strategies as st
+
+from fracheat import (
+    DenominatorNearZero,
+    ProblemData,
+    SolverError,
+    StudyConfig,
+    assemble,
+    build_manufactured,
+    emit_outputs,
+    make_grid,
+    make_step_operators,
+    measurements_from_trajectory,
+    noise_study,
+    run_forward,
+    run_inverse,
+    run_inverse_batch,
+)
+from fracheat.grid import MeasurementSeries
+
+orders = st.floats(0.01, 0.99)
+sizes = st.integers(2, 300)
+widths = st.integers(1, 6)
+steps = st.integers(1, 4)
+log_taus = st.floats(-3.0, 3.0)
+seeds = st.integers(0, 2**32 - 1)
+schemes = st.sampled_from(("midpoint", "interpolated"))
+solvers = st.sampled_from(("cholesky", "cg"))
+
+
+def _setup(s, n_cells, m_steps, log_tau, scheme, solver):
+    tau = 10.0**log_tau
+    grid = make_grid(1, tau * m_steps, n_cells, m_steps, s)
+    op = assemble(grid, scheme)
+    spec, data = build_manufactured("example1", grid, op=op)
+    ops = make_step_operators(grid, op=op, solver=solver)
+    return grid, spec, data, ops
+
+
+@contextlib.contextmanager
+def _within_cg_floor():
+    # At s near 1 with N ~ 300 and tau >= 1 the rounding error of evaluating
+    # b - Lx can exceed the default CG tolerance 1e-12, and the cg route then
+    # raises SolverError (README, on --tol); such grids are outside its domain.
+    try:
+        yield
+    except SolverError:
+        reject()
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(s=orders, n_cells=sizes, k=widths, m_steps=steps, log_tau=log_taus, seed=seeds,
+       scheme=schemes, solver=solvers)
+@example(s=0.01, n_cells=2, k=6, m_steps=4, log_tau=-3.0, seed=0, scheme="midpoint",
+         solver="cholesky")
+@example(s=0.8, n_cells=300, k=6, m_steps=4, log_tau=3.0, seed=0, scheme="interpolated",
+         solver="cg")
+def test_batch_columns_match_single_runs(s, n_cells, k, m_steps, log_tau, seed, scheme,
+                                         solver):
+    grid, _, data, ops = _setup(s, n_cells, m_steps, log_tau, scheme, solver)
+    w = data.measurements.values
+    rng = np.random.default_rng(seed)
+    # distinct series: the analytic one scaled and shifted per column
+    series = w[:, None] * (1.0 + 0.05 * rng.uniform(-1.0, 1.0, (grid.M + 1, k)))
+    with warnings.catch_warnings(), _within_cg_floor():
+        warnings.simplefilter("ignore", UserWarning)
+        r_batch, final_batch = run_inverse_batch(data, grid, series, ops)
+        assert r_batch.shape == (grid.M, k)
+        assert final_batch.shape == (grid.interior_dim, k)
+        for j in range(k):
+            traj, rec = run_inverse(data, grid, MeasurementSeries(series[:, j]), ops)
+            r_scale = max(1.0, float(np.max(np.abs(rec.values))))
+            u_scale = max(1.0, float(np.max(np.abs(traj.final))))
+            assert np.max(np.abs(r_batch[:, j] - rec.values)) <= 1e-12 * r_scale
+            assert np.max(np.abs(final_batch[:, j] - traj.final)) <= 1e-12 * u_scale
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(s=orders, n_cells=sizes, k=widths, m_steps=steps, log_tau=log_taus, seed=seeds,
+       scheme=schemes, solver=solvers)
+@example(s=0.99, n_cells=300, k=6, m_steps=4, log_tau=3.0, seed=0, scheme="midpoint",
+         solver="cholesky")
+@example(s=0.01, n_cells=2, k=1, m_steps=1, log_tau=-3.0, seed=0, scheme="interpolated",
+         solver="cg")
+def test_batch_roundtrips_discrete_data(s, n_cells, k, m_steps, log_tau, seed, scheme, solver):
+    # criterion 6 for K series at once: data generated by the same discrete
+    # stepper from K different coefficients come back to 1e-9
+    grid, _, data, ops = _setup(s, n_cells, m_steps, log_tau, scheme, solver)
+    rng = np.random.default_rng(seed)
+    r_true = rng.uniform(0.5, 2.0, (grid.M, k))
+    with _within_cg_floor():
+        series = np.column_stack([
+            measurements_from_trajectory(
+                run_forward(data, grid, r=r_true[:, j], ops=ops), data.weight, grid
+            ).values
+            for j in range(k)
+        ])
+        r_rec, _ = run_inverse_batch(data, grid, series, ops)
+    assert np.max(np.abs(r_rec - r_true)) <= 1e-9
+
+
+def _orthogonal_problem(grid, from_step):
+    # odd forcing against an even weight from step ``from_step`` on: both
+    # pairings vanish exactly by the reflection symmetry of the operator
+    x = grid.interior_x()
+    switch = grid.midpoint_times()[from_step]
+    return ProblemData(
+        phi=np.sin(np.pi * x),
+        forcing=lambda t: np.sin((1.0 if t < switch else 2.0) * np.pi * x),
+        weight=np.sin(np.pi * x),
+    )
+
+
+@pytest.mark.parametrize("solver", ["cholesky", "cg"])
+@pytest.mark.parametrize("from_step", [0, 3])
+def test_orthogonal_forcing_fails_batch_at_its_step(solver, from_step):
+    grid = make_grid(1, 1, 16, 6, 0.5)
+    problem = _orthogonal_problem(grid, from_step)
+    w0 = grid.h * float(problem.phi @ problem.weight)
+    series = np.full((grid.M + 1, 4), w0)
+    ops = make_step_operators(grid, solver=solver)
+    with pytest.raises(DenominatorNearZero) as info:
+        run_inverse_batch(problem, grid, series, ops)
+    assert info.value.step == from_step
+
+
+def test_batch_rejects_a_single_series():
+    grid = make_grid(1, 1, 16, 4, 0.5)
+    _, data = build_manufactured("example1", grid)
+    with pytest.raises(ValueError, match=r"\(M\+1, K\)"):
+        run_inverse_batch(data, grid, data.measurements.values)
+    with pytest.raises(ValueError, match="expected 5 measurements"):
+        run_inverse_batch(data, grid, np.ones((4, 2)))
+
+
+def test_non_finite_forcing_raises():
+    grid = make_grid(1, 1, 16, 4, 0.5)
+    _, data = build_manufactured("example1", grid)
+    x = grid.interior_x()
+    broken = ProblemData(phi=data.phi, forcing=lambda t: np.full(x.size, np.nan),
+                         weight=data.weight)
+    series = np.column_stack([data.measurements.values] * 3)
+    with pytest.raises(ValueError, match="non-finite"):
+        run_inverse_batch(broken, grid, series)
+
+
+def test_noise_study_denominator_failure_fails_every_case(tmp_path, monkeypatch):
+    import fracheat.studies
+
+    original = fracheat.studies.build_manufactured
+
+    def orthogonal(ident, grid, **kwargs):
+        spec, data = original(ident, grid, **kwargs)
+        return spec, ProblemData(
+            phi=data.phi,
+            forcing=_orthogonal_problem(grid, 0).forcing,
+            weight=data.weight,
+            measurements=data.measurements,
+        )
+
+    monkeypatch.setattr(fracheat.studies, "build_manufactured", orthogonal)
+    cfg = StudyConfig(example="example1", s=0.5, n_values=(16,), m_values=(16,),
+                      deltas=(0.01, 0.03, 0.05), seeds=tuple(range(10)), smooth_window=5)
+    study = noise_study(cfg)
+    assert len(study.cases) == 30
+    assert not any(c.completed for c in study.cases)
+    assert all("at step 0" in c.failure for c in study.cases)
+    paths = emit_outputs(study, tmp_path)
+    assert len(paths) == 2 * 30 + 1
+    summary = (tmp_path / "noise_summary.csv").read_text().splitlines()
+    assert all(line.split(",")[2] == "0" for line in summary[1:])

@@ -71,6 +71,23 @@ def test_unknown_config_key_fails(tmp_path):
     assert main(["inverse", "--config", str(cfg)]) == 2
 
 
+def test_bad_number_in_config_keeps_location(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("example = example1\ns = abc\n", encoding="utf-8")
+    assert main(["inverse", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {cfg}:2: could not convert string to float: 'abc'\n"
+    )
+
+
+def test_coarse_quadrature_source_converges(tmp_path, capsys):
+    # N = 16 needs more far-field panels than the oracle's first count
+    out = tmp_path / "cs"
+    assert main(["convergence-space", "--example", "1", "--s", "0.1", "--source",
+                 "quadrature", "--N", "16", "--out", str(out)]) == 0
+    assert len((out / "table.csv").read_text().splitlines()) == 4
+
+
 def test_noise_study_exit_code(tmp_path):
     out = tmp_path / "noise"
     cfg = tmp_path / "cfg"

@@ -3,6 +3,7 @@ import pytest
 
 from fracheat import (
     ProblemData,
+    SolverError,
     assemble,
     build_manufactured,
     cn_step,
@@ -129,6 +130,16 @@ class TestRunForward:
         data = ProblemData(phi=np.zeros(15), forcing=_zero_forcing(15), weight=np.ones(15))
         with pytest.raises(ValueError):
             run_forward(data, grid16)
+
+    @pytest.mark.parametrize("solver,error", [("cholesky", ValueError), ("cg", SolverError)])
+    def test_nan_forcing_raises(self, grid16, op16, solver, error):
+        # Cholesky solves skip their finite scans, so the trajectory's own
+        # check stops the run; CG stops at its first non-finite step
+        data = ProblemData(phi=np.zeros(15), forcing=lambda t: np.full(15, np.nan),
+                           weight=np.ones(15), coefficient=lambda t: 1.0)
+        ops = make_step_operators(grid16, op=op16, solver=solver)
+        with pytest.raises(error, match="non-finite"):
+            run_forward(data, grid16, ops=ops)
 
     @pytest.mark.parametrize("tau", [1e-3, 1e-1, 10.0])
     def test_unconditional_decay_of_homogeneous_runs(self, grid16, op16, tau):

@@ -163,6 +163,24 @@ class TestQuadratureOracle:
         with pytest.raises(QuadratureConvergenceError):
             quadrature_oracle(wiggle, g, refinement=1, check=True, rtol=1e-12)
 
+    def test_coarse_grid_doubles_panels_until_converged(self, monkeypatch):
+        # sin(3 pi x) at N = 16, s = 0.1 misses rtol at the first panel count
+        import fracheat.riesz
+
+        def u(x):
+            return np.sin(3 * np.pi * np.asarray(x, dtype=float))
+
+        def u_xx(x):
+            return -9 * np.pi**2 * u(x)
+
+        g = make_grid(1, 1, 16, 1, 0.1)
+        out = quadrature_oracle(u, g, u_xx=u_xx)
+        ref = quadrature_oracle(u, g, refinement=128, u_xx=u_xx, check=False)
+        assert np.max(np.abs(out - ref)) <= 1e-8 * (1.0 + np.max(np.abs(ref)))
+        monkeypatch.setattr(fracheat.riesz, "_QUADRATURE_DOUBLINGS", 1)
+        with pytest.raises(QuadratureConvergenceError, match="at 256 panels"):
+            quadrature_oracle(u, g, u_xx=u_xx)
+
     def test_sine_defect_halves_away_from_boundary(self):
         # Consistency defect of A against the reference integral at the centre
         # node shrinks by ~2 per halving at s = 1/2.  (Near the walls the

@@ -49,6 +49,14 @@ class TestCholesky:
         with pytest.raises(NotSpdError):
             cholesky(np.array([[1.0, 2.0], [2.0, 1.0]]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite(self, bad):
+        # a NaN compares false, so it would slip through the symmetry test
+        mat = np.eye(3)
+        mat[1, 2] = mat[2, 1] = bad
+        with pytest.raises(NotSpdError, match="non-finite"):
+            cholesky(mat)
+
     def test_solve_accuracy_on_l_system(self):
         _, dense = _l_system(32, 0.5, 0.01)
         f = cholesky(dense)

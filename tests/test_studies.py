@@ -125,6 +125,31 @@ class TestNoiseStudy:
         raw = run_inverse_case("example1", grid, noise=spec, smooth_window=1)
         assert "smoothed" not in raw.measurement_provenance
 
+    @pytest.mark.parametrize("empty", [dict(deltas=()), dict(seeds=())])
+    def test_empty_ensemble_rejected(self, empty):
+        cfg = StudyConfig(example="example1", n_values=(16,), m_values=(8,), **empty)
+        with pytest.raises(ValueError, match="at least one delta and one seed"):
+            noise_study(cfg)
+
+    def test_batched_cases_match_single_runs(self):
+        # each (delta, seed) case of the one batched march, raw and smoothed,
+        # against its own run_inverse_case
+        from fracheat import NoiseSpec
+
+        cfg = StudyConfig(example="example1", s=0.5, n_values=(30,), m_values=(30,),
+                          deltas=(0.0, 0.01, 0.05), seeds=(0, 4), smooth_window=3)
+        study = noise_study(cfg)
+        grid = make_grid(1, 1, 30, 30, 0.5)
+        for case in study.cases:
+            spec = NoiseSpec(delta=case.delta, seed=case.seed)
+            raw = run_inverse_case("example1", grid, noise=spec)
+            smoothed = run_inverse_case("example1", grid, noise=spec, smooth_window=3)
+            assert np.max(np.abs(case.recovered - raw.recovered.values)) <= 1e-12
+            assert np.max(np.abs(case.final - raw.trajectory.final)) <= 1e-12
+            assert case.linf_r == pytest.approx(raw.linf_r, abs=1e-12)
+            assert case.l2_r == pytest.approx(raw.l2_r, abs=1e-12)
+            assert case.linf_r_smoothed == pytest.approx(smoothed.linf_r, abs=1e-12)
+
     def test_mean_errors_and_completion(self):
         cfg = StudyConfig(example="example1", s=0.5, n_values=(50,), m_values=(50,),
                           deltas=(0.01, 0.05), seeds=(0, 1, 2))
@@ -238,6 +263,13 @@ class TestLoadConfig:
         path = tmp_path / "bad.cfg"
         path.write_text("just some words\n", encoding="utf-8")
         with pytest.raises(ValueError, match="expected"):
+            load_config(path)
+
+    @pytest.mark.parametrize("line", ["s = abc", "seeds = 0, x", "smooth_window = 5.0"])
+    def test_bad_number_keeps_location(self, tmp_path, line):
+        path = tmp_path / "bad.cfg"
+        path.write_text(f"# settings\n{line}\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=rf"^{path}:2: invalid literal|^{path}:2: could not"):
             load_config(path)
 
     def test_bad_boolean_rejected(self, tmp_path):
