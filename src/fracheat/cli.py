@@ -24,6 +24,7 @@ from .riesz import SCHEMES, QuadratureConvergenceError, assemble, quadrature_ora
 from .solvers import SolverError
 from .studies import (
     StudyConfig,
+    _u_rows,
     convergence_study_space,
     convergence_study_time,
     emit_outputs,
@@ -55,38 +56,37 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", type=str, default=None, help="key = value config file")
 
 
+def _one(value):
+    return (value,)
+
+
+# flag attribute -> (StudyConfig field, conversion of the flag value)
+_FLAG_FIELDS = {
+    "example": ("example", _EXAMPLES.__getitem__),
+    "s": ("s", float),
+    "N": ("n_values", _one),
+    "M": ("m_values", _one),
+    "l": ("l", float),
+    "T": ("t_final", float),
+    "solver": ("solver", str),
+    "tol": ("tol", float),
+    "delta": ("deltas", _one),
+    "seed": ("seeds", _one),
+    "smooth_window": ("smooth_window", int),
+    "source": ("source", str),
+    "scheme": ("scheme", str),
+    "out": ("out", str),
+}
+
+
 def _build_config(args: argparse.Namespace) -> StudyConfig:
     """defaults < config file < explicit flags"""
     config = load_config(args.config) if args.config else StudyConfig()
-    updates = {}
-    if args.example is not None:
-        updates["example"] = _EXAMPLES[args.example]
-    if args.s is not None:
-        updates["s"] = args.s
-    if args.N is not None:
-        updates["n_values"] = (args.N,)
-    if args.M is not None:
-        updates["m_values"] = (args.M,)
-    if args.l is not None:
-        updates["l"] = args.l
-    if args.T is not None:
-        updates["t_final"] = args.T
-    if args.solver is not None:
-        updates["solver"] = args.solver
-    if args.tol is not None:
-        updates["tol"] = args.tol
-    if args.delta is not None:
-        updates["deltas"] = (args.delta,)
-    if args.seed is not None:
-        updates["seeds"] = (args.seed,)
-    if args.smooth_window is not None:
-        updates["smooth_window"] = args.smooth_window
-    if args.source is not None:
-        updates["source"] = args.source
-    if args.scheme is not None:
-        updates["scheme"] = args.scheme
-    if args.out is not None:
-        updates["out"] = args.out
+    updates = {
+        field: convert(getattr(args, flag))
+        for flag, (field, convert) in _FLAG_FIELDS.items()
+        if getattr(args, flag) is not None
+    }
     return replace(config, **updates)
 
 
@@ -110,17 +110,9 @@ def _cmd_forward(args: argparse.Namespace) -> int:
         for i in range(grid.interior_dim)
     )
     write_csv(outdir / "trajectory.csv", ("t", "x", "u"), rows)
-    exact = spec.u_exact(grid.T, x)
-    write_csv(
-        outdir / "u_final.csv",
-        ("x", "u_num", "u_exact", "abs_error"),
-        [
-            (float(x[i]), float(trajectory.final[i]), float(exact[i]),
-             float(abs(trajectory.final[i] - exact[i])))
-            for i in range(x.size)
-        ],
-    )
-    err = float(np.max(np.abs(trajectory.final - exact)))
+    u_rows = _u_rows(grid, spec, trajectory.final)
+    write_csv(outdir / "u_final.csv", ("x", "u_num", "u_exact", "abs_error"), u_rows)
+    err = max(row[3] for row in u_rows)
     print(f"forward {config.example} N={grid.N} M={grid.M} s={grid.s}: "
           f"Linf error in u at T = {err:.6e}")
     return 0

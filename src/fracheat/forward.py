@@ -59,9 +59,6 @@ class StepOperators:
     solver: str
     solve_l: Callable[[np.ndarray], np.ndarray]
 
-    def apply_a(self, v: np.ndarray) -> np.ndarray:
-        return self.op.apply(v)
-
     def apply_r(self, v: np.ndarray) -> np.ndarray:
         return v - (self.tau / 2.0) * self.op.apply(v)
 
@@ -72,7 +69,6 @@ def make_step_operators(
     tau: Optional[float] = None,
     solver: Optional[str] = None,
     tol: float = 1e-12,
-    maxit: Optional[int] = None,
 ) -> StepOperators:
     """Assemble (or reuse) A and prepare the L-solver for the given step size.
 
@@ -105,7 +101,7 @@ def make_step_operators(
             b = np.asarray(b, dtype=float)
             if b.ndim == 2:  # one right-hand side per column
                 return np.stack([solve_l(col) for col in b.T], axis=1)
-            return cg_solve(apply_l, b, tol=tol, maxit=maxit, precond=precond)
+            return cg_solve(apply_l, b, tol=tol, precond=precond)
 
     else:
         raise ValueError(f"unknown solver {solver!r} (expected 'cholesky' or 'cg')")
@@ -159,24 +155,18 @@ def run_forward(
     return Trajectory(states=states)
 
 
-def _operator_action(a) -> Callable[[np.ndarray], np.ndarray]:
-    if isinstance(a, RieszOperator):
-        return a.apply
-    mat = np.asarray(a, dtype=float)
-    return lambda v: mat @ v
-
-
-def energy_identity_residual(a, u_n: np.ndarray, u_np1: np.ndarray, tau: float) -> float:
+def energy_identity_residual(
+    op: RieszOperator, u_n: np.ndarray, u_np1: np.ndarray, tau: float
+) -> float:
     """Residual of ||U^{n+1}||^2 + 2 tau ||U^{n+1/2}||_A^2 = ||U^n||^2.
 
     Exact (to solver tolerance) for a homogeneous step; a positive value
     2 tau ||U||_A^2 flags a pair that no homogeneous step produced.
     """
-    apply_a = _operator_action(a)
     mid = 0.5 * (np.asarray(u_n, dtype=float) + np.asarray(u_np1, dtype=float))
     return (
         float(u_np1 @ u_np1)
-        + 2.0 * tau * energy_norm(apply_a, mid) ** 2
+        + 2.0 * tau * energy_norm(op.apply, mid) ** 2
         - float(u_n @ u_n)
     )
 

@@ -70,16 +70,10 @@ class NoiseSpec:
 
     delta: float
     seed: int = 0
-    distribution: str = "uniform"
-    smoothing_window: int = 1  # odd; 1 disables smoothing
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.delta < 1.0:
             raise ValueError(f"noise level delta must lie in [0, 1), got {self.delta}")
-        if self.distribution != "uniform":
-            raise ValueError(f"unsupported noise distribution {self.distribution!r}")
-        if self.smoothing_window < 1 or self.smoothing_window % 2 == 0:
-            raise ValueError("smoothing window must be an odd integer >= 1")
 
 
 @dataclass(frozen=True)
@@ -127,7 +121,7 @@ def recover_r_step(
     v = ops.solve_l(u_n)
     y = 2.0 * v - u_n
     s_vec = ops.solve_l(f_mid)
-    a_weight = ops.apply_a(weight)
+    a_weight = ops.op.apply(weight)
 
     f_pair = discrete_measurement(f_mid, weight, h)
     numerator = (w_np1 - w_n) / tau + h * (a_weight @ v)
@@ -150,7 +144,7 @@ def _march(
     problem: ProblemData,
     grid: Grid,
     w: np.ndarray,
-    ops: StepOperators,
+    ops: Optional[StepOperators],
     compatibility_tol: float,
     states: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -163,6 +157,8 @@ def _march(
         raise ValueError(f"expected {grid.M + 1} measurements, got {w.shape[0]}")
     if problem.phi.size != grid.interior_dim:
         raise ValueError("phi length does not match the grid")
+    if ops is None:
+        ops = make_step_operators(grid)
 
     w0_discrete = discrete_measurement(problem.phi, problem.weight, grid.h)
     gap = np.max(np.abs(w0_discrete - w[0]) / np.maximum(np.abs(w[0]), 1e-300))
@@ -208,8 +204,6 @@ def run_inverse(
         measurements = problem.measurements
         if measurements is None:
             raise ValueError("no measurements: pass them or set problem.measurements")
-    if ops is None:
-        ops = make_step_operators(grid)
     states = np.empty((grid.M + 1, grid.interior_dim))
     recovered, _ = _march(
         problem, grid, measurements.values[:, None], ops, compatibility_tol, states
@@ -234,8 +228,6 @@ def run_inverse_batch(
     w = np.asarray(measurements, dtype=float)
     if w.ndim != 2:
         raise ValueError(f"expected an (M+1, K) array of series, got shape {w.shape}")
-    if ops is None:
-        ops = make_step_operators(grid)
     return _march(problem, grid, w, ops, compatibility_tol)
 
 
@@ -265,7 +257,7 @@ def perturb_measurements(measurements: MeasurementSeries, spec: NoiseSpec) -> Me
 
 
 def smooth_measurements(measurements: MeasurementSeries, window: int) -> MeasurementSeries:
-    """Centred moving average; the window shrinks one-sidedly at the ends.
+    """Centred moving average; near the ends the window shrinks to stay centred.
 
     window = 1 is the identity.  Intended for noisy data only: the recovery
     formula differences w, so raw noise is amplified by 1/tau.
@@ -278,10 +270,16 @@ def smooth_measurements(measurements: MeasurementSeries, window: int) -> Measure
     if window == 1:
         return measurements
     half = window // 2
+    n = w.size
     out = np.empty_like(w)
-    for i in range(w.size):
-        k = min(half, i, w.size - 1 - i)
-        out[i] = np.mean(w[i - k : i + k + 1])
+    # Each window is summed left to right, the order np.mean uses below 9 points.
+    for k in range(half + 1):  # windows of 2k + 1 points: the two ends, then the interior
+        width = 2 * k + 1
+        starts = np.arange(n - width + 1) if k == half else np.array([0, n - width])
+        total = w[starts]
+        for j in range(1, width):
+            total += w[starts + j]
+        out[starts + k] = total / width
     return MeasurementSeries(
         values=out, provenance=f"{measurements.provenance}+smoothed(window={window})"
     )

@@ -15,7 +15,7 @@ image of each spatial shape exactly once per grid.  Two source modes:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
 import numpy as np
@@ -54,7 +54,6 @@ class ManufacturedProblem:
     r_exact: ScalarFn
     omega_fn: ArrayFn
     w_exact: ScalarFn
-    source_mode: str
 
     def u_exact(self, t: float, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -109,7 +108,6 @@ def _example1(s: float) -> ManufacturedProblem:
         r_exact=lambda t: 1.0 + (s / 2.0) * (1.0 + math.cos(t)),
         omega_fn=lambda x: np.sin(math.pi * np.asarray(x, dtype=float)),
         w_exact=lambda t: 0.5 * (1.0 + t * t + s * math.sin(t)),
-        source_mode="unbound",
     )
 
 
@@ -125,7 +123,6 @@ def _example2(s: float) -> ManufacturedProblem:
         r_exact=lambda t: 1.0 + math.sin(t),
         omega_fn=_window_indicator,
         w_exact=lambda t: _WINDOW_SINE_INTEGRAL * math.cos(t),
-        source_mode="unbound",
     )
 
 
@@ -142,7 +139,6 @@ def build_manufactured(
     grid: Grid,
     source: str = "discrete",
     op: Optional[RieszOperator] = None,
-    refinement: int = 8,
 ) -> Tuple[ManufacturedProblem, ProblemData]:
     """Bind a benchmark to a grid and construct its forcing and data.
 
@@ -155,7 +151,7 @@ def build_manufactured(
     if abs(grid.l - 1.0) > 1e-12:
         # the closed-form measurements integrate the state over (0, 1)
         raise ValueError(f"benchmarks are defined on unit domain length, got l={grid.l}")
-    spec = replace(make_problem(ident, grid.s), source_mode=source)
+    spec = make_problem(ident, grid.s)
 
     x = grid.interior_x()
     if op is None:
@@ -165,7 +161,7 @@ def build_manufactured(
         images = [op.apply(g) for g in shapes]
     else:
         images = [
-            quadrature_oracle(mode.shape, grid, refinement=refinement, u_xx=mode.shape_xx)
+            quadrature_oracle(mode.shape, grid, u_xx=mode.shape_xx)
             for mode in spec.modes
         ]
 

@@ -205,7 +205,6 @@ def _criterion8_config(source: str, scheme: str = "midpoint") -> StudyConfig:
         s=0.1,
         n_values=(100, 200, 400),
         m_values=(1,),
-        tau_equals_h=True,
         source=source,
         scheme=scheme,
     )

@@ -1,7 +1,11 @@
+import argparse
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
 
-from fracheat.cli import main
+from fracheat.cli import _add_common, _build_config, main
+from fracheat.studies import StudyConfig, load_config
 
 
 def test_forward_smoke(tmp_path, capsys):
@@ -189,3 +193,54 @@ def test_unknown_scheme_in_config_rejected(tmp_path, capsys):
     assert main(["forward", "--N", "10", "--M", "5", "--config", str(cfg),
                  "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err == "error: unknown scheme 'bogus'\n"
+
+
+# Every StudyConfig field, each set to a value that no flag below and no
+# default uses.
+_FULL_CONFIG = """\
+example = example2
+s = 0.25
+l = 2.0
+t_final = 3.0
+n_values = 10, 20
+m_values = 5, 6
+solver = cg
+tol = 1e-11
+deltas = 0.01, 0.05
+seeds = 4, 5
+source = quadrature
+scheme = interpolated
+smooth_window = 7
+out = from_file
+"""
+
+
+@pytest.mark.parametrize("flag, value, field, expected", [
+    ("--example", "1", "example", "example1"),
+    ("--s", "0.75", "s", 0.75),
+    ("--N", "12", "n_values", (12,)),
+    ("--M", "9", "m_values", (9,)),
+    ("--l", "1.5", "l", 1.5),
+    ("--T", "0.5", "t_final", 0.5),
+    ("--solver", "cholesky", "solver", "cholesky"),
+    ("--tol", "1e-9", "tol", 1e-9),
+    ("--delta", "0.02", "deltas", (0.02,)),
+    ("--seed", "3", "seeds", (3,)),
+    ("--smooth-window", "3", "smooth_window", 3),
+    ("--source", "discrete", "source", "discrete"),
+    ("--scheme", "midpoint", "scheme", "midpoint"),
+    ("--out", "from_flag", "out", "from_flag"),
+])
+def test_each_flag_overrides_only_its_field(tmp_path, flag, value, field, expected):
+    cfg = tmp_path / "full.cfg"
+    cfg.write_text(_FULL_CONFIG, encoding="utf-8")
+    from_file = load_config(cfg)
+    assert {line.partition(" = ")[0] for line in _FULL_CONFIG.splitlines()} == {
+        f.name for f in fields(StudyConfig)
+    }
+    parser = argparse.ArgumentParser()
+    _add_common(parser)
+    config = _build_config(parser.parse_args(["--config", str(cfg), flag, value]))
+    # repr tells (12,) from (12.0,) and 3 from 3.0
+    assert repr(getattr(config, field)) == repr(expected)
+    assert config == replace(from_file, **{field: expected})
