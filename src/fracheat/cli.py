@@ -103,16 +103,15 @@ def _cmd_forward(args: argparse.Namespace) -> int:
     trajectory = run_forward(data, grid, ops=ops)
 
     outdir = Path(config.out)
-    times, x = grid.times(), grid.interior_x()
-    rows = (
-        (float(times[n]), float(x[i]), float(trajectory.states[n, i]))
-        for n in range(grid.M + 1)
-        for i in range(grid.interior_dim)
-    )
+    rows = np.column_stack((
+        np.repeat(grid.times(), grid.interior_dim),
+        np.tile(grid.interior_x(), grid.M + 1),
+        trajectory.states.ravel(),
+    ))
     write_csv(outdir / "trajectory.csv", ("t", "x", "u"), rows)
     u_rows = _u_rows(grid, spec, trajectory.final)
     write_csv(outdir / "u_final.csv", ("x", "u_num", "u_exact", "abs_error"), u_rows)
-    err = max(row[3] for row in u_rows)
+    err = float(np.max(u_rows[:, 3]))
     print(f"forward {config.example} N={grid.N} M={grid.M} s={grid.s}: "
           f"Linf error in u at T = {err:.6e}")
     return 0
@@ -215,9 +214,8 @@ def _cmd_operator_dump(args: argparse.Namespace) -> int:
     config = _build_config(args)
     grid = _single_grid(config)
     dense = assemble(grid, config.scheme).dense()
-    rows = [tuple(float(v) for v in row) for row in dense]
     header = tuple(f"col{j}" for j in range(dense.shape[1]))
-    path = write_csv(Path(config.out) / "operator.csv", header, rows)
+    path = write_csv(Path(config.out) / "operator.csv", header, dense)
     print(f"wrote {dense.shape[0]}x{dense.shape[1]} operator to {path}")
     return 0
 

@@ -48,8 +48,6 @@ class Mode:
 class ManufacturedProblem:
     """Closed-form state, coefficient, weight, and measurement of a benchmark."""
 
-    ident: str
-    s: float
     modes: Tuple[Mode, ...]
     r_exact: ScalarFn
     omega_fn: ArrayFn
@@ -102,8 +100,6 @@ def _example1(s: float) -> ManufacturedProblem:
         _sine_mode(3, lambda t: s * t * math.exp(-t), lambda t: s * math.exp(-t) * (1.0 - t)),
     )
     return ManufacturedProblem(
-        ident="example1",
-        s=s,
         modes=modes,
         r_exact=lambda t: 1.0 + (s / 2.0) * (1.0 + math.cos(t)),
         omega_fn=lambda x: np.sin(math.pi * np.asarray(x, dtype=float)),
@@ -117,8 +113,6 @@ def _example2(s: float) -> ManufacturedProblem:
         _sine_mode(2, lambda t: s * t * math.exp(-t), lambda t: s * math.exp(-t) * (1.0 - t)),
     )
     return ManufacturedProblem(
-        ident="example2",
-        s=s,
         modes=modes,
         r_exact=lambda t: 1.0 + math.sin(t),
         omega_fn=_window_indicator,
@@ -160,10 +154,10 @@ def build_manufactured(
     if source == "discrete":
         images = [op.apply(g) for g in shapes]
     else:
-        images = [
-            quadrature_oracle(mode.shape, grid, u_xx=mode.shape_xx)
-            for mode in spec.modes
-        ]
+        images = quadrature_oracle(
+            tuple(mode.shape for mode in spec.modes), grid,
+            u_xx=tuple(mode.shape_xx for mode in spec.modes),
+        )
 
     def forcing(t: float) -> np.ndarray:
         out = np.zeros_like(x)

@@ -45,7 +45,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 from scipy.linalg import toeplitz
@@ -115,7 +115,6 @@ class RieszOperator:
     h: float
     offdiag: np.ndarray  # lag 1 .. size-1, strictly positive, decreasing
     diag: np.ndarray
-    norm_const: float
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         """Matrix-vector product A v over the structured storage."""
@@ -228,72 +227,77 @@ def assemble(grid: Grid, scheme: str = "midpoint") -> RieszOperator:
     if scheme not in _WEIGHTS:
         raise ValueError(f"unknown scheme {scheme!r} (expected one of {SCHEMES})")
     s = grid.s
-    c = normalization_constant(s)
-    scale = c / grid.h ** (2.0 * s)
+    scale = normalization_constant(s) / grid.h ** (2.0 * s)
     weights, diag_weights = _WEIGHTS[scheme](grid)
     offdiag = scale * weights
     diag = scale * diag_weights
 
     offdiag.setflags(write=False)
     diag.setflags(write=False)
-    return RieszOperator(size=grid.interior_dim, s=s, h=grid.h, offdiag=offdiag, diag=diag, norm_const=c)
+    return RieszOperator(size=grid.interior_dim, s=s, h=grid.h, offdiag=offdiag, diag=diag)
 
 
 class QuadratureConvergenceError(RuntimeError):
     """Raised when refining the reference quadrature does not stabilise it."""
 
 
+ArrayFn = Callable[[np.ndarray], np.ndarray]
+
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
 # how often quadrature_oracle may double its far-field panel count to converge
 _QUADRATURE_DOUBLINGS = 4
 
 
-def _gauss_panel(fn, a: float, b: float) -> float:
+def _gauss_panel(fn, a: float, b: float) -> np.ndarray:
+    """12-point Gauss rule on [a, b] for each row of the (n, 12) values of ``fn``.
+
+    Each row is reduced by its own ``np.dot``: a matrix-vector product sums in
+    another order, and the last bits of the images would move.
+    """
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
-    return half * float(np.dot(_GL_WEIGHTS, fn(mid + half * _GL_NODES)))
+    return half * np.array([np.dot(_GL_WEIGHTS, row) for row in fn(mid + half * _GL_NODES)])
 
 
-def _near_field(u, x: float, h: float, s: float, u_xx: Optional[Callable]) -> float:
-    """integral_0^h (2u(x) - u(x+t) - u(x-t)) / t^{1+2s} dt.
+def _near_field(u, xs: np.ndarray, h: float, s: float, u_xx: Optional[Callable]) -> np.ndarray:
+    """integral_0^h (2u(x) - u(x+t) - u(x-t)) / t^{1+2s} dt at every node x of ``xs``.
 
     The symmetrised integrand removes the principal value; subtracting the
     t^2 and t^4 Taylor terms (integrated in closed form) leaves a remainder
     ~ t^{5-2s} that geometric Gauss panels capture without hitting the
     cancellation noise floor of the second central difference.
     """
-    ux = float(u(np.array([x]))[0])
+    ux = u(xs)[:, None]
+    x = xs[:, None]
 
     def phi(t):
-        t = np.asarray(t, dtype=float)
         return 2.0 * ux - u(x + t) - u(x - t)
 
     # Second derivative: analytic when available, else Richardson on phi/t^2.
     eps = h / 8.0
     if u_xx is not None:
-        m2 = float(u_xx(np.array([x]))[0])
+        m2 = u_xx(xs)
     else:
-        r1 = float(phi(np.array([eps]))[0]) / eps**2
-        r2 = float(phi(np.array([eps / 2.0]))[0]) / (eps / 2.0) ** 2
+        r1 = phi(np.array([eps]))[:, 0] / eps**2
+        r2 = phi(np.array([eps / 2.0]))[:, 0] / (eps / 2.0) ** 2
         m2 = -(4.0 * r2 - r1) / 3.0
     # Fourth derivative estimate from the t^4 coefficient of phi.
-    resid = float(phi(np.array([eps]))[0]) + m2 * eps**2
+    resid = phi(np.array([eps]))[:, 0] + m2 * eps**2
     m4 = -12.0 * resid / eps**4
 
     def psi(t):
-        t = np.asarray(t, dtype=float)
-        return (phi(t) + m2 * t**2 + (m4 / 12.0) * t**4) / t ** (1.0 + 2.0 * s)
+        return (phi(t) + m2[:, None] * t**2 + (m4[:, None] / 12.0) * t**4) / t ** (1.0 + 2.0 * s)
 
     # Geometric layers down to ~1e-4, below which the remainder is dominated
     # by floating cancellation in phi; the cut tail is extrapolated as t^{5-2s}.
     layers = max(2, math.ceil(math.log2(max(h / 1e-4, 2.0))))
-    total = 0.0
+    total = np.zeros(xs.size)
     hi = h
     for _ in range(layers):
         lo = hi / 2.0
         total += _gauss_panel(psi, lo, hi)
         hi = lo
-    tail_density = float(psi(np.array([hi]))[0])
+    tail_density = psi(np.array([hi]))[:, 0]
     total += tail_density * hi / (6.0 - 2.0 * s)
 
     closed = -m2 * h ** (2.0 - 2.0 * s) / (2.0 - 2.0 * s)
@@ -301,37 +305,46 @@ def _near_field(u, x: float, h: float, s: float, u_xx: Optional[Callable]) -> fl
     return total + closed
 
 
-def _far_field(u, x: float, h: float, s: float, l: float, panels: int) -> float:
+def _far_field(us, uxs, x: float, h: float, s: float, l: float, counts) -> np.ndarray:
     """integral over (0, x-h) u (x+h, l) of (u(x)-u(y)) |x-y|^{-1-2s} dy.
 
     Composite Simpson in log-distance; the substitution grades the mesh
     toward the near/far split where the kernel derivatives are largest.
+    Returns one row per even panel count of ``counts`` and one column per
+    shape of ``us``, whose values at x are ``uxs``.  The log grid, the kernel
+    and the shapes are evaluated once, at the last count; a count that
+    divides it by 2^k reads every 2^k-th point, which is the point its own
+    grid would have, bit for bit (linspace's step halves exactly).
     """
-    ux = float(u(np.array([x]))[0])
-    total = 0.0
+    fine = counts[-1]
+    total = np.zeros((len(counts), len(us)))
     for sign, reach in ((-1.0, x), (1.0, l - x)):
         if reach <= h * (1.0 + 1e-12):
             continue  # node adjacent to the boundary: this side has no far field
-        m = panels if panels % 2 == 0 else panels + 1
-        xi = np.linspace(math.log(h), math.log(reach), m + 1)
+        xi = np.linspace(math.log(h), math.log(reach), fine + 1)
         dist = np.exp(xi)
-        vals = (ux - u(x + sign * dist)) * dist ** (-2.0 * s)
-        step = (xi[-1] - xi[0]) / m
-        weights = np.ones(m + 1)
-        weights[1:-1:2] = 4.0
-        weights[2:-1:2] = 2.0
-        total += step / 3.0 * float(np.dot(weights, vals))
+        kernel = dist ** (-2.0 * s)
+        vals = [(ux - u(x + sign * dist)) * kernel for u, ux in zip(us, uxs)]
+        for j, m in enumerate(counts):
+            step = (xi[-1] - xi[0]) / m
+            weights = np.ones(m + 1)
+            weights[1:-1:2] = 4.0
+            weights[2:-1:2] = 2.0
+            for k, v in enumerate(vals):
+                # a strided np.dot sums in another order: copy the points first
+                points = np.ascontiguousarray(v[:: fine // m])
+                total[j, k] += step / 3.0 * float(np.dot(weights, points))
     return total
 
 
 def quadrature_oracle(
-    u: Callable[[np.ndarray], np.ndarray],
+    u: Union[ArrayFn, Sequence[ArrayFn]],
     grid: Grid,
     refinement: int = 8,
-    u_xx: Optional[Callable[[np.ndarray], np.ndarray]] = None,
+    u_xx: Union[None, ArrayFn, Sequence[Optional[ArrayFn]]] = None,
     check: bool = True,
     rtol: float = 1e-8,
-) -> np.ndarray:
+) -> Union[np.ndarray, Tuple[np.ndarray, ...]]:
     """Fractional Laplacian of a smooth zero-extended u at the interior nodes.
 
     Reference values computed straight from the defining singular integral,
@@ -343,36 +356,64 @@ def quadrature_oracle(
     until two successive counts agree to ``rtol``; disagreement that persists
     through ``_QUADRATURE_DOUBLINGS`` doublings raises
     :class:`QuadratureConvergenceError`.
+
+    ``u`` may also be a tuple of shapes, with ``u_xx`` a matching tuple (or
+    None); the result is then a tuple of images, each bit for bit the one a
+    single-shape call returns.  The shapes share the far-field grids, and
+    each stops doubling at its own converged panel count.
     """
     if refinement < 1:
         raise ValueError("refinement must be >= 1")
+    single = callable(u)
+    us = (u,) if single else tuple(u)
+    derivs = (u_xx,) if single else (tuple(u_xx) if u_xx is not None else (None,) * len(us))
+    if len(derivs) != len(us):
+        raise ValueError(f"got {len(us)} shapes but {len(derivs)} second derivatives")
     s, h, l = grid.s, grid.h, grid.l
     c = normalization_constant(s)
     xs = grid.interior_x()
-    panels = max(64, refinement * grid.N)
+    # even, so that each doubling nests the points of the count before it
+    panels = 2 * -(-max(64, refinement * grid.N) // 2)
 
-    def evaluate(m: int) -> np.ndarray:
-        out = np.empty(xs.size)
-        for k, x in enumerate(xs):
-            near = _near_field(u, float(x), h, s, u_xx)
-            far = _far_field(u, float(x), h, s, l, m)
-            tail = float(u(np.array([x]))[0]) * (
-                x ** (-2.0 * s) + (l - x) ** (-2.0 * s)
-            ) / (2.0 * s)
-            out[k] = c * (near + far + tail)
-        return out
+    uxs = [fn(xs) for fn in us]
+    near = [_near_field(fn, xs, h, s, fxx) for fn, fxx in zip(us, derivs)]
+    # the exterior tail takes a scalar power per node: np.power on an array
+    # rounds differently in the last bit
+    wall = np.array([x ** (-2.0 * s) + (l - x) ** (-2.0 * s) for x in xs])
+    tails = [ux * wall / (2.0 * s) for ux in uxs]
 
-    result = evaluate(panels)
+    def evaluate(counts, which) -> list:
+        """Images of the shapes numbered ``which``, one list per panel count."""
+        far = np.array([
+            _far_field([us[k] for k in which], [uxs[k][i] for k in which], x, h, s, l, counts)
+            for i, x in enumerate(xs)
+        ])
+        return [[c * (near[k] + far[:, j, i] + tails[k]) for i, k in enumerate(which)]
+                for j in range(len(counts))]
+
+    def packed(images: list):
+        return images[0] if single else tuple(images)
+
+    everything = list(range(len(us)))
     if not check:
-        return result
+        return packed(evaluate((panels,), everything)[0])
+    # the first check needs two counts: one pass over the finer points serves both
+    images, finer = evaluate((panels, 2 * panels), everything)
+    pending = everything
     for _ in range(_QUADRATURE_DOUBLINGS):
         panels *= 2
-        finer = evaluate(panels)
-        scale = 1.0 + float(np.max(np.abs(finer)))
-        gap = float(np.max(np.abs(finer - result)))
-        if gap <= rtol * scale:
-            return finer
-        result = finer
+        if finer is None:
+            (finer,) = evaluate((panels,), pending)
+        gaps = {}
+        for k, image in zip(pending, finer):
+            scale = 1.0 + float(np.max(np.abs(image)))
+            gap = float(np.max(np.abs(image - images[k])))
+            images[k] = image
+            if gap > rtol * scale:
+                gaps[k] = gap
+        pending, finer = list(gaps), None
+        if not pending:
+            return packed(images)
     raise QuadratureConvergenceError(
-        f"far-field quadrature not converged: gap {gap:.3e} at {panels} panels"
+        f"far-field quadrature not converged: gap {max(gaps.values()):.3e} at {panels} panels"
     )

@@ -44,7 +44,11 @@ class SolverError(RuntimeError):
 
 @dataclass(frozen=True)
 class SpdFactorization:
-    """Lower-triangular Cholesky factor G with M = G G^T."""
+    """Lower-triangular Cholesky factor G with M = G G^T.
+
+    ``lower`` is stored in Fortran order, the layout LAPACK's solver reads, so
+    a solve does not first copy the whole factor.
+    """
 
     lower: np.ndarray
 
@@ -75,7 +79,7 @@ def cholesky(mat: np.ndarray) -> SpdFactorization:
         lower = np.linalg.cholesky(mat)
     except np.linalg.LinAlgError as exc:
         raise NotSpdError(f"matrix is not positive definite: {exc}") from exc
-    return SpdFactorization(lower=lower)
+    return SpdFactorization(lower=np.asfortranarray(lower))
 
 
 def cg_solve(

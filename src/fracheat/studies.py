@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -88,16 +88,62 @@ def format_float(x: float) -> str:
     return f"{x:.17g}"
 
 
-def write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> Path:
-    """Write a CSV with LF endings and full-precision floats; overwrite quietly."""
+# rows of a float array are written a block at a time, each block with one
+# %-format whose bytes equal format_float's
+_BLOCK_ROWS = 4096
+
+
+def _array_columns(rows: np.ndarray) -> Tuple[list, str]:
+    """The columns of a float table and the %-format of one of its lines.
+
+    A column with fewer distinct values than half its rows, like the times
+    and nodes of a trajectory, has each value formatted once; its distinct
+    values are told apart by their bits, so -0.0 and 0.0 stay apart.
+    """
+    columns, formats = [], []
+    for col in rows.T:
+        bits, where = np.unique(np.ascontiguousarray(col).view(np.int64), return_inverse=True)
+        if 2 * bits.size < col.size:
+            words = np.array([format_float(v) for v in bits.view(np.float64).tolist()],
+                             dtype=object)
+            columns.append(words[where])
+            formats.append("%s")
+        else:
+            columns.append(col)
+            formats.append("%.17g")
+    return columns, ",".join(formats) + "\n"
+
+
+def write_csv(
+    path: Path, header: Sequence[str], rows: Union[Iterable[Sequence], np.ndarray]
+) -> Path:
+    """Write a CSV with LF endings and full-precision floats; overwrite quietly.
+
+    ``rows`` is an iterable of rows, whose floats go through
+    :func:`format_float` and other cells through ``str``, or a 2-D float
+    array, which is streamed to the file a block of rows at a time with the
+    same bytes.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(
-            ",".join(format_float(v) if isinstance(v, float) else str(v) for v in row)
-        )
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        if isinstance(rows, np.ndarray):
+            if rows.ndim != 2:
+                raise ValueError(f"expected a 2-D array of rows, got shape {rows.shape}")
+            columns, line = _array_columns(rows.astype(float, copy=False))
+            for start in range(0, rows.shape[0], _BLOCK_ROWS):
+                stop = min(start + _BLOCK_ROWS, rows.shape[0])
+                block = np.empty((stop - start, len(columns)), dtype=object)
+                for j, col in enumerate(columns):
+                    block[:, j] = col[start:stop]
+                fh.write(line * (stop - start) % tuple(block.ravel().tolist()))
+        else:
+            for row in rows:
+                fh.write(
+                    ",".join(format_float(v) if isinstance(v, float) else str(v) for v in row)
+                    + "\n"
+                )
     return path
 
 
@@ -112,27 +158,17 @@ def rate_fit(errors: Sequence[float], steps: Sequence[float]) -> float:
     return float(np.polyfit(np.log(steps), np.log(errors), 1)[0])
 
 
-def _r_rows(
-    grid: Grid, problem: ManufacturedProblem, recovered: np.ndarray
-) -> List[Tuple[float, float, float, float]]:
-    t_mid = grid.midpoint_times()
+def _r_rows(grid: Grid, problem: ManufacturedProblem, recovered: np.ndarray) -> np.ndarray:
+    """Rows (t_mid, r_recovered, r_exact, abs_error) at the half-step times."""
     exact = problem.r_at_midpoints(grid)
-    return [
-        (float(t_mid[n]), float(recovered[n]), float(exact[n]),
-         float(abs(recovered[n] - exact[n])))
-        for n in range(grid.M)
-    ]
+    return np.column_stack((grid.midpoint_times(), recovered, exact, np.abs(recovered - exact)))
 
 
-def _u_rows(
-    grid: Grid, problem: ManufacturedProblem, final: np.ndarray
-) -> List[Tuple[float, float, float, float]]:
+def _u_rows(grid: Grid, problem: ManufacturedProblem, final: np.ndarray) -> np.ndarray:
+    """Rows (x, u_num, u_exact, abs_error) at the interior nodes at time T."""
     x = grid.interior_x()
     exact = problem.u_exact(grid.T, x)
-    return [
-        (float(x[i]), float(final[i]), float(exact[i]), float(abs(final[i] - exact[i])))
-        for i in range(x.size)
-    ]
+    return np.column_stack((x, final, exact, np.abs(final - exact)))
 
 
 @dataclass(frozen=True)

@@ -107,6 +107,22 @@ def test_batch_roundtrips_discrete_data(s, n_cells, k, m_steps, log_tau, seed, s
     assert np.max(np.abs(r_rec - r_true)) <= 1e-9
 
 
+def test_roundtrip_keeps_its_digits_on_a_stiff_grid():
+    # At s = 0.99, N = 300, tau = 1e3, tau lambda_1 / 2 ~ 5e3: the denominator
+    # written as h<F, w> - tau/2 h<AS, w> loses three digits to cancellation
+    # (r then comes back to ~1e-9); evaluated as h<S, w> it keeps them.
+    grid, _, data, ops = _setup(0.99, 300, 4, 3.0, "midpoint", "cholesky")
+    r_true = np.random.default_rng(0).uniform(0.5, 2.0, (grid.M, 6))
+    series = np.column_stack([
+        measurements_from_trajectory(
+            run_forward(data, grid, r=r_true[:, j], ops=ops), data.weight, grid
+        ).values
+        for j in range(6)
+    ])
+    r_rec, _ = run_inverse_batch(data, grid, series, ops)
+    assert np.max(np.abs(r_rec - r_true)) <= 1e-11
+
+
 def _orthogonal_problem(grid, from_step):
     # odd forcing against an even weight from step ``from_step`` on: both
     # pairings vanish exactly by the reflection symmetry of the operator

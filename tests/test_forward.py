@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fracheat import (
     ProblemData,
     SolverError,
     assemble,
     build_manufactured,
+    cholesky,
     cn_step,
+    dual_norm,
     eigendecompose,
     energy_identity_residual,
     energy_norm,
@@ -16,6 +20,8 @@ from fracheat import (
     spectral_duhamel_oracle,
     stability_bounds,
 )
+from fracheat.forward import StabilityReport
+from fracheat.grid import Trajectory
 
 
 def _zero_forcing(n):
@@ -98,6 +104,24 @@ class TestEnergyIdentityResidual:
         expected = 2.0 * tau * energy_norm(op16.apply, u) ** 2
         assert res == pytest.approx(expected, rel=1e-12)
         assert res > 0.0
+
+    def test_stacked_pairs_match_single_pairs(self, op16):
+        rng = np.random.default_rng(8)
+        u_n, u_np1 = rng.standard_normal((2, 7, 15))
+        stacked = energy_identity_residual(op16, u_n, u_np1, 0.3)
+        assert stacked.shape == (7,)
+        for k in range(7):
+            single = energy_identity_residual(op16, u_n[k], u_np1[k], 0.3)
+            scale = float(u_n[k] @ u_n[k] + u_np1[k] @ u_np1[k])
+            assert abs(stacked[k] - single) <= 1e-12 * scale
+
+    def test_stacked_homogeneous_steps(self, grid16, op16):
+        ops = make_step_operators(grid16, op=op16)
+        rng = np.random.default_rng(9)
+        u_n = rng.standard_normal((5, 15))
+        u_np1 = ops.solve_l(np.array([ops.apply_r(u) for u in u_n]).T).T
+        res = energy_identity_residual(op16, u_n, u_np1, ops.tau)
+        assert np.all(np.abs(res) <= 1e-10 * np.einsum("kn,kn->k", u_n, u_n))
 
 
 class TestRunForward:
@@ -198,6 +222,72 @@ class TestStabilityBounds:
             rhs10 = rep10.l2_slack[n] + norms10[n + 1] - u0
             assert rhs10 == pytest.approx(10.0 * rhs1, rel=1e-9)
         assert rep10.holds(tol=1e-9)
+
+
+def _stability_loop(trajectory, r_mid, forcing, op, grid):
+    """The per-step evaluation that stability_bounds replaced, as its reference."""
+    tau = grid.tau
+    t_mid = grid.midpoint_times()
+    factor = cholesky(op.dense())
+    states = trajectory.states
+    norms = np.linalg.norm(states, axis=1)
+    identity = np.empty(grid.M)
+    l2_slack = np.empty(grid.M)
+    energy_slack = np.empty(grid.M)
+    l2_bound = norms[0]
+    energy_bound = norms[0] ** 2
+    dissipated = 0.0
+    for n in range(grid.M):
+        f_mid = np.asarray(forcing(float(t_mid[n])), dtype=float)
+        mid = 0.5 * (states[n] + states[n + 1])
+        mid_energy = energy_norm(op.apply, mid) ** 2
+        identity[n] = (
+            (norms[n + 1] ** 2 - norms[n] ** 2) / tau
+            + 2.0 * mid_energy
+            - 2.0 * r_mid[n] * float(f_mid @ mid)
+        )
+        l2_bound += tau * abs(r_mid[n]) * float(np.linalg.norm(f_mid))
+        l2_slack[n] = l2_bound - norms[n + 1]
+        dissipated += tau * mid_energy
+        energy_bound += tau * r_mid[n] ** 2 * dual_norm(factor, f_mid) ** 2
+        energy_slack[n] = energy_bound - (norms[n + 1] ** 2 + dissipated)
+    return identity, l2_slack, energy_slack
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(s=st.floats(0.01, 0.99), n_cells=st.integers(2, 300), m_steps=st.integers(1, 6),
+       log_tau=st.floats(-3.0, 3.0), seed=st.integers(0, 2**32 - 1),
+       noise=st.sampled_from((0.0, 1e-3, 1.0)))
+@example(s=0.99, n_cells=300, m_steps=6, log_tau=3.0, seed=0, noise=0.0)
+@example(s=0.01, n_cells=2, m_steps=1, log_tau=-3.0, seed=1, noise=1.0)
+def test_stability_bounds_match_per_step_loop(s, n_cells, m_steps, log_tau, seed, noise):
+    # a CN run with random data; ``noise`` perturbs the states afterwards, so
+    # that some trajectories break the bounds and holds() is tested both ways
+    tau = 10.0**log_tau
+    grid = make_grid(1, tau * m_steps, n_cells, m_steps, s)
+    op = assemble(grid)
+    rng = np.random.default_rng(seed)
+    n = grid.interior_dim
+    g = rng.standard_normal(n)
+    r_mid = rng.uniform(-2.0, 2.0, m_steps)
+    data = ProblemData(phi=rng.standard_normal(n), forcing=lambda t: np.cos(t) * g,
+                       weight=np.ones(n))
+    states = run_forward(data, grid, r=r_mid, ops=make_step_operators(grid, op=op)).states.copy()
+    states[1:] += noise * rng.standard_normal((m_steps, n))
+    traj = Trajectory(states=states)
+
+    report = stability_bounds(traj, r_mid, data.forcing, op, grid)
+    identity, l2_slack, energy_slack = _stability_loop(traj, r_mid, data.forcing, op, grid)
+    norms = np.linalg.norm(traj.states, axis=1)
+    l2_scale = max(1.0, float(np.max(np.abs(l2_slack) + norms[1:])))
+    energy_scale = max(1.0, float(np.max(np.abs(energy_slack) + norms[1:] ** 2)))
+    assert np.max(np.abs(report.l2_slack - l2_slack)) <= 1e-12 * l2_scale
+    assert np.max(np.abs(report.energy_slack - energy_slack)) <= 1e-12 * energy_scale
+    identity_scale = max(1.0, float(np.max(norms**2) / tau + np.max(np.abs(identity))))
+    assert np.max(np.abs(report.identity_residuals - identity)) <= 1e-12 * identity_scale
+    reference = StabilityReport(identity_residuals=identity, l2_slack=l2_slack,
+                                energy_slack=energy_slack)
+    assert report.holds() == reference.holds()
 
 
 class TestSpectralDuhamelOracle:

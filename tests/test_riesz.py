@@ -22,6 +22,84 @@ def sin_pi_xx(x):
     return -(np.pi**2) * np.sin(np.pi * np.asarray(x, dtype=float))
 
 
+def _sine(k):
+    return lambda x: np.sin(k * np.pi * np.asarray(x, dtype=float))
+
+
+def _sine_xx(k):
+    return lambda x: -((k * np.pi) ** 2) * np.sin(k * np.pi * np.asarray(x, dtype=float))
+
+
+def _oracle_per_node(u, grid, u_xx=None, check=True, refinement=8, rtol=1e-8, doublings=4):
+    """The per-node quadrature oracle before vectorisation, kept as the reference."""
+    s, h, l = grid.s, grid.h, grid.l
+    c = normalization_constant(s)
+    nodes, weights = np.polynomial.legendre.leggauss(12)
+
+    def near(x):
+        ux = float(u(np.array([x]))[0])
+
+        def phi(t):
+            return 2.0 * ux - u(x + t) - u(x - t)
+
+        eps = h / 8.0
+        if u_xx is not None:
+            m2 = float(u_xx(np.array([x]))[0])
+        else:
+            r1 = float(phi(np.array([eps]))[0]) / eps**2
+            r2 = float(phi(np.array([eps / 2.0]))[0]) / (eps / 2.0) ** 2
+            m2 = -(4.0 * r2 - r1) / 3.0
+        m4 = -12.0 * (float(phi(np.array([eps]))[0]) + m2 * eps**2) / eps**4
+
+        def psi(t):
+            return (phi(t) + m2 * t**2 + (m4 / 12.0) * t**4) / t ** (1.0 + 2.0 * s)
+
+        total, hi = 0.0, h
+        for _ in range(max(2, math.ceil(math.log2(max(h / 1e-4, 2.0))))):
+            lo = hi / 2.0
+            mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+            total += half * float(np.dot(weights, psi(mid + half * nodes)))
+            hi = lo
+        total += float(psi(np.array([hi]))[0]) * hi / (6.0 - 2.0 * s)
+        closed = -m2 * h ** (2.0 - 2.0 * s) / (2.0 - 2.0 * s)
+        closed -= (m4 / 12.0) * h ** (4.0 - 2.0 * s) / (4.0 - 2.0 * s)
+        return total + closed
+
+    def far(x, panels):
+        ux = float(u(np.array([x]))[0])
+        total = 0.0
+        for sign, reach in ((-1.0, x), (1.0, l - x)):
+            if reach <= h * (1.0 + 1e-12):
+                continue
+            m = panels if panels % 2 == 0 else panels + 1
+            xi = np.linspace(math.log(h), math.log(reach), m + 1)
+            dist = np.exp(xi)
+            vals = (ux - u(x + sign * dist)) * dist ** (-2.0 * s)
+            simpson = np.ones(m + 1)
+            simpson[1:-1:2] = 4.0
+            simpson[2:-1:2] = 2.0
+            total += (xi[-1] - xi[0]) / m / 3.0 * float(np.dot(simpson, vals))
+        return total
+
+    def evaluate(panels):
+        out = np.empty(grid.interior_dim)
+        for k, x in enumerate(grid.interior_x()):
+            wall = x ** (-2.0 * s) + (l - x) ** (-2.0 * s)
+            tail = float(u(np.array([x]))[0]) * wall / (2.0 * s)
+            out[k] = c * (near(float(x)) + far(float(x), panels) + tail)
+        return out
+
+    panels = max(64, refinement * grid.N)
+    result = evaluate(panels)
+    for _ in range(doublings if check else 0):
+        panels *= 2
+        finer = evaluate(panels)
+        if np.max(np.abs(finer - result)) <= rtol * (1.0 + np.max(np.abs(finer))):
+            return finer
+        result = finer
+    return result if not check else None
+
+
 class TestNormalizationConstant:
     def test_half(self):
         assert normalization_constant(0.5) == pytest.approx(1.0 / math.pi, rel=1e-12)
@@ -180,6 +258,81 @@ class TestQuadratureOracle:
         monkeypatch.setattr(fracheat.riesz, "_QUADRATURE_DOUBLINGS", 1)
         with pytest.raises(QuadratureConvergenceError, match="at 256 panels"):
             quadrature_oracle(u, g, u_xx=u_xx)
+
+    @pytest.mark.parametrize("n_cells, s, analytic", [(16, 0.1, True), (16, 0.1, False),
+                                                       (40, 0.7, True), (7, 0.95, False)])
+    def test_bitwise_equal_to_per_node_reference(self, n_cells, s, analytic):
+        g = make_grid(1, 1, n_cells, 1, s)
+        for k in (1, 3):
+            u_xx = _sine_xx(k) if analytic else None
+            ref = _oracle_per_node(_sine(k), g, u_xx=u_xx)
+            assert np.array_equal(quadrature_oracle(_sine(k), g, u_xx=u_xx), ref)
+            unchecked = _oracle_per_node(_sine(k), g, u_xx=u_xx, check=False)
+            assert np.array_equal(quadrature_oracle(_sine(k), g, u_xx=u_xx, check=False),
+                                  unchecked)
+
+    def test_tuple_form_matches_single_calls_at_n600(self):
+        g = make_grid(1, 1, 600, 1, 0.3)
+        shapes = (_sine(1), _sine(3))
+        derivs = (_sine_xx(1), _sine_xx(3))
+        images = quadrature_oracle(shapes, g, u_xx=derivs)
+        assert isinstance(images, tuple) and len(images) == 2
+        for image, u, u_xx in zip(images, shapes, derivs):
+            assert np.array_equal(image, quadrature_oracle(u, g, u_xx=u_xx))
+
+    @pytest.mark.parametrize("n_cells, s", [(16, 0.1), (32, 0.5), (9, 0.9)])
+    def test_tuple_form_without_second_derivatives(self, n_cells, s):
+        g = make_grid(1, 1, n_cells, 1, s)
+        shapes = (_sine(1), _sine(3), smooth_bump)
+        images = quadrature_oracle(shapes, g)
+        for image, u in zip(images, shapes):
+            assert np.array_equal(image, quadrature_oracle(u, g, u_xx=None))
+        unchecked = quadrature_oracle(shapes, g, check=False, u_xx=(None, None, None))
+        for image, u in zip(unchecked, shapes):
+            assert np.array_equal(image, quadrature_oracle(u, g, check=False))
+
+    def test_tuple_form_shapes_stop_at_their_own_panel_count(self, monkeypatch):
+        # at N = 16, s = 0.1, sin(3 pi x) needs more doublings than sin(pi x)
+        import fracheat.riesz
+
+        g = make_grid(1, 1, 16, 1, 0.1)
+        far = fracheat.riesz._far_field
+        calls = []
+
+        def record(us, uxs, x, h, s, l, counts):
+            calls.append((len(us), max(counts)))  # shapes, and the finest count evaluated
+            return far(us, uxs, x, h, s, l, counts)
+
+        monkeypatch.setattr(fracheat.riesz, "_far_field", record)
+        singles, last = [], []
+        for k in (1, 3):
+            calls.clear()
+            singles.append(quadrature_oracle(_sine(k), g, u_xx=_sine_xx(k)))
+            last.append(max(panels for _, panels in calls))
+        assert last[0] < last[1]
+        calls.clear()
+        images = quadrature_oracle((_sine(1), _sine(3)), g, u_xx=(_sine_xx(1), _sine_xx(3)))
+        assert max(panels for _, panels in calls) == last[1]
+        # past the first shape's last count only the second is evaluated
+        assert {k for k, panels in calls if panels > last[0]} == {1}
+        for image, single in zip(images, singles):
+            assert np.array_equal(image, single)
+
+    def test_tuple_form_raises_when_one_shape_fails(self):
+        def wiggle(x):
+            return np.sin(40 * np.pi * np.asarray(x, dtype=float))
+
+        # on this budget sin(pi x) converges and the wiggle does not
+        g = make_grid(1, 1, 8, 1, 0.5)
+        assert np.all(np.isfinite(quadrature_oracle(sin_pi, g, refinement=1)))
+        for shapes in ((sin_pi, wiggle), (wiggle, sin_pi)):
+            with pytest.raises(QuadratureConvergenceError, match="at 1024 panels"):
+                quadrature_oracle(shapes, g, refinement=1)
+
+    def test_tuple_form_rejects_mismatched_derivatives(self):
+        g = make_grid(1, 1, 8, 1, 0.5)
+        with pytest.raises(ValueError, match="second derivatives"):
+            quadrature_oracle((sin_pi, sin_pi), g, u_xx=(sin_pi_xx,))
 
     def test_sine_defect_halves_away_from_boundary(self):
         # Consistency defect of A against the reference integral at the centre

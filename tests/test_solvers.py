@@ -57,6 +57,20 @@ class TestCholesky:
         with pytest.raises(NotSpdError, match="non-finite"):
             cholesky(mat)
 
+    def test_factor_is_fortran_ordered_and_solves_bitwise(self):
+        # the factor is stored in the layout LAPACK reads, so solves do not
+        # copy it; the result is the same as from the C-ordered factor
+        from scipy.linalg import cho_solve
+
+        _, dense = _l_system(64, 0.7, 0.05)
+        f = cholesky(dense)
+        assert f.lower.flags.f_contiguous
+        c_lower = np.linalg.cholesky(dense)
+        assert c_lower.flags.c_contiguous and np.array_equal(f.lower, c_lower)
+        rng = np.random.default_rng(12)
+        for b in (rng.standard_normal(63), rng.standard_normal((63, 5))):
+            assert np.array_equal(f.solve(b), cho_solve((c_lower, True), b))
+
     def test_solve_accuracy_on_l_system(self):
         _, dense = _l_system(32, 0.5, 0.01)
         f = cholesky(dense)

@@ -227,6 +227,38 @@ class TestCsvFormat:
         p2 = write_csv(tmp_path / "a.csv", ("x", "y"), rows)
         assert p2.read_bytes() == first
 
+    def test_array_rows_match_cell_rows(self, tmp_path, monkeypatch):
+        import fracheat.studies
+
+        edge = [float("nan"), float("inf"), -float("inf"), 0.0, -0.0, 5e-324, -5e-324,
+                1e308, -1e308, 3.0, -7.0, 1e16, 2.0**53, 0.1, 1.0 / 3.0]
+        rng = np.random.default_rng(5)
+        n = 3 * len(edge)
+        table = np.column_stack((
+            np.tile(edge, 3),  # few distinct values: each is formatted once
+            np.repeat([0.0, -0.0, 0.1], len(edge)),  # equal but not the same bits
+            rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n),
+            rng.permutation(np.tile(edge, 3)),
+        ))
+        header = ("a", "b", "c", "d")
+        cells = write_csv(tmp_path / "cells.csv", header, [tuple(map(float, r)) for r in table])
+        # blocks of 7 rows, so that a block boundary falls inside the table
+        monkeypatch.setattr(fracheat.studies, "_BLOCK_ROWS", 7)
+        array = write_csv(tmp_path / "array.csv", header, table)
+        assert array.read_bytes() == cells.read_bytes()
+        assert b",-0," in cells.read_bytes() and b"nan" in cells.read_bytes()
+
+    def test_array_rows_edge_shapes(self, tmp_path):
+        for shape in ((0, 3), (1, 1), (5, 0)):
+            table = np.full(shape, 0.25)
+            rows = [tuple(map(float, r)) for r in table]
+            header = tuple(f"c{j}" for j in range(shape[1]))
+            a = write_csv(tmp_path / "a.csv", header, table).read_bytes()
+            b = write_csv(tmp_path / "b.csv", header, rows).read_bytes()
+            assert a == b
+        with pytest.raises(ValueError, match="2-D"):
+            write_csv(tmp_path / "c.csv", ("x",), np.zeros(3))
+
 
 class TestLoadConfig:
     def test_round_trip(self, tmp_path):
