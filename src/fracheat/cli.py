@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .forward import make_step_operators, run_forward
+from .forward import SOLVERS, make_step_operators, run_forward
 from .grid import make_grid
 from .inverse import DenominatorNearZero, NoiseSpec
 from .manufactured import build_manufactured
@@ -45,7 +45,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--M", type=int, default=None, help="number of time steps")
     p.add_argument("--l", type=float, default=None, help="domain length (default 1)")
     p.add_argument("--T", type=float, default=None, help="final time (default 1)")
-    p.add_argument("--solver", choices=("cholesky", "cg"), default=None)
+    p.add_argument("--solver", choices=SOLVERS, default=None,
+                   help="solver route (default: chosen from N, M and the series marched)")
     p.add_argument("--tol", type=float, default=None, help="iterative solver tolerance")
     p.add_argument("--delta", type=float, default=None, help="relative noise level")
     p.add_argument("--seed", type=int, default=None, help="noise RNG seed")

@@ -1,8 +1,11 @@
 """Crank-Nicolson time stepping for the direct problem, with diagnostics.
 
 Each step solves (I + tau/2 A) U^{n+1} = (I - tau/2 A) U^n + tau r F at the
-midpoint forcing.  The scheme satisfies an exact energy identity in the
-homogeneous case and two unconditional stability bounds with forcing; those
+midpoint forcing.  On the modal route the same step is diagonal: with
+A = Q diag(lambda) Q^T, each coefficient of Q^T U is multiplied by
+g = (1 - tau lambda/2) / (1 + tau lambda/2) and gains tau r Q^T F / (1 + tau
+lambda/2), so a step costs O(n) after one eigendecomposition.  The scheme
+satisfies an exact energy identity in the homogeneous case and two unconditional stability bounds with forcing; those
 are evaluated here as runtime diagnostics rather than assumed.  A spectral
 reference solution (eigenbasis + Duhamel integral in time) provides an
 independent high-order oracle for temporal convergence measurements.
@@ -11,7 +14,7 @@ independent high-order oracle for temporal convergence measurements.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -20,6 +23,7 @@ from .riesz import RieszOperator, assemble
 from .solvers import SpectralDecomposition, cg_solve, cholesky
 
 __all__ = [
+    "SOLVERS",
     "StepOperators",
     "make_step_operators",
     "cn_step",
@@ -30,9 +34,24 @@ __all__ = [
     "spectral_duhamel_oracle",
 ]
 
+SOLVERS = ("cholesky", "cg", "modal")
+
 # Above this system size the dense factor-once path gives way to conjugate
 # gradients with the FFT matvec and the Strang-circulant preconditioner.
 _CHOLESKY_SIZE_LIMIT = 2048
+# The modal route pays one O(n^3) eigendecomposition, then O(n) per step and
+# series; Cholesky pays O(n^2) per step and series.  Without a solver the
+# route is modal once M * series >= _MODAL_ALPHA * n, up to the size cap of
+# eigendecompose.  Measured crossovers of M * series / n (one BLAS thread,
+# s = 0.5, N = 200 / 400 / 800, the decomposition or the factor included):
+# one forward series 0.28 / 0.25 / 0.32, one inverse series 0.16 / 0.12 /
+# 0.13, and 60 inverse series 4.4 / 1.9 / 1.9, where block solves amortise
+# better.  alpha = 1 lies between them; it keeps a single series with M < n,
+# such as N = 16, M = 10, on the factor-once route.
+_MODAL_ALPHA = 1.0
+_MODAL_SIZE_LIMIT = 1024
+# rows taken to or from the eigenbasis per matrix product
+_BLOCK_ROWS = 512
 
 RCoefficient = Union[Callable[[float], float], CoefficientSeries, Sequence[float], np.ndarray]
 
@@ -42,8 +61,9 @@ class StepOperators:
     """Fixed-grid machinery shared by every step: A, L = I + tau/2 A, R = I - tau/2 A.
 
     L and R are polynomials in A, so they commute with it; ``solve_l`` is a
-    Cholesky factor reused across all right-hand sides, or a CG closure for
-    large systems.  It takes one right-hand side (n,) or a block (n, K).
+    Cholesky factor reused across all right-hand sides, a CG closure for
+    large systems, or a product with the eigenbasis of A on the ``modal``
+    route.  It takes one right-hand side (n,) or a block (n, K).
     """
 
     grid: Grid
@@ -55,6 +75,22 @@ class StepOperators:
     def apply_r(self, v: np.ndarray) -> np.ndarray:
         return v - (self.tau / 2.0) * self.op.apply(v)
 
+    def eigenbasis(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(Q, lambda, d) with A = Q diag(lambda) Q^T and L = Q diag(d) Q^T.
+
+        The decomposition of A is built on the first call and cached on the
+        operator, so every step size and every run over it shares one.
+        """
+        dec = self.op.eigendecomposition
+        return dec.eigenvectors, dec.eigenvalues, 1.0 + (self.tau / 2.0) * dec.eigenvalues
+
+
+def _rows_times(rows: np.ndarray, mat: np.ndarray) -> None:
+    """rows <- rows @ mat in place for a square ``mat``, a block of rows at a time."""
+    for start in range(0, rows.shape[0], _BLOCK_ROWS):
+        block = rows[start : start + _BLOCK_ROWS]
+        block[...] = block @ mat
+
 
 def make_step_operators(
     grid: Grid,
@@ -62,14 +98,18 @@ def make_step_operators(
     tau: Optional[float] = None,
     solver: Optional[str] = None,
     tol: float = 1e-12,
+    series: int = 1,
 ) -> StepOperators:
     """Assemble (or reuse) A and prepare the L-solver for the given step size.
 
     ``tau`` defaults to the grid step; diagnostics may override it.  Solver
     ``cholesky`` factors L once; ``cg`` runs conjugate gradients with the
     operator's FFT matvec, preconditioned by the Strang circulant of L, so each
-    iteration costs O(n log n) and the iteration count does not grow with n.
-    By default the choice switches on system size.
+    iteration costs O(n log n) and the iteration count does not grow with n;
+    ``modal`` marches in the eigenbasis of A, which it decomposes on the first
+    solve or march, not here.  By default the route is modal when the grid's
+    M steps times the ``series`` marched together pay for the decomposition,
+    and otherwise switches on system size.
     """
     if op is None:
         op = assemble(grid)
@@ -78,7 +118,10 @@ def make_step_operators(
     if tau <= 0.0:
         raise ValueError("tau must be positive")
     if solver is None:
-        solver = "cholesky" if op.size <= _CHOLESKY_SIZE_LIMIT else "cg"
+        if op.size <= _MODAL_SIZE_LIMIT and grid.M * series >= _MODAL_ALPHA * op.size:
+            solver = "modal"
+        else:
+            solver = "cholesky" if op.size <= _CHOLESKY_SIZE_LIMIT else "cg"
     if solver == "cholesky":
         dense_l = np.eye(op.size) + (tau / 2.0) * op.dense()
         factor = cholesky(dense_l)
@@ -96,9 +139,19 @@ def make_step_operators(
                 return np.stack([solve_l(col) for col in b.T], axis=1)
             return cg_solve(apply_l, b, tol=tol, precond=precond)
 
+    elif solver == "modal":
+        if op.size > _MODAL_SIZE_LIMIT:
+            raise ValueError(f"the modal route needs n <= {_MODAL_SIZE_LIMIT}, got {op.size}")
+
+        def solve_l(b: np.ndarray) -> np.ndarray:  # ops is bound below, before any call
+            q, _, d = ops.eigenbasis()
+            coef = q.T @ np.asarray(b, dtype=float)
+            return q @ (coef / (d if coef.ndim == 1 else d[:, None]))
+
     else:
-        raise ValueError(f"unknown solver {solver!r} (expected 'cholesky' or 'cg')")
-    return StepOperators(grid=grid, op=op, tau=tau, solver=solver, solve_l=solve_l)
+        raise ValueError(f"unknown solver {solver!r} (expected one of {SOLVERS})")
+    ops = StepOperators(grid=grid, op=op, tau=tau, solver=solver, solve_l=solve_l)
+    return ops
 
 
 def cn_step(ops: StepOperators, u_n: np.ndarray, r_mid: float, f_mid: np.ndarray) -> np.ndarray:
@@ -142,9 +195,29 @@ def run_forward(
 
     states = np.empty((grid.M + 1, grid.interior_dim))
     states[0] = problem.phi
+    if ops.solver != "modal":
+        for n in range(grid.M):
+            f_mid = problem.forcing(float(t_mid[n]))
+            states[n + 1] = cn_step(ops, states[n], float(r_mid[n]), f_mid)
+        return Trajectory(states=states)
+
+    if not np.all(np.isfinite(r_mid)):
+        raise ValueError("midpoint coefficient is not finite")
+    # Rows 1..M hold F^{n+1/2}, then tau r Q^T F / d, then Q^T U^{n+1}, then
+    # U^{n+1}: every transform is in place, so no second (M+1) x n array.
+    q, lam, d = ops.eigenbasis()
+    g = (1.0 - (ops.tau / 2.0) * lam) / d
     for n in range(grid.M):
-        f_mid = problem.forcing(float(t_mid[n]))
-        states[n + 1] = cn_step(ops, states[n], float(r_mid[n]), f_mid)
+        states[n + 1] = problem.forcing(float(t_mid[n]))
+    rows = states[1:]
+    _rows_times(rows, q)
+    rows *= (ops.tau * r_mid)[:, None]
+    rows /= d
+    u_hat = q.T @ problem.phi
+    for n in range(grid.M):
+        u_hat = g * u_hat + rows[n]
+        rows[n] = u_hat
+    _rows_times(rows, q.T)
     return Trajectory(states=states)
 
 

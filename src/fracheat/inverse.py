@@ -24,6 +24,16 @@ A omega and the denominator are shared by every column.  The denominator is
 the discrete identifiability margin; its vanishing means the forcing has
 lost visibility in the measurement and is reported, not papered over.
 
+On the modal route (A = Q diag(lambda) Q^T, d = 1 + tau lambda/2, hats for
+coefficients in Q) the same step is diagonal and needs no solve:
+
+    r^{n+1/2} = [ (w^{n+1} - w^n)/tau + c . U^n ] / ( h S^ . omega^ ),
+    U^{n+1} = g U^n + tau r S^,   S^ = F^/d,   c = h lambda omega^/d,
+
+with g = (1 - tau lambda/2)/d.  Every S^ comes from one product of the
+M x n midpoint forcings with Q, so a step costs O(n K), and Q is applied
+back once, at the end.
+
 Measurement utilities cover the three data provenances: exact analytic
 values, discrete pairings of a computed trajectory, and seeded noisy copies
 with optional moving-average smoothing.
@@ -37,7 +47,7 @@ from typing import Optional, Tuple, Union
 
 import numpy as np
 
-from .forward import StepOperators, make_step_operators
+from .forward import StepOperators, _rows_times, make_step_operators
 from .grid import CoefficientSeries, Grid, MeasurementSeries, ProblemData, Trajectory
 
 __all__ = [
@@ -162,7 +172,7 @@ def _march(
     if problem.phi.size != grid.interior_dim:
         raise ValueError("phi length does not match the grid")
     if ops is None:
-        ops = make_step_operators(grid)
+        ops = make_step_operators(grid, series=w.shape[1])
 
     w0_discrete = discrete_measurement(problem.phi, problem.weight, grid.h)
     gap = np.max(np.abs(w0_discrete - w[0]) / np.maximum(np.abs(w[0]), 1e-300))
@@ -172,22 +182,71 @@ def _march(
             stacklevel=3,
         )
 
-    t_mid = grid.midpoint_times()
-    u = np.repeat(problem.phi[:, None], w.shape[1], axis=1)
     if states is not None:
-        states[0] = u[:, 0]
-    recovered = np.empty((grid.M, w.shape[1]))
-    for n in range(grid.M):
-        f_mid = problem.forcing(float(t_mid[n]))
-        try:
-            recovered[n], u, _ = recover_r_step(ops, u, w[n], w[n + 1], f_mid, problem.weight)
-        except DenominatorNearZero as exc:
-            raise DenominatorNearZero(exc.value, exc.threshold, step=n) from exc
-        if states is not None:
-            states[n + 1] = u[:, 0]
+        states[0] = problem.phi
+    if ops.solver == "modal":
+        recovered, u = _march_modal(problem, grid, w, ops, states)
+    else:
+        u = np.repeat(problem.phi[:, None], w.shape[1], axis=1)
+        t_mid = grid.midpoint_times()
+        recovered = np.empty((grid.M, w.shape[1]))
+        for n in range(grid.M):
+            f_mid = problem.forcing(float(t_mid[n]))
+            try:
+                recovered[n], u, _ = recover_r_step(
+                    ops, u, w[n], w[n + 1], f_mid, problem.weight
+                )
+            except DenominatorNearZero as exc:
+                raise DenominatorNearZero(exc.value, exc.threshold, step=n) from exc
+            if states is not None:
+                states[n + 1] = u[:, 0]
     if not (np.all(np.isfinite(recovered)) and np.all(np.isfinite(u))):
         raise ValueError("recovery produced non-finite values")
     return recovered, u
+
+
+def _march_modal(
+    problem: ProblemData,
+    grid: Grid,
+    w: np.ndarray,
+    ops: StepOperators,
+    states: Optional[np.ndarray],
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The march of :func:`_march` in the eigenbasis of A."""
+    h, tau = grid.h, ops.tau
+    weight = np.asarray(problem.weight, dtype=float)
+    q, lam, d = ops.eigenbasis()
+    t_mid = grid.midpoint_times()
+    s_hat = np.empty((grid.M, grid.interior_dim))
+    for n in range(grid.M):
+        s_hat[n] = problem.forcing(float(t_mid[n]))
+    f_pair = h * (s_hat @ weight)
+    _rows_times(s_hat, q)
+    s_hat /= d
+    w_hat = q.T @ weight
+    # the denominator does not depend on the data: check every step up front
+    denominators = h * (s_hat @ w_hat)
+    thresholds = 1e-12 * np.maximum(1.0, np.abs(f_pair))
+    failed = np.flatnonzero(np.abs(denominators) <= thresholds)
+    if failed.size:
+        n = int(failed[0])
+        raise DenominatorNearZero(float(denominators[n]), float(thresholds[n]), step=n)
+
+    g = ((1.0 - (tau / 2.0) * lam) / d)[:, None]
+    c = h * lam * w_hat / d
+    rates = np.diff(w, axis=0) / tau
+    u_hat = np.repeat((q.T @ problem.phi)[:, None], w.shape[1], axis=1)
+    recovered = np.empty((grid.M, w.shape[1]))
+    for n in range(grid.M):
+        r_mid = (rates[n] + c @ u_hat) / denominators[n]
+        u_hat *= g
+        u_hat += np.multiply.outer(s_hat[n], tau * r_mid)
+        recovered[n] = r_mid
+        if states is not None:
+            states[n + 1] = u_hat[:, 0]
+    if states is not None:
+        _rows_times(states[1:], q.T)
+    return recovered, q @ u_hat
 
 
 def run_inverse(

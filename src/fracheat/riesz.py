@@ -51,6 +51,7 @@ import numpy as np
 from scipy.linalg import toeplitz
 
 from .grid import Grid
+from .solvers import SpectralDecomposition, eigendecompose
 
 __all__ = [
     "normalization_constant",
@@ -111,8 +112,6 @@ class RieszOperator:
     """
 
     size: int
-    s: float
-    h: float
     offdiag: np.ndarray  # lag 1 .. size-1, strictly positive, decreasing
     diag: np.ndarray
 
@@ -143,6 +142,12 @@ class RieszOperator:
         col[1:n] = self.offdiag
         col[m - n + 1 :] = self.offdiag[::-1]
         return np.fft.rfft(col).real
+
+    @cached_property
+    def eigendecomposition(self) -> SpectralDecomposition:
+        """A = Q diag(lambda) Q^T, validated; built on first use and kept, so every
+        step size and every march over this operator shares one O(n^3) ``eigh``."""
+        return eigendecompose(self.dense())
 
     def circulant_preconditioner(self, c: float) -> Callable[[np.ndarray], np.ndarray]:
         """r -> C^{-1} r for the Strang circulant C approximating I + c A.
@@ -226,15 +231,14 @@ def assemble(grid: Grid, scheme: str = "midpoint") -> RieszOperator:
     """
     if scheme not in _WEIGHTS:
         raise ValueError(f"unknown scheme {scheme!r} (expected one of {SCHEMES})")
-    s = grid.s
-    scale = normalization_constant(s) / grid.h ** (2.0 * s)
+    scale = normalization_constant(grid.s) / grid.h ** (2.0 * grid.s)
     weights, diag_weights = _WEIGHTS[scheme](grid)
     offdiag = scale * weights
     diag = scale * diag_weights
 
     offdiag.setflags(write=False)
     diag.setflags(write=False)
-    return RieszOperator(size=grid.interior_dim, s=s, h=grid.h, offdiag=offdiag, diag=diag)
+    return RieszOperator(size=grid.interior_dim, offdiag=offdiag, diag=diag)
 
 
 class QuadratureConvergenceError(RuntimeError):

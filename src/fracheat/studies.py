@@ -17,7 +17,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .forward import make_step_operators
+from .forward import SOLVERS, make_step_operators
 from .grid import CoefficientSeries, Grid, Trajectory, make_grid
 from .inverse import (
     DenominatorNearZero,
@@ -28,7 +28,7 @@ from .inverse import (
     smooth_measurements,
 )
 from .manufactured import ManufacturedProblem, build_manufactured
-from .riesz import SCHEMES, assemble
+from .riesz import SCHEMES, RieszOperator, assemble
 
 __all__ = [
     "StudyConfig",
@@ -75,6 +75,8 @@ class StudyConfig:
             raise ValueError(f"unknown example {self.example!r}")
         if not 0.0 < self.s < 1.0:
             raise ValueError("s must lie in (0, 1)")
+        if self.solver is not None and self.solver not in SOLVERS:
+            raise ValueError(f"unknown solver {self.solver!r} (expected one of {SOLVERS})")
         if self.source not in ("discrete", "quadrature"):
             raise ValueError(f"unknown source {self.source!r}")
         if self.scheme not in SCHEMES:
@@ -208,15 +210,19 @@ def run_inverse_case(
     noise: Optional[NoiseSpec] = None,
     smooth_window: int = 1,
     scheme: str = "midpoint",
+    op: Optional[RieszOperator] = None,
 ) -> InverseRunResult:
     """Invert one benchmark on one grid from its analytic measurements.
 
     Optional seeded noise is applied first, then a moving average over
     ``smooth_window`` points (1 = off); both are recorded in the result's
     measurement provenance.  ``scheme`` selects the stiffness matrix (see
-    :func:`fracheat.riesz.assemble`).
+    :func:`fracheat.riesz.assemble`); ``op``, when given, is that matrix
+    already assembled on a grid of the same N, s and l, with any
+    decomposition it holds.
     """
-    op = assemble(grid, scheme)
+    if op is None:
+        op = assemble(grid, scheme)
     spec, data = build_manufactured(example, grid, source=source, op=op)
     measurements = data.measurements
     noisy = noise is not None and noise.delta > 0.0
@@ -297,14 +303,20 @@ def _order(prev_err: float, err: float, prev_step: float, step: float) -> float:
 def _refinement_study(
     config: StudyConfig, sizes: Iterable[Tuple[int, int]], varied: str
 ) -> ConvergenceTable:
-    """One inverse case per (N, M) grid size; orders are taken against ``varied``."""
+    """One inverse case per (N, M) grid size; orders are taken against ``varied``.
+
+    Grids of one N share one operator, so time refinement assembles, and on
+    the modal route decomposes, once per N rather than once per M.
+    """
     rows: List[ConvergenceRow] = []
-    prev = prev_step = None
+    prev = prev_step = op = None
     for n, m in sizes:
         grid = make_grid(config.l, config.t_final, n, m, config.s)
+        if op is None or op.size != grid.interior_dim:
+            op = assemble(grid, config.scheme)
         case = run_inverse_case(
             config.example, grid, config.source, config.solver, config.tol,
-            scheme=config.scheme,
+            scheme=config.scheme, op=op,
         )
         step = grid.tau if varied == "tau" else grid.h
         order_u = order_r = None
@@ -384,13 +396,13 @@ def noise_study(config: StudyConfig) -> NoiseStudyResult:
 
     Every (delta, seed) series, and its smoothed copy when the configured
     smoothing window exceeds 1, is recovered in one batched march over one
-    grid, operator and factorization.  The recovery denominator does not
-    depend on the data, so a denominator failure fails every case.
+    grid, operator and factorization (or eigendecomposition).  The recovery
+    denominator does not depend on the data, so a denominator failure fails
+    every case.
     """
     grid = make_grid(config.l, config.t_final, config.n_values[0], config.m_values[0], config.s)
     op = assemble(grid, config.scheme)
     spec, data = build_manufactured(config.example, grid, source=config.source, op=op)
-    ops = make_step_operators(grid, op=op, solver=config.solver, tol=config.tol)
 
     keys = [(delta, seed) for delta in config.deltas for seed in config.seeds]
     if not keys:
@@ -404,6 +416,8 @@ def noise_study(config: StudyConfig) -> NoiseStudyResult:
         if smooth:
             series.append(smooth_measurements(raw, config.smooth_window).values)
 
+    ops = make_step_operators(grid, op=op, solver=config.solver, tol=config.tol,
+                              series=len(series))
     # noisy data is incompatible with phi at t=0 by construction
     noisy = any(delta > 0.0 for delta in config.deltas)
     failure = ""

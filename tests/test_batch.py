@@ -33,7 +33,7 @@ steps = st.integers(1, 4)
 log_taus = st.floats(-3.0, 3.0)
 seeds = st.integers(0, 2**32 - 1)
 schemes = st.sampled_from(("midpoint", "interpolated"))
-solvers = st.sampled_from(("cholesky", "cg"))
+solvers = st.sampled_from(("cholesky", "cg", "modal"))
 
 
 def _setup(s, n_cells, m_steps, log_tau, scheme, solver):
@@ -135,7 +135,7 @@ def _orthogonal_problem(grid, from_step):
     )
 
 
-@pytest.mark.parametrize("solver", ["cholesky", "cg"])
+@pytest.mark.parametrize("solver", ["cholesky", "cg", "modal"])
 @pytest.mark.parametrize("from_step", [0, 3])
 def test_orthogonal_forcing_fails_batch_at_its_step(solver, from_step):
     grid = make_grid(1, 1, 16, 6, 0.5)
@@ -157,15 +157,65 @@ def test_batch_rejects_a_single_series():
         run_inverse_batch(data, grid, np.ones((4, 2)))
 
 
-def test_non_finite_forcing_raises():
+@pytest.mark.parametrize("solver", ["cholesky", "cg", "modal"])
+def test_non_finite_forcing_raises(solver):
     grid = make_grid(1, 1, 16, 4, 0.5)
     _, data = build_manufactured("example1", grid)
     x = grid.interior_x()
     broken = ProblemData(phi=data.phi, forcing=lambda t: np.full(x.size, np.nan),
                          weight=data.weight)
     series = np.column_stack([data.measurements.values] * 3)
-    with pytest.raises(ValueError, match="non-finite"):
-        run_inverse_batch(broken, grid, series)
+    # Cholesky and modal reach the final finite check; CG stops at its first solve
+    error = SolverError if solver == "cg" else ValueError
+    with pytest.raises(error, match="non-finite"):
+        run_inverse_batch(broken, grid, series, make_step_operators(grid, solver=solver))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(s=orders, n_cells=sizes, m_steps=steps, log_tau=log_taus, seed=seeds)
+@example(s=0.99, n_cells=300, m_steps=4, log_tau=3.0, seed=0)
+@example(s=0.99, n_cells=300, m_steps=4, log_tau=0.0, seed=0)
+@example(s=0.01, n_cells=2, m_steps=1, log_tau=-3.0, seed=0)
+def test_modal_forward_matches_cholesky(s, n_cells, m_steps, log_tau, seed):
+    # Midpoint scheme.  On the interpolated one, cond(A) reaches 3e4 at
+    # s = 0.99, N = 300, and there the Cholesky route is itself 2e-12 off the
+    # discrete solution (test_modal_forward_keeps_its_digits_on_a_stiff_grid).
+    grid, _, data, direct = _setup(s, n_cells, m_steps, log_tau, "midpoint", "cholesky")
+    modal = make_step_operators(grid, op=direct.op, solver="modal")
+    r = np.random.default_rng(seed).uniform(0.5, 2.0, grid.M)
+    ref = run_forward(data, grid, r=r, ops=direct).states
+    got = run_forward(data, grid, r=r, ops=modal).states
+    assert np.max(np.abs(got - ref)) <= 1e-12 * max(1.0, float(np.max(np.abs(ref))))
+
+
+def _refined_forward(data, grid, op, r):
+    """U^M of the Crank-Nicolson march solved to long-double accuracy."""
+    a = op.dense()
+    n, half = op.size, grid.tau / 2.0
+    l_wide = np.eye(n, dtype=np.longdouble) + np.longdouble(half) * a.astype(np.longdouble)
+    r_wide = 2.0 * np.eye(n, dtype=np.longdouble) - l_wide
+    factor = np.linalg.inv(np.eye(n) + half * a)
+    u = data.phi.astype(np.longdouble)
+    for n_step, t in enumerate(grid.midpoint_times()):
+        b = r_wide @ u + np.longdouble(grid.tau * r[n_step]) * data.forcing(float(t))
+        u = (factor @ b.astype(float)).astype(np.longdouble)
+        for _ in range(6):  # iterative refinement with long-double residuals
+            u += factor @ (b - l_wide @ u).astype(float)
+    return u.astype(float)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18, reason="needs extended precision")
+@pytest.mark.parametrize("scheme", ["midpoint", "interpolated"])
+def test_modal_forward_keeps_its_digits_on_a_stiff_grid(scheme):
+    # s = 0.99, N = 300, tau = 1: cond(A) is 7e3 (midpoint) and 3e4
+    # (interpolated).  eigh's own lowest eigenvalues are off by 2e-12 relative
+    # here; the Rayleigh quotients eigendecompose returns are not.  Cholesky
+    # measures 2.1e-12 on the interpolated grid, the modal route 3.4e-13.
+    grid, spec, data, modal = _setup(0.99, 300, 4, 0.0, scheme, "modal")
+    r = spec.r_at_midpoints(grid)
+    ref = _refined_forward(data, grid, modal.op, r)
+    got = run_forward(data, grid, r=r, ops=modal).final
+    assert np.max(np.abs(got - ref)) <= 1e-12 * max(1.0, float(np.max(np.abs(ref))))
 
 
 def test_noise_study_denominator_failure_fails_every_case(tmp_path, monkeypatch):

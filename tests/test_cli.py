@@ -195,6 +195,35 @@ def test_unknown_scheme_in_config_rejected(tmp_path, capsys):
     assert capsys.readouterr().err == "error: unknown scheme 'bogus'\n"
 
 
+def test_misspelt_solver_in_config_fails_before_any_work(tmp_path, capsys, monkeypatch):
+    import fracheat.cli
+
+    def no_assembly(*args, **kwargs):
+        raise AssertionError("assembled an operator for a config it rejects")
+
+    monkeypatch.setattr(fracheat.cli, "assemble", no_assembly)
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("solver = modl\n", encoding="utf-8")
+    assert main(["forward", "--N", "10", "--M", "5", "--config", str(cfg),
+                 "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == (
+        "error: unknown solver 'modl' (expected one of ('cholesky', 'cg', 'modal'))\n"
+    )
+
+
+@pytest.mark.parametrize("solver", ["cholesky", "cg", "modal"])
+def test_solver_flag_routes_the_run(tmp_path, solver):
+    out = tmp_path / solver
+    assert main(["inverse", "--N", "30", "--M", "10", "--solver", solver,
+                 "--out", str(out)]) == 0
+    reference = main(["inverse", "--N", "30", "--M", "10", "--solver", "cholesky",
+                      "--out", str(tmp_path / "ref")])
+    assert reference == 0
+    got = np.loadtxt(out / "r_series.csv", delimiter=",", skiprows=1)
+    ref = np.loadtxt(tmp_path / "ref" / "r_series.csv", delimiter=",", skiprows=1)
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
 # Every StudyConfig field, each set to a value that no flag below and no
 # default uses.
 _FULL_CONFIG = """\
@@ -230,6 +259,7 @@ out = from_file
     ("--source", "discrete", "source", "discrete"),
     ("--scheme", "midpoint", "scheme", "midpoint"),
     ("--out", "from_flag", "out", "from_flag"),
+    ("--solver", "modal", "solver", "modal"),
 ])
 def test_each_flag_overrides_only_its_field(tmp_path, flag, value, field, expected):
     cfg = tmp_path / "full.cfg"

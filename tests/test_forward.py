@@ -71,6 +71,17 @@ class TestCnStep:
         assert np.all(np.isfinite(u1))
         assert np.linalg.norm(u1) < np.linalg.norm(u)
 
+    def test_modal_solve_matches_cholesky(self, grid16, op16):
+        modal = make_step_operators(grid16, op=op16, tau=0.3, solver="modal")
+        direct = make_step_operators(grid16, op=op16, tau=0.3, solver="cholesky")
+        b = np.random.default_rng(4).standard_normal((15, 3))
+        assert np.max(np.abs(modal.solve_l(b) - direct.solve_l(b))) <= 1e-13
+        assert np.max(np.abs(modal.solve_l(b[:, 0]) - direct.solve_l(b[:, 0]))) <= 1e-13
+
+    def test_modal_route_refuses_sizes_eigendecompose_refuses(self):
+        with pytest.raises(ValueError, match="n <= 1024"):
+            make_step_operators(make_grid(1, 1, 1026, 10, 0.5), solver="modal")
+
     def test_step_operators_commute_with_a(self, grid16, op16):
         # L and R are polynomials in A, so R A v = A R v (structural invariant)
         ops = make_step_operators(grid16, op=op16)
@@ -155,7 +166,8 @@ class TestRunForward:
         with pytest.raises(ValueError):
             run_forward(data, grid16)
 
-    @pytest.mark.parametrize("solver,error", [("cholesky", ValueError), ("cg", SolverError)])
+    @pytest.mark.parametrize("solver,error", [("cholesky", ValueError), ("cg", SolverError),
+                                              ("modal", ValueError)])
     def test_nan_forcing_raises(self, grid16, op16, solver, error):
         # Cholesky solves skip their finite scans, so the trajectory's own
         # check stops the run; CG stops at its first non-finite step
@@ -175,6 +187,44 @@ class TestRunForward:
             cur = np.linalg.norm(u)
             assert cur <= prev * (1.0 + 1e-14)
             prev = cur
+
+
+class TestRouteRule:
+    """Without a solver: modal once M * series >= n (n <= 1024), else by size."""
+
+    def test_noise_ensemble_grid_goes_modal(self, monkeypatch):
+        import fracheat.studies
+
+        grid = make_grid(1, 1, 200, 200, 0.5)
+        assert make_step_operators(grid, series=60).solver == "modal"
+        routes = []
+        original = fracheat.studies.run_inverse_batch
+
+        def spy(problem, grid, measurements, ops, **kwargs):
+            routes.append((ops.solver, measurements.shape[1]))
+            return original(problem, grid, measurements, ops, **kwargs)
+
+        monkeypatch.setattr(fracheat.studies, "run_inverse_batch", spy)
+        # M < n: only the 12 series marched together make it modal
+        fracheat.studies.noise_study(fracheat.StudyConfig(
+            n_values=(64,), m_values=(16,), seeds=(0, 1), smooth_window=5,
+        ))
+        assert routes == [("modal", 12)]
+
+    def test_large_grid_goes_cg(self):
+        assert make_step_operators(make_grid(1, 0.1, 3072, 10, 0.5)).solver == "cg"
+
+    def test_single_short_series_keeps_cholesky(self):
+        assert make_step_operators(make_grid(1, 1, 800, 50, 0.5)).solver == "cholesky"
+
+    def test_setup_builds_no_decomposition(self):
+        # the set-up probe's call: the eigendecomposition waits for the first march
+        grid = make_grid(1, 1, 200, 200, 0.5)
+        ops = make_step_operators(grid, op=assemble(grid))
+        assert ops.solver == "modal"
+        assert "eigendecomposition" not in vars(ops.op)
+        ops.solve_l(np.ones(grid.interior_dim))
+        assert "eigendecomposition" in vars(ops.op)
 
 
 class TestStabilityBounds:

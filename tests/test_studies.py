@@ -98,6 +98,25 @@ class TestConvergenceStudies:
         assert np.isfinite(res.linf_r)
         assert res.linf_r <= 5e-4
 
+    def test_time_refinement_assembles_once_per_n(self, monkeypatch):
+        import fracheat.studies
+
+        built = []
+        original = fracheat.studies.assemble
+
+        def counted(grid, scheme="midpoint"):
+            built.append(grid.N)
+            return original(grid, scheme)
+
+        monkeypatch.setattr(fracheat.studies, "assemble", counted)
+        config = StudyConfig(n_values=(40,), m_values=(10, 40, 80))
+        table = convergence_study_time(config)
+        assert built == [40]
+        # the shared operator changes no number: each row as a fresh run gives it
+        for row, m in zip(table.rows, config.m_values):
+            fresh = run_inverse_case("example1", make_grid(1, 1, 40, m, 0.5))
+            assert row.linf_u == fresh.linf_u and row.linf_r == fresh.linf_r
+
     def test_cg_solver_path_matches_cholesky(self):
         cfg_kwargs = dict(example="example1", s=0.5, n_values=(30,), m_values=(15,))
         direct = convergence_study_time(StudyConfig(solver="cholesky", **cfg_kwargs))
@@ -294,6 +313,12 @@ class TestLoadConfig:
         assert cfg.source == "quadrature"
         assert cfg.smooth_window == 5
         assert cfg.out == "results"
+
+    def test_unknown_solver_rejected(self, tmp_path):
+        path = tmp_path / "bad.cfg"
+        path.write_text("solver = modl\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="unknown solver 'modl'"):
+            load_config(path)
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"
