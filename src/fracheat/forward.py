@@ -244,6 +244,20 @@ def energy_identity_residual(
     return float(res) if mid.ndim == 1 else res
 
 
+def _dual_norms(op: RieszOperator, rows: np.ndarray) -> np.ndarray:
+    """||f||_{A^{-1}}^2 of every row f of ``rows``.
+
+    With the eigendecomposition already on the operator, from one product
+    with its eigenvectors as sum_k fhat_k^2 / lambda_k; otherwise from one
+    block solve with the Cholesky factor of A.  Never decomposes A for this.
+    """
+    dec = op.cached_eigendecomposition
+    if dec is not None:
+        coef = rows @ dec.eigenvectors
+        return _rowdot(coef / dec.eigenvalues, coef)
+    return np.maximum(_rowdot(cholesky(op.dense()).solve(rows.T).T, rows), 0.0)
+
+
 @dataclass(frozen=True)
 class StabilityReport:
     """Measured slack of the unconditional stability bounds along one run.
@@ -287,8 +301,7 @@ def stability_bounds(
     mids = 0.5 * (states[:-1] + states[1:])
     identity = rho / tau - 2.0 * r_mid * _rowdot(forcings, mids)
     l2_bound = norms[0] + np.cumsum(tau * np.abs(r_mid) * np.linalg.norm(forcings, axis=1))
-    # every dual norm ||F||_{A^{-1}}^2 from one block solve with the factor of A
-    dual = np.maximum(_rowdot(cholesky(op.dense()).solve(forcings.T).T, forcings), 0.0)
+    dual = _dual_norms(op, forcings)
     energy_bound = norms[0] ** 2 + np.cumsum(tau * r_mid**2 * dual)
     # Summed over steps 0..n the identity gives the dissipation:
     # ||U^{n+1}||^2 + tau sum_j ||U^{j+1/2}||_A^2 = (||U^{n+1}||^2 + ||U^0||^2 + sum_j rho_j) / 2

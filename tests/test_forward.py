@@ -20,7 +20,7 @@ from fracheat import (
     spectral_duhamel_oracle,
     stability_bounds,
 )
-from fracheat.forward import StabilityReport
+from fracheat.forward import StabilityReport, _dual_norms
 from fracheat.grid import Trajectory
 
 
@@ -272,6 +272,28 @@ class TestStabilityBounds:
             rhs10 = rep10.l2_slack[n] + norms10[n + 1] - u0
             assert rhs10 == pytest.approx(10.0 * rhs1, rel=1e-9)
         assert rep10.holds(tol=1e-9)
+
+    @pytest.mark.parametrize("s, n_cells, m_steps", [(0.3, 64, 64), (0.99, 300, 20),
+                                                      (0.01, 200, 5), (0.5, 2, 1)])
+    def test_eigenbasis_dual_norms_match_cholesky(self, s, n_cells, m_steps, monkeypatch):
+        import fracheat.forward
+
+        grid = make_grid(1, 1, n_cells, m_steps, s)
+        op = assemble(grid)
+        spec, data = build_manufactured("example1", grid, source="discrete", op=op)
+        traj = run_forward(data, grid, ops=make_step_operators(grid, op=op, solver="cholesky"))
+        forcings = np.array([data.forcing(float(t)) for t in grid.midpoint_times()])
+        by_factor = stability_bounds(traj, spec.r_exact, data.forcing, op, grid)
+        dual_factor = _dual_norms(op, forcings)
+        assert op.cached_eigendecomposition is None  # the Cholesky branch decomposes nothing
+        op.eigendecomposition
+        monkeypatch.setattr(fracheat.forward, "cholesky", None)  # the eigenbasis branch factors nothing
+        by_modes = stability_bounds(traj, spec.r_exact, data.forcing, op, grid)
+        pairs = ((dual_factor, _dual_norms(op, forcings)),
+                 (by_factor.l2_slack, by_modes.l2_slack),
+                 (by_factor.energy_slack, by_modes.energy_slack))
+        for want, got in pairs:
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def _stability_loop(trajectory, r_mid, forcing, op, grid):
