@@ -52,7 +52,7 @@ from functools import cached_property
 from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
-from scipy.linalg import toeplitz
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .grid import Grid
 from .solvers import SpectralDecomposition, eigendecompose
@@ -187,7 +187,9 @@ class RieszOperator:
     def dense(self) -> np.ndarray:
         """Full (N-1) x (N-1) matrix, reconstructed for solvers and diagnostics."""
         col = np.concatenate(([0.0], self.offdiag))
-        full = -toeplitz(col)
+        # row i of the symmetric Toeplitz matrix is a window of col reversed,
+        # then col: the strided gather scipy.linalg.toeplitz does
+        full = -sliding_window_view(np.concatenate((col[:0:-1], col)), self.size)[::-1]
         np.fill_diagonal(full, self.diag)
         return full
 

@@ -1,12 +1,16 @@
-"""Direct and iterative solvers for the SPD systems of the time stepper.
+"""Direct, iterative and spectral solvers for the SPD systems of the time stepper.
 
-Cholesky (factor once per grid, reuse for every right-hand side) is the
-default route; hand-written preconditioned conjugate gradients is the
-independent second route used for cross-checks and for large systems, where
+Cholesky factors a matrix once and reuses the factor for every right-hand
+side.  The time stepper takes it for a system of up to 2048 unknowns when too
+few steps are marched to pay for an eigendecomposition; the tests use it as
+the dense reference.  Hand-written preconditioned conjugate gradients is the
+independent second route, used for cross-checks and for large systems, where
 the time stepper pairs it with the FFT matvec and the Strang-circulant
-preconditioner of :mod:`fracheat.riesz`.
-Dense eigendecomposition and the A^{-1} dual norm back the stability
-diagnostics.
+preconditioner of :mod:`fracheat.riesz`.  The validated dense
+eigendecomposition backs the modal route, which marches in the eigenbasis of
+A, and the A^{-1} dual norms of the stability diagnostics when the operator
+holds it (a Cholesky block solve otherwise).  SciPy is imported by the first
+Cholesky solve, so every other route runs on NumPy alone.
 """
 
 from __future__ import annotations
@@ -15,7 +19,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 import numpy as np
-from scipy.linalg import cho_solve
 
 __all__ = [
     "NotSpdError",
@@ -57,6 +60,9 @@ class SpdFactorization:
         return self.lower.shape[0]
 
     def solve(self, b: np.ndarray) -> np.ndarray:
+        # SciPy is imported by the first Cholesky solve, not with the package
+        from scipy.linalg import cho_solve
+
         # the factor was checked finite once, in cholesky()
         return cho_solve((self.lower, True), np.asarray(b, dtype=float), check_finite=False)
 
@@ -173,12 +179,14 @@ def eigendecompose(mat: np.ndarray, tol: float = 1e-10) -> SpectralDecomposition
     N = 300 this takes L^{-1} b through the eigenbasis from 1.6e-12 to
     4e-13 of a long-double reference (Cholesky: 3e-13).
 
-    Desk-scale path: refuses matrices larger than 1024.
+    Refuses matrices larger than 1024, the largest size at which the O(n^3)
+    decomposition and its validation have been measured; the modal route
+    shares this cap.
     """
     mat = np.asarray(mat, dtype=float)
     n = mat.shape[0]
     if n > 1024:
-        raise ValueError(f"eigendecompose is a desk-scale diagnostic, got size {n}")
+        raise ValueError(f"eigendecompose takes n <= 1024, got size {n}")
     _, q = np.linalg.eigh(mat)
     resid = mat @ q
     lam = np.einsum("ij,ij->j", q, resid)

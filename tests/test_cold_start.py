@@ -1,0 +1,69 @@
+"""SciPy stays off the import path: only a Cholesky solve loads it.
+
+Each check runs in a fresh interpreter, since this test process has SciPy
+loaded already.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import fracheat
+
+SRC = Path(fracheat.__file__).resolve().parents[1]
+
+# stage name -> CLI arguments, run in this order in one interpreter; SciPy,
+# once loaded, stays loaded, so the Cholesky run comes last
+_STAGES = (
+    ("forward_modal", ["forward", "--N", "16", "--M", "16", "--solver", "modal"]),
+    ("noise_modal", ["noise", "--N", "16", "--M", "16", "--solver", "modal"]),
+    ("inverse_cg", ["inverse", "--N", "16", "--M", "10", "--solver", "cg"]),
+    ("inverse_cholesky", ["inverse", "--N", "16", "--M", "10", "--solver", "cholesky"]),
+)
+
+_SCRIPT = """
+import json, sys
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+import fracheat
+seen = {"import": scipy_modules()}
+from fracheat.cli import main
+for name, argv in json.loads(sys.argv[1]):
+    code = main(argv + ["--out", sys.argv[2] + "/" + name])
+    seen[name] = {"code": code, "scipy": scipy_modules()}
+print(json.dumps(seen))
+"""
+
+
+@pytest.fixture(scope="module")
+def loaded(tmp_path_factory):
+    out = tmp_path_factory.mktemp("cold_start")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", _SCRIPT, json.dumps(_STAGES), str(out)],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_import_loads_no_scipy(loaded):
+    assert loaded["import"] == []
+
+
+@pytest.mark.parametrize("stage", ["forward_modal", "noise_modal", "inverse_cg"])
+def test_commands_off_the_cholesky_route_load_no_scipy(loaded, stage):
+    assert loaded[stage] == {"code": 0, "scipy": []}
+
+
+def test_cholesky_route_loads_scipy_linalg(loaded):
+    # the probe sees a module SciPy brings in, so its empty lists above count
+    assert loaded["inverse_cholesky"]["code"] == 0
+    assert "scipy.linalg" in loaded["inverse_cholesky"]["scipy"]

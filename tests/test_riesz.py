@@ -198,6 +198,25 @@ class TestAssembly:
         a = assemble(make_grid(1, 1, 24, 1, 0.4)).dense()
         assert np.max(np.abs(a - a.T)) == 0.0
 
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(s=st.floats(0.01, 0.99), n=st.integers(1, 600),
+           scheme=st.sampled_from(("midpoint", "interpolated")))
+    @example(s=0.5, n=1, scheme="midpoint")
+    @example(s=0.5, n=1, scheme="interpolated")
+    @example(s=0.99, n=600, scheme="midpoint")
+    @example(s=0.01, n=600, scheme="interpolated")
+    def test_dense_bitwise_equal_to_scipy_toeplitz(self, s, n, scheme):
+        from scipy.linalg import toeplitz
+
+        op = assemble(make_grid(1, 1, n + 1, 1, s), scheme)
+        want = -toeplitz(np.concatenate(([0.0], op.offdiag)))
+        np.fill_diagonal(want, op.diag)
+        got = op.dense()
+        # same layout as well as the same bits: products with the matrix
+        # round by its layout
+        assert got.shape == (n, n) and got.flags.c_contiguous and got.flags.writeable
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
     @pytest.mark.parametrize("s", [0.1, 0.3, 0.5, 0.7, 0.9])
     @pytest.mark.parametrize("n", [16, 64])
     def test_positive_definite(self, n, s):

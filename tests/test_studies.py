@@ -254,18 +254,40 @@ class TestCsvFormat:
         rng = np.random.default_rng(5)
         n = 3 * len(edge)
         table = np.column_stack((
-            np.tile(edge, 3),  # few distinct values: each is formatted once
+            np.tile(edge, 3),
             np.repeat([0.0, -0.0, 0.1], len(edge)),  # equal but not the same bits
             rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n),
             rng.permutation(np.tile(edge, 3)),
+            np.repeat(edge, 3),  # repeats in the first block: each value formatted once
         ))
-        header = ("a", "b", "c", "d")
+        header = ("a", "b", "c", "d", "e")
         cells = write_csv(tmp_path / "cells.csv", header, [tuple(map(float, r)) for r in table])
         # blocks of 7 rows, so that a block boundary falls inside the table
         monkeypatch.setattr(fracheat.studies, "_BLOCK_ROWS", 7)
         array = write_csv(tmp_path / "array.csv", header, table)
         assert array.read_bytes() == cells.read_bytes()
         assert b",-0," in cells.read_bytes() and b"nan" in cells.read_bytes()
+
+    def test_first_block_decides_deduplication(self, tmp_path, monkeypatch):
+        import fracheat.studies
+
+        monkeypatch.setattr(fracheat.studies, "_BLOCK_ROWS", 8)
+        rng = np.random.default_rng(9)
+        distinct = rng.standard_normal(8)
+        table = np.column_stack((
+            # distinct in the first block, then one value repeated
+            np.concatenate((distinct, np.full(40, -0.0))),
+            # one value repeated in the first block, then distinct values
+            np.concatenate((np.full(8, 0.5), rng.standard_normal(40))),
+            np.tile([0.0, -0.0, 1.0 / 3.0], 16),
+            rng.standard_normal(48),
+        ))
+        _, line = fracheat.studies._array_columns(table)
+        assert line == "%.17g,%s,%s,%.17g\n"
+        header = ("a", "b", "c", "d")
+        cells = write_csv(tmp_path / "cells.csv", header, [tuple(map(float, r)) for r in table])
+        array = write_csv(tmp_path / "array.csv", header, table)
+        assert array.read_bytes() == cells.read_bytes()
 
     def test_array_rows_edge_shapes(self, tmp_path):
         for shape in ((0, 3), (1, 1), (5, 0)):
