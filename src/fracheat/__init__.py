@@ -27,7 +27,6 @@ from .grid import (
 from .inverse import (
     DenominatorNearZero,
     NoiseSpec,
-    RecoveryStepInternals,
     discrete_measurement,
     measurements_from_trajectory,
     perturb_measurements,
@@ -83,7 +82,6 @@ __all__ = [
     "NotSpdError",
     "ProblemData",
     "QuadratureConvergenceError",
-    "RecoveryStepInternals",
     "RieszOperator",
     "SolverError",
     "SpdFactorization",

@@ -1,19 +1,24 @@
 """Crank-Nicolson time stepping for the direct problem, with diagnostics.
 
-Each step solves (I + tau/2 A) U^{n+1} = (I - tau/2 A) U^n + tau r F at the
-midpoint forcing.  On the modal route the same step is diagonal: with
-A = Q diag(lambda) Q^T, each coefficient of Q^T U is multiplied by
-g = (1 - tau lambda/2) / (1 + tau lambda/2) and gains tau r Q^T F / (1 + tau
-lambda/2), so a step costs O(n) after one eigendecomposition.  The scheme
-satisfies an exact energy identity in the homogeneous case and two unconditional stability bounds with forcing; those
-are evaluated here as runtime diagnostics rather than assumed.  A spectral
-reference solution (eigenbasis + Duhamel integral in time) provides an
-independent high-order oracle for temporal convergence measurements.
+Each step solves L U^{n+1} = R U^n + tau r F at the midpoint forcing, with
+L = I + tau/2 A and R = I - tau/2 A.  One march serves every solver route:
+only ``StepOperators`` knows the route, and it lends the march three
+operations in the route's own coordinates.  The change of basis is the
+eigenbasis Q of A on the modal route and the identity otherwise; the
+L-solve is a Cholesky factor, CG, or b/d with d = 1 + tau lambda/2; R is
+v - tau/2 A v, or (1 - tau lambda/2) v.  So a modal step costs O(n) after
+one eigendecomposition.  The scheme satisfies an exact energy identity in
+the homogeneous case and two unconditional stability bounds with forcing;
+those are evaluated here as runtime diagnostics rather than assumed.  A
+spectral reference solution (eigenbasis + Duhamel integral in time)
+provides an independent high-order oracle for temporal convergence
+measurements.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -54,16 +59,18 @@ _MODAL_SIZE_LIMIT = 1024
 _BLOCK_ROWS = 512
 
 RCoefficient = Union[Callable[[float], float], CoefficientSeries, Sequence[float], np.ndarray]
+RecoveryStep = Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]]
 
 
 @dataclass(frozen=True)
 class StepOperators:
     """Fixed-grid machinery shared by every step: A, L = I + tau/2 A, R = I - tau/2 A.
 
-    L and R are polynomials in A, so they commute with it; ``solve_l`` is a
+    ``solve_l`` and ``apply_r`` act on nodal vectors.  ``solve_l`` is a
     Cholesky factor reused across all right-hand sides, a CG closure for
     large systems, or a product with the eigenbasis of A on the ``modal``
-    route.  It takes one right-hand side (n,) or a block (n, K).
+    route; it takes one right-hand side (n,) or a block (n, K).  The marches
+    call the other methods, which act in the route's own coordinates.
     """
 
     grid: Grid
@@ -75,21 +82,78 @@ class StepOperators:
     def apply_r(self, v: np.ndarray) -> np.ndarray:
         return v - (self.tau / 2.0) * self.op.apply(v)
 
-    def eigenbasis(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(Q, lambda, d) with A = Q diag(lambda) Q^T and L = Q diag(d) Q^T.
+    times_r = apply_r  # R v in route coordinates, for one vector (n,)
 
-        The decomposition of A is built on the first call and cached on the
-        operator, so every step size and every run over it shares one.
+    def to_basis(self, rows: np.ndarray) -> np.ndarray:
+        """Take stacked nodal vectors (K, n) to route coordinates, in place."""
+        return rows
+
+    def from_basis(self, rows: np.ndarray) -> np.ndarray:
+        """Take stacked route coordinates (K, n) back to nodal vectors, in place."""
+        return rows
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """L^-1 b in route coordinates for b (n,) or (n, K), which it may overwrite."""
+        return self.solve_l(b)
+
+    def recovery_step(self, weight: np.ndarray) -> RecoveryStep:
+        """U -> (h <A omega, L^-1 U>, L^-1 R U) for a block U (n, K); it may overwrite U.
+
+        L^-1 R = 2 L^-1 - I, so both come from the one solve V = L^-1 U.
         """
+        a_weight = self.op.apply(weight)
+        h = self.grid.h
+
+        def step(u: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+            v = self.solve(u)
+            return h * (a_weight @ v), 2.0 * v - u
+
+        return step
+
+
+class _ModalStepOperators(StepOperators):
+    """The eigenbasis of A = Q diag(lambda) Q^T, built on first use and cached on the
+    operator, where L and R are diagonal: ``_diagonals`` is (Q, d, 1 - tau lambda/2)."""
+
+    @cached_property
+    def _diagonals(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         dec = self.op.eigendecomposition
-        return dec.eigenvectors, dec.eigenvalues, 1.0 + (self.tau / 2.0) * dec.eigenvalues
+        half = (self.tau / 2.0) * dec.eigenvalues
+        return dec.eigenvectors, 1.0 + half, 1.0 - half
+
+    def to_basis(self, rows: np.ndarray) -> np.ndarray:
+        return _rows_times(rows, self._diagonals[0])
+
+    def from_basis(self, rows: np.ndarray) -> np.ndarray:
+        return _rows_times(rows, self._diagonals[0].T)
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        d = self._diagonals[1]
+        return np.divide(b, d if b.ndim == 1 else d[:, None], out=b)
+
+    def times_r(self, v: np.ndarray) -> np.ndarray:
+        return self._diagonals[2] * v
+
+    def recovery_step(self, weight: np.ndarray) -> RecoveryStep:
+        # diagonal, so h <A omega, L^-1 U> = c . U and L^-1 R U = g U
+        q, d, r = self._diagonals
+        c = self.grid.h * self.op.eigendecomposition.eigenvalues * (q.T @ weight) / d
+        g = (r / d)[:, None]
+
+        def step(u: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+            pairing = c @ u
+            u *= g
+            return pairing, u
+
+        return step
 
 
-def _rows_times(rows: np.ndarray, mat: np.ndarray) -> None:
+def _rows_times(rows: np.ndarray, mat: np.ndarray) -> np.ndarray:
     """rows <- rows @ mat in place for a square ``mat``, a block of rows at a time."""
     for start in range(0, rows.shape[0], _BLOCK_ROWS):
         block = rows[start : start + _BLOCK_ROWS]
         block[...] = block @ mat
+    return rows
 
 
 def make_step_operators(
@@ -144,13 +208,13 @@ def make_step_operators(
             raise ValueError(f"the modal route needs n <= {_MODAL_SIZE_LIMIT}, got {op.size}")
 
         def solve_l(b: np.ndarray) -> np.ndarray:  # ops is bound below, before any call
-            q, _, d = ops.eigenbasis()
-            coef = q.T @ np.asarray(b, dtype=float)
-            return q @ (coef / (d if coef.ndim == 1 else d[:, None]))
+            q = op.eigendecomposition.eigenvectors
+            return q @ ops.solve(q.T @ np.asarray(b, dtype=float))
 
     else:
         raise ValueError(f"unknown solver {solver!r} (expected one of {SOLVERS})")
-    ops = StepOperators(grid=grid, op=op, tau=tau, solver=solver, solve_l=solve_l)
+    route = _ModalStepOperators if solver == "modal" else StepOperators
+    ops = route(grid=grid, op=op, tau=tau, solver=solver, solve_l=solve_l)
     return ops
 
 
@@ -169,6 +233,14 @@ def _r_at_midpoints(r: RCoefficient, grid: Grid) -> np.ndarray:
     if values.size != grid.M:
         raise ValueError(f"expected {grid.M} midpoint coefficients, got {values.size}")
     return values
+
+
+def _check_forcings(rows: np.ndarray) -> None:
+    """Both marches check their stacked forcings here, before the first solve."""
+    # NaN propagates through min and max, and an infinite entry is one of them
+    bad = np.flatnonzero(~(np.isfinite(rows.min(axis=1)) & np.isfinite(rows.max(axis=1))))
+    if bad.size:
+        raise ValueError(f"forcing has non-finite entries at step {bad[0]}")
 
 
 def run_forward(
@@ -191,33 +263,22 @@ def run_forward(
     if ops is None:
         ops = make_step_operators(grid)
     r_mid = _r_at_midpoints(r, grid)
-    t_mid = grid.midpoint_times()
-
-    states = np.empty((grid.M + 1, grid.interior_dim))
-    states[0] = problem.phi
-    if ops.solver != "modal":
-        for n in range(grid.M):
-            f_mid = problem.forcing(float(t_mid[n]))
-            states[n + 1] = cn_step(ops, states[n], float(r_mid[n]), f_mid)
-        return Trajectory(states=states)
-
     if not np.all(np.isfinite(r_mid)):
         raise ValueError("midpoint coefficient is not finite")
-    # Rows 1..M hold F^{n+1/2}, then tau r Q^T F / d, then Q^T U^{n+1}, then
-    # U^{n+1}: every transform is in place, so no second (M+1) x n array.
-    q, lam, d = ops.eigenbasis()
-    g = (1.0 - (ops.tau / 2.0) * lam) / d
+
+    # U^0 goes to the basis first, so an eigendecomposition peaks before the forcings
+    # fill memory; row n+1 holds F^{n+1/2} until U^{n+1} replaces it, all in place.
+    states = np.empty((grid.M + 1, grid.interior_dim))
+    states[0] = problem.phi
+    ops.to_basis(states[:1])
+    for n, t in enumerate(grid.midpoint_times()):
+        states[n + 1] = problem.forcing(float(t))
+    _check_forcings(states[1:])
+    ops.to_basis(states[1:])
     for n in range(grid.M):
-        states[n + 1] = problem.forcing(float(t_mid[n]))
-    rows = states[1:]
-    _rows_times(rows, q)
-    rows *= (ops.tau * r_mid)[:, None]
-    rows /= d
-    u_hat = q.T @ problem.phi
-    for n in range(grid.M):
-        u_hat = g * u_hat + rows[n]
-        rows[n] = u_hat
-    _rows_times(rows, q.T)
+        states[n + 1] = ops.solve(ops.times_r(states[n]) + ops.tau * r_mid[n] * states[n + 1])
+    ops.from_basis(states[1:])
+    states[0] = problem.phi  # row 0 still holds U^0 in route coordinates
     return Trajectory(states=states)
 
 

@@ -16,23 +16,17 @@ Since F - tau/2 A S = L S - tau/2 A S = S, the denominator is h <S, omega>,
 and it is evaluated in that form: when tau lambda_1 >> 1 the two terms of
 the difference share their leading digits, which the subtraction loses
 (three digits of r at s = 0.99, N = 300, tau = 1e3).  A is symmetric, so
-the numerator's pairing is a dot product with the vector A omega.  Two
-L-solves per step, no nonlinear iteration.  The denominator does not
-depend on the measurements, so K measurement series over one grid march
-together: the states form an n x K block, V is one block solve, and S,
-A omega and the denominator are shared by every column.  The denominator is
-the discrete identifiability margin; its vanishing means the forcing has
-lost visibility in the measurement and is reported, not papered over.
+the numerator's pairing is a dot product with the vector A omega.  No
+nonlinear iteration.
 
-On the modal route (A = Q diag(lambda) Q^T, d = 1 + tau lambda/2, hats for
-coefficients in Q) the same step is diagonal and needs no solve:
-
-    r^{n+1/2} = [ (w^{n+1} - w^n)/tau + c . U^n ] / ( h S^ . omega^ ),
-    U^{n+1} = g U^n + tau r S^,   S^ = F^/d,   c = h lambda omega^/d,
-
-with g = (1 - tau lambda/2)/d.  Every S^ comes from one product of the
-M x n midpoint forcings with Q, so a step costs O(n K), and Q is applied
-back once, at the end.
+One march serves every solver route and K measurement series at once, as
+an n x K block of states.  The denominators do not depend on the data, so
+it solves for every S and checks every denominator, the discrete
+identifiability margin, before the first step; a vanishing one is reported
+with its step, not papered over.  Each step takes (h <A omega, V>, Y) from
+``StepOperators.recovery_step``: one block solve on the Cholesky and CG
+routes, and the products c . U and g U on the modal route, with
+c = h lambda omega^/d, g = (1 - tau lambda/2)/d and d = 1 + tau lambda/2.
 
 Measurement utilities cover the three data provenances: exact analytic
 values, discrete pairings of a computed trajectory, and seeded noisy copies
@@ -47,13 +41,12 @@ from typing import Optional, Tuple, Union
 
 import numpy as np
 
-from .forward import StepOperators, _rows_times, make_step_operators
+from .forward import RecoveryStep, StepOperators, _check_forcings, make_step_operators
 from .grid import CoefficientSeries, Grid, MeasurementSeries, ProblemData, Trajectory
 
 __all__ = [
     "DenominatorNearZero",
     "NoiseSpec",
-    "RecoveryStepInternals",
     "discrete_measurement",
     "recover_r_step",
     "run_inverse",
@@ -67,13 +60,12 @@ __all__ = [
 class DenominatorNearZero(ArithmeticError):
     """Identifiability failure: h<S,omega> = h<F,omega> - tau/2 h<AS,omega> is numerically zero."""
 
-    def __init__(self, value: float, threshold: float, step: Optional[int] = None):
+    def __init__(self, value: float, threshold: float, step: int):
         self.value = value
         self.threshold = threshold
         self.step = step
-        at = f" at step {step}" if step is not None else ""
         super().__init__(
-            f"recovery denominator {value:.3e} within guard {threshold:.3e}{at}; "
+            f"recovery denominator {value:.3e} within guard {threshold:.3e} at step {step}; "
             "the weighted forcing integral vanishes on this grid"
         )
 
@@ -88,21 +80,6 @@ class NoiseSpec:
     def __post_init__(self) -> None:
         if not 0.0 <= self.delta < 1.0:
             raise ValueError(f"noise level delta must lie in [0, 1), got {self.delta}")
-
-
-@dataclass(frozen=True)
-class RecoveryStepInternals:
-    """Intermediates of one recovery step, exposed for the algebraic cross-checks.
-
-    ``y`` and ``v`` have the shape of the state, (n,) or (n, K); ``numerator``
-    has one entry per series and ``denominator`` is shared by all of them.
-    """
-
-    y: np.ndarray
-    s_vec: np.ndarray
-    v: np.ndarray
-    numerator: Union[float, np.ndarray]
-    denominator: float
 
 
 def discrete_measurement(u: np.ndarray, weight: np.ndarray, h: float) -> float:
@@ -121,40 +98,62 @@ def recover_r_step(
     w_np1: Union[float, np.ndarray],
     f_mid: np.ndarray,
     weight: np.ndarray,
-) -> Tuple[Union[float, np.ndarray], np.ndarray, RecoveryStepInternals]:
-    """One step of the recovery: closed-form r^{n+1/2}, then U^{n+1} = Y + tau r S.
+) -> Tuple[Union[float, np.ndarray], np.ndarray]:
+    """One step of the recovery, the M = 1 march: closed-form r^{n+1/2}, then U^{n+1}.
 
-    ``u_n`` is one state (n,) with scalar measurements, or K states (n, K)
-    with measurements of shape (K,); r^{n+1/2} comes back in the same form.
-    """
-    h = ops.grid.h
-    tau = ops.tau
-    f_mid = np.asarray(f_mid, dtype=float)
+    ``u_n`` is one state (n,) with scalar measurements, or K states (n, K) with
+    measurements of shape (K,); r^{n+1/2} and U^{n+1} come back in that form."""
+    u_n = np.asarray(u_n, dtype=float)
+    w = np.array([w_n, w_np1], dtype=float).reshape(2, -1)
     weight = np.asarray(weight, dtype=float)
-
-    v = ops.solve_l(u_n)
-    y = 2.0 * v - u_n
-    s_vec = ops.solve_l(f_mid)
-    a_weight = ops.op.apply(weight)
-
-    f_pair = discrete_measurement(f_mid, weight, h)
-    numerator = (w_np1 - w_n) / tau + h * (a_weight @ v)
-    denominator = discrete_measurement(s_vec, weight, h)
-
-    # Relative guard: scale-free version of "the denominator does not vanish".
-    threshold = 1e-12 * max(1.0, abs(f_pair))
-    if abs(denominator) <= threshold:
-        raise DenominatorNearZero(denominator, threshold)
-
-    r_mid = numerator / denominator
-    u_np1 = y + np.multiply.outer(s_vec, tau * r_mid)
-    internals = RecoveryStepInternals(
-        y=y, s_vec=s_vec, v=v, numerator=numerator, denominator=denominator
-    )
-    return r_mid, u_np1, internals
+    r, u = _march(ops, ops.recovery_step(weight), u_n.reshape(len(u_n), -1).copy(), w,
+                  np.array(f_mid, float, ndmin=2), weight)
+    return (float(r[0, 0]), u[:, 0]) if u_n.ndim == 1 else (r[0], u)
 
 
 def _march(
+    ops: StepOperators,
+    step: RecoveryStep,
+    u: np.ndarray,
+    w: np.ndarray,
+    forcings: np.ndarray,
+    weight: np.ndarray,
+    states: Optional[np.ndarray] = None,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The march: r (M, K) and U^M (n, K) of K series from U^0 = u, w (M+1, K), the
+    M forcings as rows and ``ops.recovery_step(weight)``.  ``u`` is (n, K), or (n, 1)
+    for a U^0 that every series shares; it and ``forcings`` are overwritten.  U^n of
+    the first series goes to ``states[n]`` when ``states`` is given."""
+    _check_forcings(forcings)
+    h, tau = ops.grid.h, ops.tau
+    f_pair = h * (forcings @ weight)
+    s_rows = ops.solve(ops.to_basis(forcings).T).T
+    denominators = h * (s_rows @ ops.to_basis(weight[None].copy())[0])
+    thresholds = 1e-12 * np.maximum(1.0, np.abs(f_pair))  # scale-free "does not vanish"
+    failed = np.flatnonzero(np.abs(denominators) <= thresholds)
+    if failed.size:
+        n = int(failed[0])
+        raise DenominatorNearZero(float(denominators[n]), float(thresholds[n]), step=n)
+
+    u = ops.to_basis(u.T).T
+    if u.shape[1] != w.shape[1]:
+        u = np.repeat(u, w.shape[1], axis=1)
+    recovered = np.empty((forcings.shape[0], w.shape[1]))
+    for n in range(forcings.shape[0]):
+        pairing, u = step(u)
+        recovered[n] = ((w[n + 1] - w[n]) / tau + pairing) / denominators[n]
+        u += np.multiply.outer(s_rows[n], tau * recovered[n])
+        if states is not None:  # states[n + 1] may share memory with the spent s_rows[n]
+            states[n + 1] = u[:, 0]
+    if states is not None:
+        ops.from_basis(states[1:])
+    ops.from_basis(u.T)
+    if not (np.all(np.isfinite(recovered)) and np.all(np.isfinite(u))):
+        raise ValueError("recovery produced non-finite values")
+    return recovered, u
+
+
+def _recover_series(
     problem: ProblemData,
     grid: Grid,
     w: np.ndarray,
@@ -162,11 +161,7 @@ def _march(
     compatibility_tol: float,
     states: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Recover K series at once: w is (M+1, K); returns r (M, K) and U^M (n, K).
-
-    When ``states`` is given, U^n of the first series is written to
-    ``states[n]`` along the way.
-    """
+    """Recover K series of ``problem`` at once: w is (M+1, K); returns r (M, K) and U^M (n, K)."""
     if w.shape[0] != grid.M + 1:
         raise ValueError(f"expected {grid.M + 1} measurements, got {w.shape[0]}")
     if problem.phi.size != grid.interior_dim:
@@ -182,71 +177,15 @@ def _march(
             stacklevel=3,
         )
 
+    # the step first, so an eigendecomposition it builds peaks before the forcings
+    # fill memory; rows 1..M of a trajectory hold them until the states replace them
+    step = ops.recovery_step(problem.weight)
+    forcings = np.empty((grid.M, grid.interior_dim)) if states is None else states[1:]
+    for n, t in enumerate(grid.midpoint_times()):
+        forcings[n] = problem.forcing(float(t))
     if states is not None:
         states[0] = problem.phi
-    if ops.solver == "modal":
-        recovered, u = _march_modal(problem, grid, w, ops, states)
-    else:
-        u = np.repeat(problem.phi[:, None], w.shape[1], axis=1)
-        t_mid = grid.midpoint_times()
-        recovered = np.empty((grid.M, w.shape[1]))
-        for n in range(grid.M):
-            f_mid = problem.forcing(float(t_mid[n]))
-            try:
-                recovered[n], u, _ = recover_r_step(
-                    ops, u, w[n], w[n + 1], f_mid, problem.weight
-                )
-            except DenominatorNearZero as exc:
-                raise DenominatorNearZero(exc.value, exc.threshold, step=n) from exc
-            if states is not None:
-                states[n + 1] = u[:, 0]
-    if not (np.all(np.isfinite(recovered)) and np.all(np.isfinite(u))):
-        raise ValueError("recovery produced non-finite values")
-    return recovered, u
-
-
-def _march_modal(
-    problem: ProblemData,
-    grid: Grid,
-    w: np.ndarray,
-    ops: StepOperators,
-    states: Optional[np.ndarray],
-) -> Tuple[np.ndarray, np.ndarray]:
-    """The march of :func:`_march` in the eigenbasis of A."""
-    h, tau = grid.h, ops.tau
-    weight = np.asarray(problem.weight, dtype=float)
-    q, lam, d = ops.eigenbasis()
-    t_mid = grid.midpoint_times()
-    s_hat = np.empty((grid.M, grid.interior_dim))
-    for n in range(grid.M):
-        s_hat[n] = problem.forcing(float(t_mid[n]))
-    f_pair = h * (s_hat @ weight)
-    _rows_times(s_hat, q)
-    s_hat /= d
-    w_hat = q.T @ weight
-    # the denominator does not depend on the data: check every step up front
-    denominators = h * (s_hat @ w_hat)
-    thresholds = 1e-12 * np.maximum(1.0, np.abs(f_pair))
-    failed = np.flatnonzero(np.abs(denominators) <= thresholds)
-    if failed.size:
-        n = int(failed[0])
-        raise DenominatorNearZero(float(denominators[n]), float(thresholds[n]), step=n)
-
-    g = ((1.0 - (tau / 2.0) * lam) / d)[:, None]
-    c = h * lam * w_hat / d
-    rates = np.diff(w, axis=0) / tau
-    u_hat = np.repeat((q.T @ problem.phi)[:, None], w.shape[1], axis=1)
-    recovered = np.empty((grid.M, w.shape[1]))
-    for n in range(grid.M):
-        r_mid = (rates[n] + c @ u_hat) / denominators[n]
-        u_hat *= g
-        u_hat += np.multiply.outer(s_hat[n], tau * r_mid)
-        recovered[n] = r_mid
-        if states is not None:
-            states[n + 1] = u_hat[:, 0]
-    if states is not None:
-        _rows_times(states[1:], q.T)
-    return recovered, q @ u_hat
+    return _march(ops, step, problem.phi[:, None].copy(), w, forcings, problem.weight, states)
 
 
 def run_inverse(
@@ -268,7 +207,7 @@ def run_inverse(
         if measurements is None:
             raise ValueError("no measurements: pass them or set problem.measurements")
     states = np.empty((grid.M + 1, grid.interior_dim))
-    recovered, _ = _march(
+    recovered, _ = _recover_series(
         problem, grid, measurements.values[:, None], ops, compatibility_tol, states
     )
     return Trajectory(states=states), CoefficientSeries(values=recovered[:, 0])
@@ -291,7 +230,7 @@ def run_inverse_batch(
     w = np.asarray(measurements, dtype=float)
     if w.ndim != 2:
         raise ValueError(f"expected an (M+1, K) array of series, got shape {w.shape}")
-    return _march(problem, grid, w, ops, compatibility_tol)
+    return _recover_series(problem, grid, w, ops, compatibility_tol)
 
 
 def measurements_from_trajectory(

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from fracheat import (
     ProblemData,
-    SolverError,
     assemble,
     build_manufactured,
     cholesky,
@@ -166,15 +165,29 @@ class TestRunForward:
         with pytest.raises(ValueError):
             run_forward(data, grid16)
 
-    @pytest.mark.parametrize("solver,error", [("cholesky", ValueError), ("cg", SolverError),
-                                              ("modal", ValueError)])
-    def test_nan_forcing_raises(self, grid16, op16, solver, error):
-        # Cholesky solves skip their finite scans, so the trajectory's own
-        # check stops the run; CG stops at its first non-finite step
+    @pytest.mark.parametrize("solver", ["cholesky", "cg", "modal"])
+    def test_march_repeats_cn_step(self, example1_64, solver):
+        # the one march is cn_step's arithmetic on the factor and CG routes, to
+        # the bit; the modal route takes the same step in the eigenbasis
+        grid, op, _, data = example1_64
+        ops = make_step_operators(grid, op=op, solver=solver)
+        got = run_forward(data, grid, ops=ops).states
+        ref = [data.phi]
+        for t in grid.midpoint_times():
+            ref.append(cn_step(ops, ref[-1], data.coefficient(float(t)), data.forcing(float(t))))
+        ref = np.array(ref)
+        if solver == "modal":
+            assert np.max(np.abs(got - ref)) <= 1e-12 * float(np.max(np.abs(ref)))
+        else:
+            assert np.array_equal(got, ref)
+
+    @pytest.mark.parametrize("solver", ["cholesky", "cg", "modal"])
+    def test_nan_forcing_raises(self, grid16, op16, solver):
+        # the stacked forcings are checked before the first solve, on every route
         data = ProblemData(phi=np.zeros(15), forcing=lambda t: np.full(15, np.nan),
                            weight=np.ones(15), coefficient=lambda t: 1.0)
         ops = make_step_operators(grid16, op=op16, solver=solver)
-        with pytest.raises(error, match="non-finite"):
+        with pytest.raises(ValueError, match="non-finite"):
             run_forward(data, grid16, ops=ops)
 
     @pytest.mark.parametrize("tau", [1e-3, 1e-1, 10.0])

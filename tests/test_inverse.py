@@ -66,10 +66,9 @@ class TestRecoverRStep:
         u1 = cn_step(ops, u0, r_true, f)
         w0 = discrete_measurement(u0, weight, grid16.h)
         w1 = discrete_measurement(u1, weight, grid16.h)
-        r_rec, u1_rec, internals = recover_r_step(ops, u0, w0, w1, f, weight)
+        r_rec, u1_rec = recover_r_step(ops, u0, w0, w1, f, weight)
         assert r_rec == pytest.approx(r_true, abs=1e-11)
         assert np.max(np.abs(u1_rec - u1)) <= 1e-11
-        assert internals.denominator != 0.0
 
     def test_update_paths_consistent(self, grid16, op16):
         # U^{n+1} = Y + tau r S must equal a direct CN step with the same r
@@ -81,9 +80,16 @@ class TestRecoverRStep:
         w0 = discrete_measurement(u0, weight, grid16.h)
         u1 = cn_step(ops, u0, 0.9, f)
         w1 = discrete_measurement(u1, weight, grid16.h)
-        r_rec, u1_rec, _ = recover_r_step(ops, u0, w0, w1, f, weight)
+        r_rec, u1_rec = recover_r_step(ops, u0, w0, w1, f, weight)
         direct = cn_step(ops, u0, r_rec, f)
         assert np.max(np.abs(u1_rec - direct)) <= 1e-12
+
+    @pytest.mark.parametrize("solver", ["cholesky", "cg", "modal"])
+    def test_non_finite_forcing_raises(self, grid16, op16, solver):
+        ops = make_step_operators(grid16, op=op16, solver=solver)
+        f = np.full(15, np.nan)
+        with pytest.raises(ValueError, match="non-finite"):
+            recover_r_step(ops, np.zeros(15), 0.0, 0.0, f, np.ones(15))
 
     def test_orthogonal_forcing_trips_guard(self, grid16, op16):
         # odd forcing against an even weight: both pairings vanish exactly by
