@@ -1,32 +1,38 @@
 """Simultaneous recovery of the time coefficient and the state.
 
 The overdetermination pairing h <U, omega> turns each Crank-Nicolson step
-into a scalar equation for the midpoint coefficient.  Since
-L^{-1} R = 2 L^{-1} - I, the split
+L U^{n+1} = R U^n + tau r F^{n+1/2} into a scalar equation for the midpoint
+coefficient.  L is symmetric, and R = L - tau A, so with the adjoint weights
 
-    V = L^{-1} U^n,   Y = L^{-1} R U^n = 2 V - U^n,   S = L^{-1} F^{n+1/2}
+    y = L^{-1} omega,   z = A y
 
-makes the step U^{n+1} = Y + tau r S linear in r, and pairing the discrete
-flux identity with the weight gives the closed expression
+the pairing h <L^{-1} R U^n, omega> is h <U^n, omega> - tau h <z, U^n>,
+because L^{-1} and A commute.  With the measurement w^n in place of
+h <U^n, omega>, the step gives the closed expression
 
-    r^{n+1/2} = [ (w^{n+1} - w^n)/tau + h <A V, omega> ]
-                / [ h <F^{n+1/2}, omega> - tau/2 h <A S, omega> ].
+    r^{n+1/2} = [ (w^{n+1} - w^n)/tau + h <z, U^n> ] / h <F^{n+1/2}, y>.
 
-Since F - tau/2 A S = L S - tau/2 A S = S, the denominator is h <S, omega>,
-and it is evaluated in that form: when tau lambda_1 >> 1 the two terms of
-the difference share their leading digits, which the subtraction loses
-(three digits of r at s = 0.99, N = 300, tau = 1e3).  A is symmetric, so
-the numerator's pairing is a dot product with the vector A omega.  No
-nonlinear iteration.
+Then U^{n+1} = L^{-1} (R U^n + tau r F^{n+1/2}), the forward step.  A run of
+M steps costs one L-solve for y, one matvec for z and one L-solve per step.
+
+z is the product A y, not the solution of L z = A omega: both are
+L^{-1} A omega, but the solve adds the solver's error to every numerator,
+and on the CG route that cost a digit of r (2.2e-12 against 9e-14 at
+example 2, s = 0.5, N = 1500, M = 10, T = 0.1), while the matvec is exact
+to rounding.  Nor is z taken as (2/tau)(omega - y), equal by L y = omega:
+for the low modes y is close to omega and the difference cancels.  The
+denominator h <F, y> is h <S, omega> with S = L^{-1} F, formed without the
+difference h <F, omega> - tau/2 h <A S, omega>, whose terms share their
+leading digits when tau lambda_1 >> 1 (three digits of r at s = 0.99,
+N = 300, tau = 1e3).  No nonlinear iteration.
 
 One march serves every solver route and K measurement series at once, as
 an n x K block of states.  The denominators do not depend on the data, so
-it solves for every S and checks every denominator, the discrete
-identifiability margin, before the first step; a vanishing one is reported
-with its step, not papered over.  Each step takes (h <A omega, V>, Y) from
-``StepOperators.recovery_step``: one block solve on the Cholesky and CG
-routes, and the products c . U and g U on the modal route, with
-c = h lambda omega^/d, g = (1 - tau lambda/2)/d and d = 1 + tau lambda/2.
+every one of them, the discrete identifiability margin, is checked before
+the first step; a vanishing one is reported with its step, not papered
+over.  Each step is ``StepOperators.advance``: one block solve on the
+Cholesky and CG routes, and g U + (F^/d) tau r on the modal route, with
+g = (1 - tau lambda/2)/d and d = 1 + tau lambda/2, where z = lambda omega^/d.
 
 Measurement utilities cover the three data provenances: exact analytic
 values, discrete pairings of a computed trajectory, and seeded noisy copies
@@ -41,7 +47,7 @@ from typing import Optional, Tuple, Union
 
 import numpy as np
 
-from .forward import RecoveryStep, StepOperators, _check_forcings, make_step_operators
+from .forward import StepOperators, _check_forcings, make_step_operators
 from .grid import CoefficientSeries, Grid, MeasurementSeries, ProblemData, Trajectory
 
 __all__ = [
@@ -58,7 +64,10 @@ __all__ = [
 
 
 class DenominatorNearZero(ArithmeticError):
-    """Identifiability failure: h<S,omega> = h<F,omega> - tau/2 h<AS,omega> is numerically zero."""
+    """Identifiability failure: the recovery denominator h<F, L^-1 omega> is numerically zero.
+
+    It is h<S, omega> with S = L^-1 F, the weighted pairing of the forcing's
+    step response; ``threshold`` is 1e-12 max(1, |h<F, omega>|)."""
 
     def __init__(self, value: float, threshold: float, step: int):
         self.value = value
@@ -106,14 +115,20 @@ def recover_r_step(
     u_n = np.asarray(u_n, dtype=float)
     w = np.array([w_n, w_np1], dtype=float).reshape(2, -1)
     weight = np.asarray(weight, dtype=float)
-    r, u = _march(ops, ops.recovery_step(weight), u_n.reshape(len(u_n), -1).copy(), w,
+    r, u = _march(ops, _adjoint_weights(ops, weight), u_n.reshape(len(u_n), -1).copy(), w,
                   np.array(f_mid, float, ndmin=2), weight)
     return (float(r[0, 0]), u[:, 0]) if u_n.ndim == 1 else (r[0], u)
 
 
+def _adjoint_weights(ops: StepOperators, weight: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """y = L^-1 omega and z = h A y in route coordinates: one L-solve and one matvec."""
+    y = ops.solve(ops.to_basis(weight[None].copy())[0])
+    return y, ops.grid.h * ops.times_a(y)
+
+
 def _march(
     ops: StepOperators,
-    step: RecoveryStep,
+    adjoint: Tuple[np.ndarray, np.ndarray],
     u: np.ndarray,
     w: np.ndarray,
     forcings: np.ndarray,
@@ -121,14 +136,15 @@ def _march(
     states: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """The march: r (M, K) and U^M (n, K) of K series from U^0 = u, w (M+1, K), the
-    M forcings as rows and ``ops.recovery_step(weight)``.  ``u`` is (n, K), or (n, 1)
-    for a U^0 that every series shares; it and ``forcings`` are overwritten.  U^n of
-    the first series goes to ``states[n]`` when ``states`` is given."""
+    M forcings as rows and ``_adjoint_weights(ops, weight)``.  ``u`` is (n, K), or
+    (n, 1) for a U^0 that every series shares; it and ``forcings`` are overwritten.
+    U^n of the first series goes to ``states[n]`` when ``states`` is given."""
     _check_forcings(forcings)
     h, tau = ops.grid.h, ops.tau
+    y, z = adjoint
     f_pair = h * (forcings @ weight)
-    s_rows = ops.solve(ops.to_basis(forcings).T).T
-    denominators = h * (s_rows @ ops.to_basis(weight[None].copy())[0])
+    forcings = ops.to_basis(forcings)
+    denominators = h * (forcings @ y)
     thresholds = 1e-12 * np.maximum(1.0, np.abs(f_pair))  # scale-free "does not vanish"
     failed = np.flatnonzero(np.abs(denominators) <= thresholds)
     if failed.size:
@@ -140,10 +156,9 @@ def _march(
         u = np.repeat(u, w.shape[1], axis=1)
     recovered = np.empty((forcings.shape[0], w.shape[1]))
     for n in range(forcings.shape[0]):
-        pairing, u = step(u)
-        recovered[n] = ((w[n + 1] - w[n]) / tau + pairing) / denominators[n]
-        u += np.multiply.outer(s_rows[n], tau * recovered[n])
-        if states is not None:  # states[n + 1] may share memory with the spent s_rows[n]
+        recovered[n] = ((w[n + 1] - w[n]) / tau + z @ u) / denominators[n]
+        u = ops.advance(u, forcings[n], tau * recovered[n])
+        if states is not None:  # states[n + 1] may share memory with the spent forcings[n]
             states[n + 1] = u[:, 0]
     if states is not None:
         ops.from_basis(states[1:])
@@ -177,15 +192,16 @@ def _recover_series(
             stacklevel=3,
         )
 
-    # the step first, so an eigendecomposition it builds peaks before the forcings
-    # fill memory; rows 1..M of a trajectory hold them until the states replace them
-    step = ops.recovery_step(problem.weight)
+    # the adjoint weights first, so an eigendecomposition they build peaks before the
+    # forcings fill memory; rows 1..M of a trajectory hold them until the states replace them
+    adjoint = _adjoint_weights(ops, problem.weight)
     forcings = np.empty((grid.M, grid.interior_dim)) if states is None else states[1:]
     for n, t in enumerate(grid.midpoint_times()):
         forcings[n] = problem.forcing(float(t))
     if states is not None:
         states[0] = problem.phi
-    return _march(ops, step, problem.phi[:, None].copy(), w, forcings, problem.weight, states)
+    return _march(ops, adjoint, problem.phi[:, None].copy(), w, forcings, problem.weight,
+                  states)
 
 
 def run_inverse(

@@ -102,8 +102,11 @@ def _array_columns(rows: np.ndarray) -> Tuple[list, str]:
     that block, like the times and nodes of a trajectory, has each distinct
     value formatted once; its values are told apart by their bits, so -0.0
     and 0.0 stay apart.  Probing one block spares the sort of a long column
-    of distinct values, like a trajectory's states.  Either way a value is
-    written with the same bytes.
+    of distinct values, like a trajectory's states.  Such a column is taken
+    as runs of equal values, like a trajectory's repeated times, and each
+    run is looked up among the head block's distinct values, like the tiled
+    nodes; only when a value first appears after the head are the runs'
+    values sorted.  Either way a value is written with the same bytes.
     """
     columns, formats = [], []
     for col in rows.T:
@@ -111,8 +114,16 @@ def _array_columns(rows: np.ndarray) -> Tuple[list, str]:
         # distinct values counted on a sorted copy: np.unique without
         # return_inverse hashes, several times slower than a sort here
         head = np.sort(bits[:_BLOCK_ROWS])
-        if 2 * (np.count_nonzero(head[1:] != head[:-1]) + 1) < head.size:
-            distinct, where = np.unique(bits, return_inverse=True)
+        new_value = head[1:] != head[:-1]
+        if 2 * (np.count_nonzero(new_value) + 1) < head.size:
+            distinct = np.concatenate((head[:1], head[1:][new_value]))
+            starts = np.flatnonzero(np.concatenate(([True], bits[1:] != bits[:-1])))
+            runs = bits[starts]
+            where = np.searchsorted(distinct, runs)
+            if np.any(distinct[np.minimum(where, distinct.size - 1)] != runs):
+                distinct, where = np.unique(runs, return_inverse=True)
+            if runs.size < bits.size:
+                where = np.repeat(where, np.diff(starts, append=bits.size))
             words = np.array([format_float(v) for v in distinct.view(np.float64).tolist()],
                              dtype=object)
             columns.append(words[where])

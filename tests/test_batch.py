@@ -125,6 +125,25 @@ def test_roundtrip_keeps_its_digits_on_a_stiff_grid():
     assert np.max(np.abs(r_rec - r_true)) <= 1e-11
 
 
+@pytest.mark.parametrize("s, n_cells, bound", [(0.5, 1500, 5e-13), (0.9, 1000, 3e-12)])
+def test_cg_recovery_keeps_its_digits(s, n_cells, bound):
+    # Example 2, T = 0.1, M = 10, data from a Cholesky forward run.  z = A y
+    # with y = L^-1 w measures 9.4e-14 and 5.5e-13 here, two solves per step
+    # 1.6e-13 and 1.8e-12; z from a solve L z = A w loses a digit: 2.2e-12
+    # and 8.3e-12.
+    grid = make_grid(1, 0.1, n_cells, 10, s)
+    op = assemble(grid)
+    spec, data = build_manufactured("example2", grid, op=op)
+    r_true = spec.r_at_midpoints(grid)
+    direct = make_step_operators(grid, op=op, solver="cholesky")
+    w = measurements_from_trajectory(run_forward(data, grid, r=r_true, ops=direct),
+                                     data.weight, grid)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        _, rec = run_inverse(data, grid, w, make_step_operators(grid, op=op, solver="cg"))
+    assert np.max(np.abs(rec.values - r_true)) <= bound
+
+
 def _orthogonal_problem(grid, from_step):
     # odd forcing against an even weight from step ``from_step`` on: both
     # pairings vanish exactly by the reflection symmetry of the operator

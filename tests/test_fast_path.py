@@ -1,6 +1,7 @@
 """Properties of the large-system route: FFT matvec and circulant-preconditioned CG."""
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -48,6 +49,18 @@ def test_cg_route_matches_cholesky(s, n_cells, log_tau, seed, scheme):
     # Gershgorin: lambda_max(L) <= 1 + tau max(diag A), and lambda_min(L) >= 1
     cond = 1.0 + tau * float(np.max(op.diag))
     assert np.linalg.norm(x - ref) <= cond * tol * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("n_cells", [40, _FFT_MIN_SIZE + 1])
+def test_blocks_go_column_by_column(n_cells):
+    # a block matvec (convolve, then FFT) and a CG block solve are bitwise the
+    # products and solves of their columns
+    grid = make_grid(1, 1, n_cells, 1, 0.7)
+    op = assemble(grid)
+    ops = make_step_operators(grid, op=op, solver="cg")
+    b = np.random.default_rng(2).standard_normal((op.size, 3))
+    assert np.array_equal(op.apply(b), np.column_stack([op.apply(col) for col in b.T]))
+    assert np.array_equal(ops.solve_l(b), np.column_stack([ops.solve_l(col) for col in b.T]))
 
 
 def test_first_step_solve_takes_few_matvecs(monkeypatch):

@@ -71,7 +71,7 @@ class TestRecoverRStep:
         assert np.max(np.abs(u1_rec - u1)) <= 1e-11
 
     def test_update_paths_consistent(self, grid16, op16):
-        # U^{n+1} = Y + tau r S must equal a direct CN step with the same r
+        # the recovery's update must equal a direct CN step with the recovered r
         ops = make_step_operators(grid16, op=op16)
         rng = np.random.default_rng(21)
         u0 = rng.standard_normal(15)
@@ -155,6 +155,44 @@ class TestRunInverse:
         with pytest.raises(DenominatorNearZero) as info:
             run_inverse(data, grid16, ops=make_step_operators(grid16, op=op16))
         assert info.value.step == 0
+
+    def test_cg_series_takes_one_solve_per_step_and_one_more(self, monkeypatch):
+        # y = L^-1 omega once, then the step's own solve: M + 1 solves, not 2M
+        import fracheat.forward
+
+        grid = make_grid(1, 0.1, 64, 6, 0.5)
+        spec, data = build_manufactured("example2", grid)
+        ops = make_step_operators(grid, solver="cg")
+        calls = []
+        cg_solve = fracheat.forward.cg_solve
+
+        def counting(*args, **kwargs):
+            calls.append(args[1].shape)
+            return cg_solve(*args, **kwargs)
+
+        monkeypatch.setattr(fracheat.forward, "cg_solve", counting)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            run_inverse(data, grid, ops=ops)
+        assert len(calls) == grid.M + 1
+        assert set(calls) == {(grid.interior_dim,)}
+
+    def test_cholesky_solves_no_block_of_forcings(self, monkeypatch):
+        from fracheat.solvers import SpdFactorization
+
+        grid = make_grid(1, 1, 32, 8, 0.5)
+        spec, data = build_manufactured("example1", grid)
+        shapes = []
+        solve = SpdFactorization.solve
+
+        def recording(self, b):
+            shapes.append(np.shape(b))
+            return solve(self, b)
+
+        monkeypatch.setattr(SpdFactorization, "solve", recording)
+        run_inverse(data, grid, ops=make_step_operators(grid, solver="cholesky"))
+        assert (grid.interior_dim, grid.M) not in shapes
+        assert len(shapes) == grid.M + 1
 
     def test_measurement_increments_tracked_exactly(self):
         # the recovered trajectory reproduces the given measurement increments

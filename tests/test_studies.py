@@ -289,6 +289,60 @@ class TestCsvFormat:
         array = write_csv(tmp_path / "array.csv", header, table)
         assert array.read_bytes() == cells.read_bytes()
 
+    @staticmethod
+    def _spy_on_unique(monkeypatch):
+        sizes = []
+        unique = np.unique
+
+        def spy(values, *args, **kwargs):
+            sizes.append(np.size(values))
+            return unique(values, *args, **kwargs)
+
+        monkeypatch.setattr(np, "unique", spy)
+        return sizes
+
+    def test_repeated_and_tiled_columns_skip_the_full_sort(self, tmp_path, monkeypatch):
+        import fracheat.studies
+
+        # a trajectory's layout: each time repeated over the nodes, the nodes tiled
+        monkeypatch.setattr(fracheat.studies, "_BLOCK_ROWS", 16)
+        times = np.array([0.0, -0.0, 0.1, 1.0 / 3.0, 0.5, 0.7, 0.9, 1.0, 1e-300])
+        nodes = np.array([-0.0, 0.0, 0.2, 0.4, 2.0 / 3.0, 0.8])
+        table = np.column_stack((
+            np.repeat(times, nodes.size),
+            np.tile(nodes, times.size),
+            np.random.default_rng(3).standard_normal(times.size * nodes.size),
+        ))
+        sizes = self._spy_on_unique(monkeypatch)
+        _, line = fracheat.studies._array_columns(table)
+        assert line == "%s,%s,%.17g\n"
+        # the repeated times sort one value per run, the tiled nodes none
+        assert sizes == [times.size]
+        header = ("t", "x", "u")
+        cells = write_csv(tmp_path / "cells.csv", header, [tuple(map(float, r)) for r in table])
+        array = write_csv(tmp_path / "array.csv", header, table)
+        assert array.read_bytes() == cells.read_bytes()
+        assert b"\n-0,-0," in cells.read_bytes() and b"\n0,0," in cells.read_bytes()
+
+    def test_values_new_after_the_head_fall_back_to_a_sort(self, tmp_path, monkeypatch):
+        import fracheat.studies
+
+        monkeypatch.setattr(fracheat.studies, "_BLOCK_ROWS", 8)
+        rng = np.random.default_rng(4)
+        late = rng.standard_normal(30)
+        # three values in the head, then values the head never held, and -0.0
+        column = np.concatenate((np.tile([0.0, 1.0 / 3.0, 2.0], 3), late, [-0.0], late[::-1]))
+        table = np.column_stack((column, rng.standard_normal(column.size)))
+        sizes = self._spy_on_unique(monkeypatch)
+        _, line = fracheat.studies._array_columns(table)
+        assert line == "%s,%.17g\n"
+        assert sizes == [column.size]  # no runs: every row is sorted
+        header = ("a", "b")
+        cells = write_csv(tmp_path / "cells.csv", header, [tuple(map(float, r)) for r in table])
+        array = write_csv(tmp_path / "array.csv", header, table)
+        assert array.read_bytes() == cells.read_bytes()
+        assert b"\n-0," in cells.read_bytes()
+
     def test_array_rows_edge_shapes(self, tmp_path):
         for shape in ((0, 3), (1, 1), (5, 0)):
             table = np.full(shape, 0.25)
