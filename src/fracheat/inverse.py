@@ -121,9 +121,9 @@ def recover_r_step(
 
 
 def _adjoint_weights(ops: StepOperators, weight: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """y = L^-1 omega and z = h A y in route coordinates: one L-solve and one matvec."""
+    """y = L^-1 omega and z = A y in route coordinates: one L-solve and one matvec."""
     y = ops.solve(ops.to_basis(weight[None].copy())[0])
-    return y, ops.grid.h * ops.times_a(y)
+    return y, ops.times_a(y)
 
 
 def _march(
@@ -142,6 +142,7 @@ def _march(
     _check_forcings(forcings)
     h, tau = ops.grid.h, ops.tau
     y, z = adjoint
+    hz = h * z  # the numerator's h <z, U^n> is hz @ U^n
     f_pair = h * (forcings @ weight)
     forcings = ops.to_basis(forcings)
     denominators = h * (forcings @ y)
@@ -156,7 +157,7 @@ def _march(
         u = np.repeat(u, w.shape[1], axis=1)
     recovered = np.empty((forcings.shape[0], w.shape[1]))
     for n in range(forcings.shape[0]):
-        recovered[n] = ((w[n + 1] - w[n]) / tau + z @ u) / denominators[n]
+        recovered[n] = ((w[n + 1] - w[n]) / tau + hz @ u) / denominators[n]
         u = ops.advance(u, forcings[n], tau * recovered[n])
         if states is not None:  # states[n + 1] may share memory with the spent forcings[n]
             states[n + 1] = u[:, 0]

@@ -123,19 +123,10 @@ class RieszOperator:
     diag: np.ndarray
 
     def apply(self, v: np.ndarray) -> np.ndarray:
-        """Matrix-vector product A v over the structured storage; a block (n, K)
-        is multiplied column by column."""
+        """Matrix-vector product A v over the structured storage."""
         v = np.asarray(v, dtype=float)
-        if v.ndim == 2 and v.shape[0] == self.size:
-            out = np.empty_like(v)
-            for k in range(v.shape[1]):
-                out[:, k] = self._matvec(v[:, k])
-            return out
         if v.shape != (self.size,):
             raise ValueError(f"expected vector of length {self.size}, got shape {v.shape}")
-        return self._matvec(v)
-
-    def _matvec(self, v: np.ndarray) -> np.ndarray:
         if self.size == 1:
             return self.diag * v
         if self.size >= _FFT_MIN_SIZE:
