@@ -125,8 +125,16 @@ def test_roundtrip_keeps_its_digits_on_a_stiff_grid():
     assert np.max(np.abs(r_rec - r_true)) <= 1e-11
 
 
-def _cg_round_trip_error(s, n_cells, t_final):
-    # example 2, M = 10, data from a Cholesky forward run, recovered on CG
+@pytest.mark.parametrize(
+    "s, n_cells, t_final, bound",
+    [(0.5, 1500, 0.1, 5e-13), (0.9, 1000, 0.1, 3e-12), (0.9, 1000, 1.0, 1e-10)],
+)
+def test_cg_recovery_keeps_its_digits(s, n_cells, t_final, bound):
+    # Example 2, M = 10, data from a Cholesky forward run.  At T = 0.1, z = A y
+    # with y = L^-1 w measures 9.4e-14 and 5.5e-13, two solves per step
+    # 1.6e-13 and 1.8e-12; z from a solve L z = A w loses a digit: 2.2e-12 and
+    # 8.3e-12.  At T = 1 the step L^-1 (R U + tau r F) measures 3.8e-11, while
+    # its twin L^-1 (2U + tau r F) - U stalls CG's relative-residual stop.
     grid = make_grid(1, t_final, n_cells, 10, s)
     op = assemble(grid)
     spec, data = build_manufactured("example2", grid, op=op)
@@ -137,22 +145,7 @@ def _cg_round_trip_error(s, n_cells, t_final):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
         _, rec = run_inverse(data, grid, w, make_step_operators(grid, op=op, solver="cg"))
-    return np.max(np.abs(rec.values - r_true))
-
-
-@pytest.mark.parametrize("s, n_cells, bound", [(0.5, 1500, 5e-13), (0.9, 1000, 3e-12)])
-def test_cg_recovery_keeps_its_digits(s, n_cells, bound):
-    # T = 0.1.  z = A y with y = L^-1 w measures 9.4e-14 and 5.5e-13 here, two
-    # solves per step 1.6e-13 and 1.8e-12; z from a solve L z = A w loses a
-    # digit: 2.2e-12 and 8.3e-12.
-    assert _cg_round_trip_error(s, n_cells, 0.1) <= bound
-
-
-def test_cg_step_forms_r_u_with_the_matvec():
-    # T = 1: the step L^-1 (R U + tau r F) recovers r to 3.8e-11; its algebraic
-    # twin L^-1 (2U + tau r F) - U hands CG a right-hand side whose relative
-    # residual stop stalls (SolverError at true residual 1.04e-12 > 1e-12)
-    assert _cg_round_trip_error(0.9, 1000, 1.0) <= 1e-10
+    assert np.max(np.abs(rec.values - r_true)) <= bound
 
 
 def _orthogonal_problem(grid, from_step):
