@@ -123,9 +123,7 @@ def _cmd_inverse(args: argparse.Namespace) -> int:
     grid = _single_grid(config)
     # single-run noise comes from the explicit flag only; delta lists belong
     # to the noise study
-    noise = None
-    if args.delta is not None and args.delta > 0:
-        noise = NoiseSpec(delta=args.delta, seed=config.seeds[0])
+    noise = None if args.delta is None else NoiseSpec(delta=args.delta, seed=config.seeds[0])
     result = run_inverse_case(
         config.example,
         grid,

@@ -2,30 +2,36 @@
 
 Each step solves L U^{n+1} = R U^n + tau r F at the midpoint forcing, with
 L = I + tau/2 A and R = I - tau/2 A.  One march serves every solver route:
-only ``StepOperators`` knows the route, and it lends the marches its
-operations in the route's own coordinates.  The change of basis is the
-eigenbasis Q of A on the modal route and the identity otherwise; the
-L-solve is a Cholesky factor, CG, or b/d with d = 1 + tau lambda/2; R is
-v - tau/2 A v, or (1 - tau lambda/2) v; A is the operator's matvec, or
-lambda v.  So a modal step costs O(n) after one eigendecomposition.  The
-scheme satisfies an exact energy identity in the homogeneous case and two
-unconditional stability bounds with forcing; those are evaluated here as
-runtime diagnostics rather than assumed.  A spectral reference solution
-(eigenbasis + Duhamel integral in time) provides an independent high-order
-oracle for temporal convergence measurements.
+only ``StepOperators``, one subclass per route, knows the route, and it
+lends the marches its operations in the route's own coordinates.  The
+change of basis is the eigenbasis Q of A on the modal route and the
+identity otherwise; the L-solve is a Cholesky factor, CG, or b/d with
+d = 1 + tau lambda/2; R is v - tau/2 A v, or (1 - tau lambda/2) v; A is the
+operator's matvec, or lambda v.  So a modal step costs O(n) after one
+eigendecomposition.  The scheme satisfies an exact energy identity in the
+homogeneous case and two unconditional stability bounds with forcing; those
+are evaluated here as runtime diagnostics rather than assumed.  A spectral
+reference solution (eigenbasis + Duhamel integral in time) provides an
+independent high-order oracle for temporal convergence measurements.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Optional, Sequence, Tuple, Union
+from typing import Callable, ClassVar, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .grid import CoefficientSeries, Grid, ProblemData, Trajectory
 from .riesz import RieszOperator, assemble
-from .solvers import SpectralDecomposition, cg_solve, cholesky
+from .solvers import (
+    EIGEN_SIZE_LIMIT,
+    SpdFactorization,
+    SpectralDecomposition,
+    cg_solve,
+    cholesky,
+)
 
 __all__ = [
     "SOLVERS",
@@ -49,12 +55,12 @@ _CHOLESKY_SIZE_LIMIT = 2048
 # route is modal once M * series >= _MODAL_ALPHA * n, up to the size cap of
 # eigendecompose.  Measured crossovers of M * series / n (one BLAS thread,
 # s = 0.5, N = 200 / 400 / 800, the decomposition or the factor included):
-# one forward series 0.28 / 0.25 / 0.32, one inverse series 0.16 / 0.12 /
-# 0.13, and 60 inverse series 4.4 / 1.9 / 1.9, where block solves amortise
-# better.  alpha = 1 lies between them; it keeps a single series with M < n,
-# such as N = 16, M = 10, on the factor-once route.
+# one forward series 0.28 / 0.25 / 0.32, one inverse series 0.31-0.38 /
+# 0.38-0.50 / 0.25-0.31 (one Cholesky solve per step), and 60 inverse
+# series 4.4 / 1.9 / 1.9, where block solves amortise better.  alpha = 1
+# lies between them; it keeps a single series with M < n, such as N = 16,
+# M = 10, on the factor-once route.
 _MODAL_ALPHA = 1.0
-_MODAL_SIZE_LIMIT = 1024
 # rows taken to or from the eigenbasis per matrix product
 _BLOCK_ROWS = 512
 
@@ -65,35 +71,19 @@ RCoefficient = Union[Callable[[float], float], CoefficientSeries, Sequence[float
 class StepOperators:
     """Fixed-grid machinery shared by every step: A, L = I + tau/2 A, R = I - tau/2 A.
 
-    ``solve_l`` and ``apply_r`` act on nodal vectors.  ``solve_l`` is a
-    Cholesky factor reused across all right-hand sides, a CG closure for
-    large systems, or a product with the eigenbasis of A on the ``modal``
-    route; it takes one right-hand side (n,) or a block (n, K), and so does
-    ``apply_r``.  The marches call the other methods, which act in the
-    route's own coordinates: the identity here, the eigenbasis of A on the
-    modal route.
+    tau is the grid's step.  Every operation acts in the route's own
+    coordinates: the identity, or the eigenbasis of A on the modal route.
+    Each route is a subclass that names itself in ``solver`` and defines
+    ``solve(b)``, L^-1 b for b (n,) or (n, K), which it may overwrite.
     """
 
     grid: Grid
     op: RieszOperator
-    tau: float
-    solver: str
-    solve_l: Callable[[np.ndarray], np.ndarray]
+    solver: ClassVar[str]
 
-    def apply_r(self, v: np.ndarray) -> np.ndarray:
-        v = np.asarray(v, dtype=float)
-        if v.ndim == 2:  # one matvec per column
-            out = np.empty_like(v)
-            for k in range(v.shape[1]):
-                out[:, k] = self.apply_r(v[:, k])
-            return out
-        return v - (self.tau / 2.0) * self.op.apply(v)
-
-    times_r = apply_r  # R v in route coordinates
-
-    def times_a(self, v: np.ndarray) -> np.ndarray:
-        """A v in route coordinates, for one vector (n,)."""
-        return self.op.apply(v)
+    @property
+    def tau(self) -> float:
+        return self.grid.tau
 
     def to_basis(self, rows: np.ndarray) -> np.ndarray:
         """Take stacked nodal vectors (K, n) to route coordinates, in place."""
@@ -103,9 +93,16 @@ class StepOperators:
         """Take stacked route coordinates (K, n) back to nodal vectors, in place."""
         return rows
 
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        """L^-1 b in route coordinates for b (n,) or (n, K), which it may overwrite."""
-        return self.solve_l(b)
+    def times_r(self, v: np.ndarray) -> np.ndarray:
+        """R v for v (n,) or (n, K)."""
+        v = np.asarray(v, dtype=float)
+        if v.ndim == 2:  # one matvec per column
+            return np.apply_along_axis(self.times_r, 0, v)
+        return v - (self.tau / 2.0) * self.op.apply(v)
+
+    def times_a(self, v: np.ndarray) -> np.ndarray:
+        """A v for one vector (n,)."""
+        return self.op.apply(v)
 
     def advance(self, u: np.ndarray, f: np.ndarray, rt: np.ndarray) -> np.ndarray:
         """L^-1 (R U + f rt^T) for a block U (n, K), one forcing f (n,) and rt (K,);
@@ -113,10 +110,40 @@ class StepOperators:
         return self.solve(self.times_r(u) + np.multiply.outer(f, rt))
 
 
+@dataclass(frozen=True)
+class _CholeskyStepOperators(StepOperators):
+    """L^-1 by the Cholesky factor of the dense L, reused for every right-hand side."""
+
+    solver = "cholesky"
+    factor: SpdFactorization
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        return self.factor.solve(b)
+
+
+@dataclass(frozen=True)
+class _CgStepOperators(StepOperators):
+    """L^-1 by conjugate gradients to relative residual ``tol``, with the operator's
+    matvec and ``precond``, the Strang circulant of L; one solve per column."""
+
+    solver = "cg"
+    tol: float
+    precond: Callable[[np.ndarray], np.ndarray]
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        b = np.asarray(b, dtype=float)
+        if b.ndim == 2:  # one right-hand side per column
+            return np.apply_along_axis(self.solve, 0, b)
+        return cg_solve(lambda v: v + (self.tau / 2.0) * self.op.apply(v), b, tol=self.tol,
+                        precond=self.precond)
+
+
 class _ModalStepOperators(StepOperators):
     """The eigenbasis of A = Q diag(lambda) Q^T, built on first use and cached on the
     operator, where L and R are diagonal: ``_diagonals`` is (Q, d, 1 - tau lambda/2, g)
     with g = (1 - tau lambda/2)/d, the diagonal of L^-1 R."""
+
+    solver = "modal"
 
     @cached_property
     def _diagonals(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -160,74 +187,46 @@ def _rows_times(rows: np.ndarray, mat: np.ndarray) -> np.ndarray:
 def make_step_operators(
     grid: Grid,
     op: Optional[RieszOperator] = None,
-    tau: Optional[float] = None,
     solver: Optional[str] = None,
     tol: float = 1e-12,
     series: int = 1,
 ) -> StepOperators:
-    """Assemble (or reuse) A and prepare the L-solver for the given step size.
+    """Assemble (or reuse) A and prepare the L-solver for the grid's step.
 
-    ``tau`` defaults to the grid step; diagnostics may override it.  Solver
-    ``cholesky`` factors L once; ``cg`` runs conjugate gradients with the
-    operator's FFT matvec, preconditioned by the Strang circulant of L, so each
-    iteration costs O(n log n) and the iteration count does not grow with n;
-    ``modal`` marches in the eigenbasis of A, which it decomposes on the first
-    solve or march, not here.  By default the route is modal when the grid's
-    M steps times the ``series`` marched together pay for the decomposition,
-    and otherwise switches on system size.
+    Solver ``cholesky`` factors L once; ``cg`` runs conjugate gradients with
+    the operator's FFT matvec, preconditioned by the Strang circulant of L, so
+    each iteration costs O(n log n) and the iteration count does not grow with
+    n; ``modal`` marches in the eigenbasis of A, which it decomposes on the
+    first solve or march, not here.  By default the route is modal when the
+    grid's M steps times the ``series`` marched together pay for the
+    decomposition, and otherwise switches on system size.
     """
     if op is None:
         op = assemble(grid)
-    if tau is None:
-        tau = grid.tau
-    if tau <= 0.0:
-        raise ValueError("tau must be positive")
     if solver is None:
-        if op.size <= _MODAL_SIZE_LIMIT and grid.M * series >= _MODAL_ALPHA * op.size:
+        if op.size <= EIGEN_SIZE_LIMIT and grid.M * series >= _MODAL_ALPHA * op.size:
             solver = "modal"
         else:
             solver = "cholesky" if op.size <= _CHOLESKY_SIZE_LIMIT else "cg"
+    half = grid.tau / 2.0
     if solver == "cholesky":
-        dense_l = np.eye(op.size) + (tau / 2.0) * op.dense()
-        factor = cholesky(dense_l)
-        solve_l = factor.solve
-    elif solver == "cg":
-        half = tau / 2.0
-        precond = op.circulant_preconditioner(half)
-
-        def apply_l(v: np.ndarray) -> np.ndarray:
-            return v + half * op.apply(v)
-
-        def solve_l(b: np.ndarray) -> np.ndarray:
-            b = np.asarray(b, dtype=float)
-            if b.ndim == 2:  # one right-hand side per column
-                x = np.empty_like(b)
-                for k in range(b.shape[1]):
-                    x[:, k] = cg_solve(apply_l, b[:, k], tol=tol, precond=precond)
-                return x
-            return cg_solve(apply_l, b, tol=tol, precond=precond)
-
-    elif solver == "modal":
-        if op.size > _MODAL_SIZE_LIMIT:
-            raise ValueError(f"the modal route needs n <= {_MODAL_SIZE_LIMIT}, got {op.size}")
-
-        def solve_l(b: np.ndarray) -> np.ndarray:  # ops is bound below, before any call
-            q = op.eigendecomposition.eigenvectors
-            return q @ ops.solve(q.T @ np.asarray(b, dtype=float))
-
-    else:
-        raise ValueError(f"unknown solver {solver!r} (expected one of {SOLVERS})")
-    route = _ModalStepOperators if solver == "modal" else StepOperators
-    ops = route(grid=grid, op=op, tau=tau, solver=solver, solve_l=solve_l)
-    return ops
+        return _CholeskyStepOperators(grid, op, cholesky(np.eye(op.size) + half * op.dense()))
+    if solver == "cg":
+        return _CgStepOperators(grid, op, tol, op.circulant_preconditioner(half))
+    if solver == "modal":
+        if op.size > EIGEN_SIZE_LIMIT:
+            raise ValueError(f"the modal route needs n <= {EIGEN_SIZE_LIMIT}, got {op.size}")
+        return _ModalStepOperators(grid, op)
+    raise ValueError(f"unknown solver {solver!r} (expected one of {SOLVERS})")
 
 
 def cn_step(ops: StepOperators, u_n: np.ndarray, r_mid: float, f_mid: np.ndarray) -> np.ndarray:
-    """One Crank-Nicolson update L U^{n+1} = R U^n + tau r^{n+1/2} F^{n+1/2}."""
+    """One Crank-Nicolson update L U^{n+1} = R U^n + tau r^{n+1/2} F^{n+1/2}: the step
+    of ``run_forward``, taken in the route's coordinates."""
     if not np.isfinite(r_mid):
         raise ValueError("midpoint coefficient is not finite")
-    rhs = ops.apply_r(u_n) + ops.tau * r_mid * np.asarray(f_mid, dtype=float)
-    return ops.solve_l(rhs)
+    u, f = ops.to_basis(np.array([u_n, f_mid], dtype=float))
+    return ops.from_basis(ops.solve(ops.times_r(u) + ops.tau * r_mid * f)[None])[0]
 
 
 def _r_at_midpoints(r: RCoefficient, grid: Grid) -> np.ndarray:

@@ -46,8 +46,9 @@ class Grid:
             raise ValueError(f"need at least 2 spatial subintervals, got N={self.N}")
         if self.M < 1:
             raise ValueError(f"need at least 1 time step, got M={self.M}")
-        if self.l <= 0.0 or self.T <= 0.0:
-            raise ValueError("domain length and final time must be positive")
+        for name in ("l", "T", "tau"):  # NaN fails "0 <" too; tau = T/M may underflow
+            if not 0.0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be finite and positive, got {getattr(self, name)}")
         if abs(self.h * self.N - self.l) > 1e-12 * self.l:
             raise ValueError("h*N does not reproduce l to floating tolerance")
 

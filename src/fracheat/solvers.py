@@ -32,6 +32,12 @@ __all__ = [
     "energy_norm",
 ]
 
+# The largest size at which the O(n^3) eigendecomposition and its validation
+# have been measured; the modal route shares this cap.
+EIGEN_SIZE_LIMIT = 1024
+# largest residual ||A q - lambda q|| / |lambda| an eigenpair may keep
+_EIGEN_TOL = 1e-10
+
 
 class NotSpdError(ValueError):
     """The matrix handed to a solver is not symmetric positive definite."""
@@ -105,8 +111,8 @@ def cg_solve(
     pass, or when a restart fails to lower it: ``tol`` is then below the
     rounding error of evaluating b - Ax.
     """
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
+    if not tol > 0.0:  # NaN fails this test
+        raise ValueError(f"tol must be positive, got {tol}")
     b = np.asarray(b, dtype=float)
     if maxit is None:
         maxit = 10 * b.size
@@ -168,7 +174,7 @@ class SpectralDecomposition:
         return self.eigenvalues.size
 
 
-def eigendecompose(mat: np.ndarray, tol: float = 1e-10) -> SpectralDecomposition:
+def eigendecompose(mat: np.ndarray) -> SpectralDecomposition:
     """Dense symmetric eigendecomposition, validated against its residuals.
 
     The eigenvalues are the Rayleigh quotients q^T A q of the computed
@@ -179,22 +185,20 @@ def eigendecompose(mat: np.ndarray, tol: float = 1e-10) -> SpectralDecomposition
     N = 300 this takes L^{-1} b through the eigenbasis from 1.6e-12 to
     4e-13 of a long-double reference (Cholesky: 3e-13).
 
-    Refuses matrices larger than 1024, the largest size at which the O(n^3)
-    decomposition and its validation have been measured; the modal route
-    shares this cap.
+    Refuses matrices larger than ``EIGEN_SIZE_LIMIT``.
     """
     mat = np.asarray(mat, dtype=float)
     n = mat.shape[0]
-    if n > 1024:
-        raise ValueError(f"eigendecompose takes n <= 1024, got size {n}")
+    if n > EIGEN_SIZE_LIMIT:
+        raise ValueError(f"eigendecompose takes n <= {EIGEN_SIZE_LIMIT}, got size {n}")
     _, q = np.linalg.eigh(mat)
     resid = mat @ q
     lam = np.einsum("ij,ij->j", q, resid)
     resid -= q * lam
     resid = np.linalg.norm(resid, axis=0)
-    if np.any(resid > tol * np.maximum(np.abs(lam), 1e-300)):
+    if np.any(resid > _EIGEN_TOL * np.maximum(np.abs(lam), 1e-300)):
         worst = float(np.max(resid / np.maximum(np.abs(lam), 1e-300)))
-        raise SolverError(f"eigendecomposition residual {worst:.3e} exceeds {tol:.1e}")
+        raise SolverError(f"eigendecomposition residual {worst:.3e} exceeds {_EIGEN_TOL:.1e}")
     gram = q.T @ q
     gram.flat[:: n + 1] -= 1.0
     ortho = max(float(gram.max()), -float(gram.min()))

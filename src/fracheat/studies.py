@@ -77,6 +77,8 @@ class StudyConfig:
             raise ValueError("s must lie in (0, 1)")
         if self.solver is not None and self.solver not in SOLVERS:
             raise ValueError(f"unknown solver {self.solver!r} (expected one of {SOLVERS})")
+        if not 0.0 < self.tol < math.inf:  # NaN fails this test
+            raise ValueError(f"tol must be finite and positive, got {self.tol}")
         if self.source not in ("discrete", "quadrature"):
             raise ValueError(f"unknown source {self.source!r}")
         if self.scheme not in SCHEMES:

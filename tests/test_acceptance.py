@@ -97,14 +97,13 @@ def test_criterion_03_energy_identity():
 
 
 def test_criterion_04_modal_contractivity():
-    grid = make_grid(1, 1, 16, 1, 0.5)
-    op = assemble(grid)
+    op = assemble(make_grid(1, 1, 16, 1, 0.5))
     dec = eigendecompose(op.dense())
     zero = np.zeros(op.size)
     worst_g = 0.0
     worst_step = 0.0
     for tau in (1e-3, 1.0, 1e3):
-        ops = make_step_operators(grid, op=op, tau=tau)
+        ops = make_step_operators(make_grid(1, tau, 16, 1, 0.5), op=op)
         for k in range(dec.size):
             lam, q = dec.eigenvalues[k], dec.eigenvectors[:, k]
             g = (1.0 - tau * lam / 2.0) / (1.0 + tau * lam / 2.0)

@@ -211,6 +211,35 @@ def test_misspelt_solver_in_config_fails_before_any_work(tmp_path, capsys, monke
     )
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["inverse", "--solver", "cg", "--tol", "nan"], "tol must be finite and positive, got nan"),
+    (["forward", "--tol", "-1"], "tol must be finite and positive, got -1.0"),
+    (["inverse", "--T", "nan"], "T must be finite and positive, got nan"),
+    (["inverse", "--T", "inf"], "T must be finite and positive, got inf"),
+    (["forward", "--l", "nan"], "l must be finite and positive, got nan"),
+    (["inverse", "--delta", "-0.1"], "noise level delta must lie in [0, 1), got -0.1"),
+], ids=["tol-nan", "tol-negative", "T-nan", "T-inf", "l-nan", "delta-negative"])
+def test_bad_number_exits_2_before_any_work(tmp_path, capsys, monkeypatch, argv, message):
+    import fracheat.cli
+    import fracheat.studies
+
+    def no_assembly(*args, **kwargs):
+        raise AssertionError("assembled an operator for a run it rejects")
+
+    monkeypatch.setattr(fracheat.cli, "assemble", no_assembly)
+    monkeypatch.setattr(fracheat.studies, "assemble", no_assembly)
+    assert main([*argv, "--N", "8", "--M", "4", "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_zero_delta_is_exact_data(tmp_path):
+    args = ["inverse", "--N", "20", "--M", "10"]
+    assert main([*args, "--out", str(tmp_path / "exact")]) == 0
+    assert main([*args, "--delta", "0", "--out", str(tmp_path / "zero")]) == 0
+    for name in ("r_series.csv", "u_final.csv"):
+        assert (tmp_path / "zero" / name).read_bytes() == (tmp_path / "exact" / name).read_bytes()
+
+
 @pytest.mark.parametrize("solver", ["cholesky", "cg", "modal"])
 def test_solver_flag_routes_the_run(tmp_path, solver):
     out = tmp_path / solver

@@ -37,13 +37,13 @@ def test_apply_matches_dense(s, n_cells, seed, scheme):
 def test_cg_route_matches_cholesky(s, n_cells, log_tau, seed, scheme):
     tol = 1e-10
     tau = 10.0**log_tau
-    grid = make_grid(1, 1, n_cells, 1, s)
+    grid = make_grid(1, tau, n_cells, 1, s)
     op = assemble(grid, scheme)
-    direct = make_step_operators(grid, op=op, tau=tau, solver="cholesky")
-    iterative = make_step_operators(grid, op=op, tau=tau, solver="cg", tol=tol)
+    direct = make_step_operators(grid, op=op, solver="cholesky")
+    iterative = make_step_operators(grid, op=op, solver="cg", tol=tol)
     b = np.random.default_rng(seed).standard_normal(op.size)
-    x = iterative.solve_l(b)
-    ref = direct.solve_l(b)
+    x = iterative.solve(b)
+    ref = direct.solve(b)
     dense_l = np.eye(op.size) + (tau / 2.0) * op.dense()
     assert np.linalg.norm(b - dense_l @ x) <= tol * np.linalg.norm(b)
     # Gershgorin: lambda_max(L) <= 1 + tau max(diag A), and lambda_min(L) >= 1
@@ -59,8 +59,8 @@ def test_blocks_go_column_by_column(n_cells):
     op = assemble(grid)
     ops = make_step_operators(grid, op=op, solver="cg")
     b = np.random.default_rng(2).standard_normal((op.size, 3))
-    assert np.array_equal(ops.apply_r(b), np.column_stack([ops.apply_r(col) for col in b.T]))
-    assert np.array_equal(ops.solve_l(b), np.column_stack([ops.solve_l(col) for col in b.T]))
+    assert np.array_equal(ops.times_r(b), np.column_stack([ops.times_r(col) for col in b.T]))
+    assert np.array_equal(ops.solve(b), np.column_stack([ops.solve(col) for col in b.T]))
 
 
 def test_first_step_solve_takes_few_matvecs(monkeypatch):
@@ -70,7 +70,7 @@ def test_first_step_solve_takes_few_matvecs(monkeypatch):
     spec, data = build_manufactured("example2", grid, op=op)
     ops = make_step_operators(grid, op=op, solver="cg")
     t_mid = grid.tau / 2.0
-    rhs = ops.apply_r(data.phi) + grid.tau * spec.r_exact(t_mid) * data.forcing(t_mid)
+    rhs = ops.times_r(data.phi) + grid.tau * spec.r_exact(t_mid) * data.forcing(t_mid)
     calls = []
     original = RieszOperator.apply
 
@@ -79,5 +79,5 @@ def test_first_step_solve_takes_few_matvecs(monkeypatch):
         return original(self, v)
 
     monkeypatch.setattr(RieszOperator, "apply", counted)
-    ops.solve_l(rhs)
+    ops.solve(rhs)
     assert len(calls) <= 20

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -21,6 +23,7 @@ from fracheat import (
 )
 from fracheat.forward import StabilityReport, _dual_norms
 from fracheat.grid import Trajectory
+from conftest import within_cg_floor
 
 
 def _zero_forcing(n):
@@ -70,12 +73,31 @@ class TestCnStep:
         assert np.all(np.isfinite(u1))
         assert np.linalg.norm(u1) < np.linalg.norm(u)
 
-    def test_modal_solve_matches_cholesky(self, grid16, op16):
-        modal = make_step_operators(grid16, op=op16, tau=0.3, solver="modal")
-        direct = make_step_operators(grid16, op=op16, tau=0.3, solver="cholesky")
-        b = np.random.default_rng(4).standard_normal((15, 3))
-        assert np.max(np.abs(modal.solve_l(b) - direct.solve_l(b))) <= 1e-13
-        assert np.max(np.abs(modal.solve_l(b[:, 0]) - direct.solve_l(b[:, 0]))) <= 1e-13
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(s=st.floats(0.01, 0.99), n_cells=st.integers(2, 300), log_tau=st.floats(-3.0, 3.0),
+           seed=st.integers(0, 2**32 - 1), solver=st.sampled_from(("modal", "cg")))
+    @example(s=0.99, n_cells=300, log_tau=3.0, seed=0, solver="modal")
+    @example(s=0.99, n_cells=300, log_tau=3.0, seed=0, solver="cg")
+    @example(s=0.01, n_cells=2, log_tau=-3.0, seed=0, solver="modal")
+    @example(s=0.01, n_cells=2, log_tau=-3.0, seed=0, solver="cg")
+    def test_routes_match_cholesky(self, s, n_cells, log_tau, seed, solver):
+        # one step on a grid with T = tau, M = 1, each route in its own coordinates
+        tau = 10.0**log_tau
+        grid = make_grid(1, tau, n_cells, 1, s)
+        direct = make_step_operators(grid, solver="cholesky")
+        rng = np.random.default_rng(seed)
+        u, f = rng.standard_normal((2, grid.interior_dim))
+        r = rng.uniform(-2.0, 2.0)
+        ref = cn_step(direct, u, r, f)
+        with within_cg_floor():
+            got = cn_step(make_step_operators(grid, op=direct.op, solver=solver), u, r, f)
+        if solver == "modal":
+            assert np.max(np.abs(got - ref)) <= 1e-12 * max(1.0, float(np.max(np.abs(ref))))
+        else:
+            # CG stops at ||b - L x|| <= tol ||b||; with 1 <= lambda(L) <= cond (Gershgorin)
+            # that leaves ||x - ref|| <= cond tol ||ref||, at the default tol 1e-12
+            cond = 1.0 + tau * float(np.max(direct.op.diag))
+            assert np.linalg.norm(got - ref) <= cond * 1e-12 * np.linalg.norm(ref)
 
     def test_modal_route_refuses_sizes_eigendecompose_refuses(self):
         with pytest.raises(ValueError, match="n <= 1024"):
@@ -86,8 +108,8 @@ class TestCnStep:
         ops = make_step_operators(grid16, op=op16)
         rng = np.random.default_rng(6)
         v = rng.standard_normal(15)
-        left = ops.apply_r(op16.apply(v))
-        right = op16.apply(ops.apply_r(v))
+        left = ops.times_r(op16.apply(v))
+        right = op16.apply(ops.times_r(v))
         assert np.max(np.abs(left - right)) <= 1e-12 * max(1.0, np.max(np.abs(left)))
 
     def test_cg_and_cholesky_steps_agree(self, grid16, op16):
@@ -129,7 +151,7 @@ class TestEnergyIdentityResidual:
         ops = make_step_operators(grid16, op=op16)
         rng = np.random.default_rng(9)
         u_n = rng.standard_normal((5, 15))
-        u_np1 = ops.solve_l(np.array([ops.apply_r(u) for u in u_n]).T).T
+        u_np1 = ops.solve(ops.times_r(u_n.T)).T
         res = energy_identity_residual(op16, u_n, u_np1, ops.tau)
         assert np.all(np.abs(res) <= 1e-10 * np.einsum("kn,kn->k", u_n, u_n))
 
@@ -192,7 +214,7 @@ class TestRunForward:
 
     @pytest.mark.parametrize("tau", [1e-3, 1e-1, 10.0])
     def test_unconditional_decay_of_homogeneous_runs(self, grid16, op16, tau):
-        ops = make_step_operators(grid16, op=op16, tau=tau)
+        ops = make_step_operators(replace(grid16, T=tau * grid16.M), op=op16)
         u = np.sin(np.pi * grid16.interior_x())
         prev = np.linalg.norm(u)
         for _ in range(10):
@@ -236,7 +258,7 @@ class TestRouteRule:
         ops = make_step_operators(grid, op=assemble(grid))
         assert ops.solver == "modal"
         assert "eigendecomposition" not in vars(ops.op)
-        ops.solve_l(np.ones(grid.interior_dim))
+        ops.solve(np.ones(grid.interior_dim))
         assert "eigendecomposition" in vars(ops.op)
 
 

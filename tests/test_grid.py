@@ -42,6 +42,23 @@ def test_rejects_nonpositive_sizes(kwargs):
         make_grid(**kwargs)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("l", float("nan")), ("l", float("inf")), ("T", float("nan")), ("T", float("inf")),
+    ("T", -float("inf")),
+])
+def test_rejects_non_finite_sizes(field, value):
+    kwargs = dict(l=1.0, T=1.0, N=10, M=10, s=0.5)
+    kwargs[field] = value
+    with pytest.raises(ValueError, match=f"^{field} must be finite and positive"):
+        make_grid(**kwargs)
+
+
+def test_rejects_a_step_that_underflows():
+    with pytest.raises(ValueError, match="^tau must be finite and positive, got 0.0"):
+        make_grid(1, 5e-324, 10, 4, 0.5)
+    assert make_grid(1, 5e-324, 10, 1, 0.5).tau == 5e-324
+
+
 def test_grid_is_deterministic_and_immutable():
     a = make_grid(1, 2, 8, 4, 0.3)
     b = make_grid(1, 2, 8, 4, 0.3)

@@ -129,12 +129,17 @@ class TestConjugateGradient:
         grid = make_grid(1, 1, 50, 10, 0.5)
         ops = make_step_operators(grid, solver="cg", tol=1e-30)
         with pytest.raises(SolverError, match="stalls") as info:
-            ops.solve_l(np.ones(49))
+            ops.solve(np.ones(49))
         assert 0.0 < info.value.residual < 1e-12
 
     def test_rejects_nonpositive_tol(self):
         with pytest.raises(ValueError):
             cg_solve(lambda v: v, np.ones(3), tol=0.0)
+
+    def test_rejects_nan_tol(self):
+        # a NaN tol never stops the iteration; CG then divides by p.Ap = 0
+        with pytest.raises(ValueError, match="tol must be positive"):
+            cg_solve(lambda v: v, np.ones(3), tol=float("nan"))
 
     def test_nan_operator_reports_divergence(self):
         def broken(v):

@@ -58,6 +58,10 @@ class TestStudyConfig:
         dict(source="mystery"),
         dict(scheme="bogus"),
         dict(smooth_window=2),
+        dict(tol=float("nan")),
+        dict(tol=float("inf")),
+        dict(tol=0.0),
+        dict(tol=-1.0),
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
