@@ -23,11 +23,12 @@ from .manufactured import build_manufactured
 from .riesz import SCHEMES, QuadratureConvergenceError, assemble, quadrature_oracle
 from .solvers import SolverError
 from .studies import (
+    U_COLUMNS,
     StudyConfig,
-    _u_rows,
     convergence_study_space,
     convergence_study_time,
     emit_outputs,
+    exact_comparison,
     load_config,
     noise_study,
     rate_fit,
@@ -104,15 +105,16 @@ def _cmd_forward(args: argparse.Namespace) -> int:
     trajectory = run_forward(data, grid, ops=ops)
 
     outdir = Path(config.out)
+    x = grid.interior_x()
     rows = np.column_stack((
         np.repeat(grid.times(), grid.interior_dim),
-        np.tile(grid.interior_x(), grid.M + 1),
+        np.tile(x, grid.M + 1),
         trajectory.states.ravel(),
     ))
     write_csv(outdir / "trajectory.csv", ("t", "x", "u"), rows)
-    u_rows = _u_rows(grid, spec, trajectory.final)
-    write_csv(outdir / "u_final.csv", ("x", "u_num", "u_exact", "abs_error"), u_rows)
-    err = float(np.max(u_rows[:, 3]))
+    u_table = exact_comparison(x, spec.u_exact(grid.T, x), trajectory.final)
+    write_csv(outdir / "u_final.csv", U_COLUMNS, u_table)
+    err = float(np.max(u_table[:, 3]))
     print(f"forward {config.example} N={grid.N} M={grid.M} s={grid.s}: "
           f"Linf error in u at T = {err:.6e}")
     return 0
@@ -187,7 +189,7 @@ def _cmd_noise(args: argparse.Namespace) -> int:
 
 def _cmd_oracle_check(args: argparse.Namespace) -> int:
     config = _build_config(args)
-    n0 = config.n_values[0] if args.N is None else args.N
+    n0 = config.n_values[0]
     defects, hs, rows = [], [], []
     for n in (n0, 2 * n0):
         grid = make_grid(config.l, config.t_final, n, 1, config.s)

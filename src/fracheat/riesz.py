@@ -262,7 +262,11 @@ class QuadratureConvergenceError(RuntimeError):
 ArrayFn = Callable[[np.ndarray], np.ndarray]
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
-# how often quadrature_oracle may double its far-field panel count to converge
+# quadrature_oracle's starting count of far-field panels per side, the relative
+# agreement of two successive counts that ends its doubling, and how often it
+# may double the count to reach that agreement
+_QUADRATURE_PANELS = 8
+_QUADRATURE_RTOL = 1e-8
 _QUADRATURE_DOUBLINGS = 4
 # far-field points per block of nodes: about 1 MB per temporary array
 _FAR_BLOCK_POINTS = 1 << 17
@@ -365,10 +369,8 @@ def _far_field(us, uxs, xs: np.ndarray, h: float, s: float, l: float, panels: in
 def quadrature_oracle(
     u: Union[ArrayFn, Sequence[ArrayFn]],
     grid: Grid,
-    refinement: int = 8,
     u_xx: Union[None, ArrayFn, Sequence[Optional[ArrayFn]]] = None,
     check: bool = True,
-    rtol: float = 1e-8,
 ) -> Union[np.ndarray, Tuple[np.ndarray, ...]]:
     """Fractional Laplacian of a smooth zero-extended u at the interior nodes.
 
@@ -376,12 +378,12 @@ def quadrature_oracle(
     independent of the stiffness matrix, for measuring its consistency defect.
     ``u`` must be vectorised and evaluable anywhere on [0, l]; ``u_xx`` is an
     optional analytic second derivative (a finite-difference estimate is used
-    otherwise).  ``refinement`` is the starting count of 12-point
-    Gauss-Legendre far-field panels on each side of a node, whatever the grid.
-    With ``check`` the count is doubled until two successive counts agree to
-    ``rtol``, the first check comparing ``refinement`` with twice it;
-    disagreement that persists through ``_QUADRATURE_DOUBLINGS`` doublings
-    raises :class:`QuadratureConvergenceError`.  Analytic shapes such as
+    otherwise).  The far field starts at ``_QUADRATURE_PANELS`` 12-point
+    Gauss-Legendre panels on each side of a node, whatever the grid.  With
+    ``check`` the count is doubled until two successive counts agree to
+    ``_QUADRATURE_RTOL``, the first check comparing the starting count with
+    twice it; disagreement that persists through ``_QUADRATURE_DOUBLINGS``
+    doublings raises :class:`QuadratureConvergenceError`.  Analytic shapes such as
     sin(k pi x) pass the first check; the images sit within 2e-14 relative
     of a 512-panel evaluation for N = 7 .. 600, s = 0.1 .. 0.95.  A bump that
     is smooth but not analytic where its support ends converges more slowly:
@@ -392,8 +394,6 @@ def quadrature_oracle(
     single-shape call returns.  The shapes share the far-field grids, and
     each stops doubling at its own converged panel count.
     """
-    if refinement < 1:
-        raise ValueError("refinement must be >= 1")
     single = callable(u)
     us = (u,) if single else tuple(u)
     derivs = (u_xx,) if single else (tuple(u_xx) if u_xx is not None else (None,) * len(us))
@@ -402,7 +402,7 @@ def quadrature_oracle(
     s, h, l = grid.s, grid.h, grid.l
     c = normalization_constant(s)
     xs = grid.interior_x()
-    panels = refinement
+    panels = _QUADRATURE_PANELS
 
     uxs = [fn(xs) for fn in us]
     near = [_near_field(fn, xs, h, s, fxx) for fn, fxx in zip(us, derivs)]
@@ -427,7 +427,7 @@ def quadrature_oracle(
             scale = 1.0 + float(np.max(np.abs(image)))
             gap = float(np.max(np.abs(image - images[k])))
             images[k] = image
-            if gap > rtol * scale:
+            if gap > _QUADRATURE_RTOL * scale:
                 gaps[k] = gap
         pending = list(gaps)
         if not pending:

@@ -43,6 +43,9 @@ __all__ = [
     "convergence_study_space",
     "noise_study",
     "emit_outputs",
+    "exact_comparison",
+    "R_COLUMNS",
+    "U_COLUMNS",
     "write_csv",
     "format_float",
     "load_config",
@@ -180,45 +183,59 @@ def rate_fit(errors: Sequence[float], steps: Sequence[float]) -> float:
     return float(np.polyfit(np.log(steps), np.log(errors), 1)[0])
 
 
-def _r_rows(grid: Grid, problem: ManufacturedProblem, recovered: np.ndarray) -> np.ndarray:
-    """Rows (t_mid, r_recovered, r_exact, abs_error) at the half-step times."""
-    exact = problem.r_at_midpoints(grid)
-    return np.column_stack((grid.midpoint_times(), recovered, exact, np.abs(recovered - exact)))
+R_COLUMNS = ("t_mid", "r_recovered", "r_exact", "abs_error")
+U_COLUMNS = ("x", "u_num", "u_exact", "abs_error")
 
 
-def _u_rows(grid: Grid, problem: ManufacturedProblem, final: np.ndarray) -> np.ndarray:
-    """Rows (x, u_num, u_exact, abs_error) at the interior nodes at time T."""
+def exact_comparison(coords: np.ndarray, exact: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Rows (coord, value, exact, abs_error) of computed values beside the exact ones.
+
+    A vector of values gives one (len, 4) table; a (len, K) block gives the
+    K tables of its columns, stacked (K, len, 4), all against the one exact
+    vector.
+    """
+    block = values.reshape(values.shape[0], -1).T
+    tables = np.stack(np.broadcast_arrays(coords, block, exact, np.abs(block - exact)), axis=-1)
+    return tables[0] if values.ndim == 1 else tables
+
+
+def _exact_tables(
+    grid: Grid, problem: ManufacturedProblem, recovered: np.ndarray, final: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The r tables at the half-step times and the U^M tables at the interior nodes.
+
+    ``recovered`` and ``final`` are single series or blocks of them, compared
+    with one evaluation of the exact r and u(T).
+    """
     x = grid.interior_x()
-    exact = problem.u_exact(grid.T, x)
-    return np.column_stack((x, final, exact, np.abs(final - exact)))
+    return (exact_comparison(grid.midpoint_times(), problem.r_at_midpoints(grid), recovered),
+            exact_comparison(x, problem.u_exact(grid.T, x), final))
+
+
+def _error_norms(table: np.ndarray, step: float) -> Tuple[float, float]:
+    """Max and discrete L2 norm (weight ``step``) of a table's abs_error column."""
+    err = table[:, 3]
+    return float(np.max(err)), float(np.sqrt(step * np.sum(err * err)))
 
 
 @dataclass(frozen=True)
 class InverseRunResult:
-    """One inverse run against a benchmark, with errors versus the exact data."""
+    """One inverse run against a benchmark, with its r and U^M beside the exact data."""
 
     grid: Grid
     problem: ManufacturedProblem
     trajectory: Trajectory
     recovered: CoefficientSeries
+    r_table: np.ndarray  # rows (t_mid, r_recovered, r_exact, abs_error)
+    u_table: np.ndarray  # rows (x, u_num, u_exact, abs_error) at time T
     linf_u: float
     l2_u: float
     linf_r: float
     l2_r: float
     measurement_provenance: str
 
-
-def _errors_against_exact(
-    problem: ManufacturedProblem, grid: Grid, final: np.ndarray, recovered: np.ndarray
-) -> Tuple[float, float, float, float]:
-    x = grid.interior_x()
-    du = final - problem.u_exact(grid.T, x)
-    dr = recovered - problem.r_at_midpoints(grid)
-    linf_u = float(np.max(np.abs(du)))
-    l2_u = float(np.sqrt(grid.h * np.sum(du * du)))
-    linf_r = float(np.max(np.abs(dr)))
-    l2_r = float(np.sqrt(grid.tau * np.sum(dr * dr)))
-    return linf_u, l2_u, linf_r, l2_r
+    def csv_files(self) -> List[Tuple[str, Sequence[str], np.ndarray]]:
+        return [("r_series.csv", R_COLUMNS, self.r_table), ("u_final.csv", U_COLUMNS, self.u_table)]
 
 
 def run_inverse_case(
@@ -256,14 +273,16 @@ def run_inverse_case(
         data, grid, measurements=measurements, ops=ops,
         compatibility_tol=math.inf if noisy else 1e-2,
     )
-    linf_u, l2_u, linf_r, l2_r = _errors_against_exact(
-        spec, grid, trajectory.final, recovered.values
-    )
+    r_table, u_table = _exact_tables(grid, spec, recovered.values, trajectory.final)
+    linf_u, l2_u = _error_norms(u_table, grid.h)
+    linf_r, l2_r = _error_norms(r_table, grid.tau)
     return InverseRunResult(
         grid=grid,
         problem=spec,
         trajectory=trajectory,
         recovered=recovered,
+        r_table=r_table,
+        u_table=u_table,
         linf_u=linf_u,
         l2_u=l2_u,
         linf_r=linf_r,
@@ -299,21 +318,14 @@ class ConvergenceTable:
     def fitted_order_r(self) -> float:
         return rate_fit([r.linf_r for r in self.rows], self.steps())
 
-    def csv_rows(self) -> List[Tuple]:
-        out: List[Tuple] = []
-        for r in self.rows:
-            out.append(
-                (
-                    r.h,
-                    r.tau,
-                    r.linf_u,
-                    r.l2_u,
-                    r.linf_r,
-                    "" if r.order_u is None else format_float(r.order_u),
-                    "" if r.order_r is None else format_float(r.order_r),
-                )
-            )
-        return out
+    def csv_files(self) -> List[Tuple[str, Sequence[str], list]]:
+        rows = [
+            (r.h, r.tau, r.linf_u, r.l2_u, r.linf_r,
+             "" if r.order_u is None else r.order_u, "" if r.order_r is None else r.order_r)
+            for r in self.rows
+        ]
+        return [("table.csv", ("h", "tau", "linf_u", "l2_u", "linf_r", "order_u", "order_r"),
+                 rows)]
 
 
 def _order(prev_err: float, err: float, prev_step: float, step: float) -> float:
@@ -370,12 +382,17 @@ def convergence_study_space(config: StudyConfig) -> ConvergenceTable:
     return _refinement_study(config, sizes, varied="h")
 
 
+def _noise_tag(delta: float, seed: int) -> str:
+    """The part of a noise case's file names that tells the case apart."""
+    return f"delta{delta:g}_seed{seed}"
+
+
 @dataclass(frozen=True)
 class NoiseCase:
     """One (delta, seed) recovery, raw and (optionally) smoothed.
 
-    ``recovered`` and ``final`` are the raw series' r^{n+1/2} and U^M; they
-    are NaN when the case did not complete.
+    ``r_table`` and ``u_table`` hold the raw series' r^{n+1/2} and U^M beside
+    the exact values; they are NaN when the case did not complete.
     """
 
     delta: float
@@ -384,9 +401,17 @@ class NoiseCase:
     linf_r: float
     l2_r: float
     linf_r_smoothed: Optional[float]
-    recovered: np.ndarray
-    final: np.ndarray
+    r_table: np.ndarray
+    u_table: np.ndarray
     failure: str = ""
+
+    @property
+    def recovered(self) -> np.ndarray:
+        return self.r_table[:, 1]
+
+    @property
+    def final(self) -> np.ndarray:
+        return self.u_table[:, 1]
 
 
 @dataclass(frozen=True)
@@ -410,6 +435,20 @@ class NoiseStudyResult:
     def all_completed(self) -> bool:
         return all(c.completed for c in self.cases)
 
+    def csv_files(self) -> List[Tuple[str, Sequence[str], Union[list, np.ndarray]]]:
+        files: list = []
+        for c in self.cases:
+            tag = _noise_tag(c.delta, c.seed)
+            files += [(f"r_recovered_{tag}.csv", R_COLUMNS, c.r_table),
+                      (f"u_final_{tag}.csv", U_COLUMNS, c.u_table)]
+        summary = [
+            (c.delta, c.seed, int(c.completed), c.linf_r, c.l2_r,
+             float("nan") if c.linf_r_smoothed is None else c.linf_r_smoothed)
+            for c in self.cases
+        ]
+        header = ("delta", "seed", "completed", "linf_r", "l2_r", "linf_r_smoothed")
+        return files + [("noise_summary.csv", header, summary)]
+
 
 def noise_study(config: StudyConfig) -> NoiseStudyResult:
     """Recover the coefficient from noisy measurements over a seed ensemble.
@@ -418,15 +457,21 @@ def noise_study(config: StudyConfig) -> NoiseStudyResult:
     smoothing window exceeds 1, is recovered in one batched march over one
     grid, operator and factorization (or eigendecomposition).  The recovery
     denominator does not depend on the data, so a denominator failure fails
-    every case.
+    every case.  Two cases that would write the same files, such as equal
+    seeds or deltas equal to ``:g``'s six digits, are rejected before any
+    work.
     """
-    grid = make_grid(config.l, config.t_final, config.n_values[0], config.m_values[0], config.s)
-    op = assemble(grid, config.scheme)
-    spec, data = build_manufactured(config.example, grid, source=config.source, op=op)
-
     keys = [(delta, seed) for delta in config.deltas for seed in config.seeds]
     if not keys:
         raise ValueError("the noise study needs at least one delta and one seed")
+    tags = [_noise_tag(delta, seed) for delta, seed in keys]
+    for tag in tags:
+        if tags.count(tag) > 1:
+            raise ValueError(f"two noise cases share the output file tag {tag!r}")
+
+    grid = make_grid(config.l, config.t_final, config.n_values[0], config.m_values[0], config.s)
+    op = assemble(grid, config.scheme)
+    spec, data = build_manufactured(config.example, grid, source=config.source, op=op)
     smooth = config.smooth_window > 1
     series = []
     for delta, seed in keys:
@@ -451,20 +496,17 @@ def noise_study(config: StudyConfig) -> NoiseStudyResult:
         recovered = np.full((grid.M, len(series)), np.nan)
         final = np.full((grid.interior_dim, len(series)), np.nan)
 
-    cases: List[NoiseCase] = []
+    # the smoothed copies need only their r error
     stride = 2 if smooth else 1
+    r_tables, u_tables = _exact_tables(grid, spec, recovered, final[:, ::stride])
+    cases: List[NoiseCase] = []
     for k, (delta, seed) in enumerate(keys):
-        col = stride * k
-        _, _, linf_r, l2_r = _errors_against_exact(spec, grid, final[:, col], recovered[:, col])
-        smoothed_err = None
-        if smooth:
-            smoothed_err = _errors_against_exact(
-                spec, grid, final[:, col + 1], recovered[:, col + 1]
-            )[2]
+        r_table = r_tables[stride * k]
+        linf_r, l2_r = _error_norms(r_table, grid.tau)
         cases.append(NoiseCase(
             delta=delta, seed=seed, completed=not failure, linf_r=linf_r, l2_r=l2_r,
-            linf_r_smoothed=smoothed_err, recovered=recovered[:, col], final=final[:, col],
-            failure=failure,
+            linf_r_smoothed=_error_norms(r_tables[stride * k + 1], grid.tau)[0] if smooth else None,
+            r_table=r_table, u_table=u_tables[k], failure=failure,
         ))
     return NoiseStudyResult(
         example=config.example, s=config.s, cases=tuple(cases),
@@ -472,64 +514,12 @@ def noise_study(config: StudyConfig) -> NoiseStudyResult:
     )
 
 
-def _write_r_and_u(
-    r_path: Path, u_path: Path, grid: Grid, problem: ManufacturedProblem,
-    recovered: np.ndarray, final: np.ndarray,
-) -> List[Path]:
-    """The recovered r and the final state U^M, each beside the exact values."""
-    return [
-        write_csv(r_path, ("t_mid", "r_recovered", "r_exact", "abs_error"),
-                  _r_rows(grid, problem, recovered)),
-        write_csv(u_path, ("x", "u_num", "u_exact", "abs_error"),
-                  _u_rows(grid, problem, final)),
-    ]
-
-
 def emit_outputs(result, outdir) -> List[Path]:
-    """Write the CSV artifacts of a study result; returns the paths written."""
-    outdir = Path(outdir)
-    written: List[Path] = []
-    if isinstance(result, ConvergenceTable):
-        written.append(
-            write_csv(
-                outdir / "table.csv",
-                ("h", "tau", "linf_u", "l2_u", "linf_r", "order_u", "order_r"),
-                result.csv_rows(),
-            )
-        )
-    elif isinstance(result, NoiseStudyResult):
-        summary_rows = []
-        for case in result.cases:
-            tag = f"delta{case.delta:g}_seed{case.seed}"
-            written += _write_r_and_u(
-                outdir / f"r_recovered_{tag}.csv", outdir / f"u_final_{tag}.csv",
-                result.grid, result.problem, case.recovered, case.final,
-            )
-            summary_rows.append(
-                (
-                    case.delta,
-                    case.seed,
-                    int(case.completed),
-                    case.linf_r,
-                    case.l2_r,
-                    float("nan") if case.linf_r_smoothed is None else case.linf_r_smoothed,
-                )
-            )
-        written.append(
-            write_csv(
-                outdir / "noise_summary.csv",
-                ("delta", "seed", "completed", "linf_r", "l2_r", "linf_r_smoothed"),
-                summary_rows,
-            )
-        )
-    elif isinstance(result, InverseRunResult):
-        written += _write_r_and_u(
-            outdir / "r_series.csv", outdir / "u_final.csv",
-            result.grid, result.problem, result.recovered.values, result.trajectory.final,
-        )
-    else:
+    """Write the CSV files a study result lists in ``csv_files``; returns their paths."""
+    if not hasattr(result, "csv_files"):
         raise TypeError(f"no CSV writer for result of type {type(result).__name__}")
-    return written
+    return [write_csv(Path(outdir) / name, header, rows)
+            for name, header, rows in result.csv_files()]
 
 
 # config key -> type of its value, or of each item of a comma list; the rest are strings

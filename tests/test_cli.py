@@ -99,8 +99,23 @@ def test_noise_study_exit_code(tmp_path):
                    encoding="utf-8")
     assert main(["noise", "--example", "1", "--config", str(cfg),
                  "--out", str(out)]) == 0
-    assert (out / "noise_summary.csv").exists()
-    assert (out / "r_recovered_delta0.01_seed1.csv").exists()
+    # one r and one u file per case, then the summary
+    assert sorted(p.name for p in out.iterdir()) == [
+        "noise_summary.csv", "r_recovered_delta0.01_seed0.csv", "r_recovered_delta0.01_seed1.csv",
+        "u_final_delta0.01_seed0.csv", "u_final_delta0.01_seed1.csv",
+    ]
+
+
+def test_noise_cases_sharing_a_file_tag_exit_2(tmp_path, capsys):
+    out = tmp_path / "noise"
+    cfg = tmp_path / "cfg"
+    cfg.write_text("n_values = 16\nm_values = 16\ndeltas = 0.01, 0.0100000001\nseeds = 0\n",
+                   encoding="utf-8")
+    assert main(["noise", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: two noise cases share the output file tag 'delta0.01_seed0'\n"
+    )
+    assert not out.exists()
 
 
 def test_oracle_check_smoke(tmp_path, capsys):

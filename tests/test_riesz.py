@@ -284,21 +284,29 @@ class TestQuadratureOracle:
         b = quadrature_oracle(sin_pi, g, u_xx=None, check=False)
         assert np.max(np.abs(a - b)) <= 1e-10
 
-    def test_internal_refinement_convergence(self):
+    def test_internal_refinement_convergence(self, monkeypatch):
+        import fracheat.riesz
+
         g = make_grid(1, 1, 32, 1, 0.5)
-        a = quadrature_oracle(sin_pi, g, refinement=8, u_xx=sin_pi_xx, check=False)
-        b = quadrature_oracle(sin_pi, g, refinement=32, u_xx=sin_pi_xx, check=False)
+        monkeypatch.setattr(fracheat.riesz, "_QUADRATURE_PANELS", 8)
+        a = quadrature_oracle(sin_pi, g, u_xx=sin_pi_xx, check=False)
+        monkeypatch.setattr(fracheat.riesz, "_QUADRATURE_PANELS", 32)
+        b = quadrature_oracle(sin_pi, g, u_xx=sin_pi_xx, check=False)
         assert np.max(np.abs(a - b)) <= 1e-7
 
-    def test_unconverged_refinement_raises(self):
+    def test_unconverged_refinement_raises(self, monkeypatch):
+        import fracheat.riesz
+
         # wildly oscillatory integrand with a starved far-field budget
         def wiggle(x):
             x = np.asarray(x, dtype=float)
             return np.sin(40 * np.pi * x)
 
         g = make_grid(1, 1, 8, 1, 0.5)
+        monkeypatch.setattr(fracheat.riesz, "_QUADRATURE_PANELS", 1)
+        monkeypatch.setattr(fracheat.riesz, "_QUADRATURE_RTOL", 1e-12)
         with pytest.raises(QuadratureConvergenceError):
-            quadrature_oracle(wiggle, g, refinement=1, check=True, rtol=1e-12)
+            quadrature_oracle(wiggle, g, check=True)
 
     def test_coarse_grid_doubles_panels_until_converged(self, monkeypatch):
         # the bump is smooth but not analytic where its support ends, so at
@@ -308,7 +316,9 @@ class TestQuadratureOracle:
 
         g = make_grid(1, 1, 16, 1, 0.1)
         out = quadrature_oracle(smooth_bump, g)
-        ref = quadrature_oracle(smooth_bump, g, refinement=128, check=False)
+        with monkeypatch.context() as m:
+            m.setattr(fracheat.riesz, "_QUADRATURE_PANELS", 128)
+            ref = quadrature_oracle(smooth_bump, g, check=False)
         assert np.max(np.abs(out - ref)) <= 1e-8 * (1.0 + np.max(np.abs(ref)))
         monkeypatch.setattr(fracheat.riesz, "_QUADRATURE_DOUBLINGS", 1)
         with pytest.raises(QuadratureConvergenceError, match="at 16 panels"):
@@ -384,16 +394,19 @@ class TestQuadratureOracle:
         for image, single in zip(images, singles):
             assert np.array_equal(image, single)
 
-    def test_tuple_form_raises_when_one_shape_fails(self):
+    def test_tuple_form_raises_when_one_shape_fails(self, monkeypatch):
+        import fracheat.riesz
+
         def wiggle(x):
             return np.sin(40 * np.pi * np.asarray(x, dtype=float))
 
         # on this budget sin(pi x) converges and the wiggle does not
         g = make_grid(1, 1, 8, 1, 0.5)
-        assert np.all(np.isfinite(quadrature_oracle(sin_pi, g, refinement=1)))
+        monkeypatch.setattr(fracheat.riesz, "_QUADRATURE_PANELS", 1)
+        assert np.all(np.isfinite(quadrature_oracle(sin_pi, g)))
         for shapes in ((sin_pi, wiggle), (wiggle, sin_pi)):
             with pytest.raises(QuadratureConvergenceError, match="at 16 panels"):
-                quadrature_oracle(shapes, g, refinement=1)
+                quadrature_oracle(shapes, g)
 
     def test_tuple_form_rejects_mismatched_derivatives(self):
         g = make_grid(1, 1, 8, 1, 0.5)

@@ -185,6 +185,44 @@ class TestNoiseStudy:
             assert case.l2_r == pytest.approx(raw.l2_r, abs=1e-12)
             assert case.linf_r_smoothed == pytest.approx(smoothed.linf_r, abs=1e-12)
 
+    @pytest.mark.parametrize("ensemble, tag", [
+        (dict(deltas=(0.01, 0.0100000001), seeds=(0,)), "delta0.01_seed0"),
+        (dict(deltas=(0.03,), seeds=(0, 0)), "delta0.03_seed0"),
+    ], ids=["deltas-equal-to-six-digits", "repeated-seed"])
+    def test_cases_sharing_a_file_tag_rejected_before_any_work(self, monkeypatch,
+                                                               ensemble, tag):
+        import fracheat.studies
+
+        def no_assembly(*args, **kwargs):
+            raise AssertionError("assembled an operator for a study it rejects")
+
+        monkeypatch.setattr(fracheat.studies, "assemble", no_assembly)
+        cfg = StudyConfig(example="example1", n_values=(16,), m_values=(8,), **ensemble)
+        with pytest.raises(ValueError, match=f"share the output file tag '{tag}'"):
+            noise_study(cfg)
+
+    def test_exact_data_evaluated_once_per_study(self, monkeypatch):
+        from fracheat.manufactured import ManufacturedProblem
+
+        r_calls, u_times = [], []
+        r_at_midpoints, u_exact = ManufacturedProblem.r_at_midpoints, ManufacturedProblem.u_exact
+
+        def counted_r(self, grid):
+            r_calls.append(grid.M)
+            return r_at_midpoints(self, grid)
+
+        def counted_u(self, t, x):
+            u_times.append(t)
+            return u_exact(self, t, x)
+
+        monkeypatch.setattr(ManufacturedProblem, "r_at_midpoints", counted_r)
+        monkeypatch.setattr(ManufacturedProblem, "u_exact", counted_u)
+        cfg = StudyConfig(example="example1", n_values=(16,), m_values=(16,),
+                          deltas=(0.01, 0.05), seeds=(0, 1, 2), smooth_window=3)
+        assert len(noise_study(cfg).cases) == 6
+        assert r_calls == [16]
+        assert u_times == [0.0, 1.0]  # the initial profile, then U^M's comparison
+
     def test_mean_errors_and_completion(self):
         cfg = StudyConfig(example="example1", s=0.5, n_values=(50,), m_values=(50,),
                           deltas=(0.01, 0.05), seeds=(0, 1, 2))
@@ -231,6 +269,32 @@ class TestEmitOutputs:
         u_text = (tmp_path / "u_final.csv").read_text().splitlines()
         assert u_text[0] == "x,u_num,u_exact,abs_error"
         assert len(u_text) == 30
+
+    def test_errors_are_read_from_the_written_tables(self, tmp_path):
+        # the norms a result reports and the abs_error column of the CSV it
+        # writes come from one subtraction, so they agree bit for bit
+        def column(path, name):
+            lines = path.read_text().splitlines()
+            j = lines[0].split(",").index(name)
+            return np.array([float(line.split(",")[j]) for line in lines[1:]])
+
+        grid = make_grid(1, 1, 30, 20, 0.5)
+        res = run_inverse_case("example1", grid)
+        emit_outputs(res, tmp_path / "inv")
+        assert res.linf_u == np.max(column(tmp_path / "inv" / "u_final.csv", "abs_error"))
+        assert res.linf_r == np.max(column(tmp_path / "inv" / "r_series.csv", "abs_error"))
+
+        cfg = StudyConfig(example="example1", s=0.5, n_values=(30,), m_values=(20,),
+                          deltas=(0.0, 0.01, 0.05), seeds=(0, 3), smooth_window=3)
+        emit_outputs(noise_study(cfg), tmp_path / "noise")
+        summary = tmp_path / "noise" / "noise_summary.csv"
+        rows = zip(column(summary, "delta"), column(summary, "seed"),
+                   column(summary, "linf_r"), column(summary, "l2_r"))
+        for delta, seed, linf_r, l2_r in rows:
+            path = tmp_path / "noise" / f"r_recovered_delta{delta:g}_seed{int(seed)}.csv"
+            err = column(path, "abs_error")
+            assert linf_r == np.max(err)
+            assert l2_r == np.sqrt(grid.tau * np.sum(err * err))
 
     def test_unknown_type_rejected(self, tmp_path):
         with pytest.raises(TypeError):
