@@ -106,12 +106,8 @@ def _cmd_forward(args: argparse.Namespace) -> int:
 
     outdir = Path(config.out)
     x = grid.interior_x()
-    rows = np.column_stack((
-        np.repeat(grid.times(), grid.interior_dim),
-        np.tile(x, grid.M + 1),
-        trajectory.states.ravel(),
-    ))
-    write_csv(outdir / "trajectory.csv", ("t", "x", "u"), rows)
+    write_csv(outdir / "trajectory.csv", ("t", "x", "u"), trajectory.states,
+              index=(grid.times(), x))
     u_table = exact_comparison(x, spec.u_exact(grid.T, x), trajectory.final)
     write_csv(outdir / "u_final.csv", U_COLUMNS, u_table)
     err = float(np.max(u_table[:, 3]))

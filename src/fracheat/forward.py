@@ -163,7 +163,8 @@ class _ModalStepOperators(StepOperators):
         return np.divide(b, d if b.ndim == 1 else d[:, None], out=b)
 
     def times_r(self, v: np.ndarray) -> np.ndarray:
-        return self._diagonals[2] * v
+        r = self._diagonals[2]
+        return (r if v.ndim == 1 else r[:, None]) * v
 
     def times_a(self, v: np.ndarray) -> np.ndarray:
         return self.op.eigendecomposition.eigenvalues * v

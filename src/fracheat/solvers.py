@@ -37,6 +37,8 @@ __all__ = [
 EIGEN_SIZE_LIMIT = 1024
 # largest residual ||A q - lambda q|| / |lambda| an eigenpair may keep
 _EIGEN_TOL = 1e-10
+# CG iterations allowed per unknown before a solve fails
+_CG_ITERS_PER_UNKNOWN = 10
 
 
 class NotSpdError(ValueError):
@@ -98,7 +100,6 @@ def cg_solve(
     apply_op: Callable[[np.ndarray], np.ndarray],
     b: np.ndarray,
     tol: float = 1e-12,
-    maxit: Optional[int] = None,
     precond: Optional[Callable[[np.ndarray], np.ndarray]] = None,
 ) -> np.ndarray:
     """Conjugate gradients on an SPD operator given as a matvec closure.
@@ -107,15 +108,15 @@ def cg_solve(
     means the true relative residual ||b - Ax|| / ||b|| is at most ``tol``:
     when the recursively updated residual gets there, the true one is
     evaluated once, and if it misses the iteration restarts from it.
-    :class:`SolverError` carries the true residual when ``maxit`` iterations
-    pass, or when a restart fails to lower it: ``tol`` is then below the
-    rounding error of evaluating b - Ax.
+    :class:`SolverError` carries the true residual when
+    ``_CG_ITERS_PER_UNKNOWN`` iterations per unknown pass, or when a restart
+    fails to lower it: ``tol`` is then below the rounding error of evaluating
+    b - Ax.
     """
     if not tol > 0.0:  # NaN fails this test
         raise ValueError(f"tol must be positive, got {tol}")
     b = np.asarray(b, dtype=float)
-    if maxit is None:
-        maxit = 10 * b.size
+    maxit = _CG_ITERS_PER_UNKNOWN * b.size
     if precond is None:
         precond = np.copy
     norm_b = float(np.linalg.norm(b))

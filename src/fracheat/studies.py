@@ -100,69 +100,46 @@ def format_float(x: float) -> str:
 _BLOCK_ROWS = 4096
 
 
-def _array_columns(rows: np.ndarray) -> Tuple[list, str]:
-    """The columns of a float table and the %-format of one of its lines.
-
-    A column whose first block of rows holds fewer distinct values than half
-    that block, like the times and nodes of a trajectory, has each distinct
-    value formatted once; its values are told apart by their bits, so -0.0
-    and 0.0 stay apart.  Probing one block spares the sort of a long column
-    of distinct values, like a trajectory's states.  Such a column is taken
-    as runs of equal values, like a trajectory's repeated times, and each
-    run is looked up among the head block's distinct values, like the tiled
-    nodes; only when a value first appears after the head are the runs'
-    values sorted.  Either way a value is written with the same bytes.
-    """
-    columns, formats = [], []
-    for col in rows.T:
-        bits = np.ascontiguousarray(col).view(np.int64)
-        # distinct values counted on a sorted copy: np.unique without
-        # return_inverse hashes, several times slower than a sort here
-        head = np.sort(bits[:_BLOCK_ROWS])
-        new_value = head[1:] != head[:-1]
-        if 2 * (np.count_nonzero(new_value) + 1) < head.size:
-            distinct = np.concatenate((head[:1], head[1:][new_value]))
-            starts = np.flatnonzero(np.concatenate(([True], bits[1:] != bits[:-1])))
-            runs = bits[starts]
-            where = np.searchsorted(distinct, runs)
-            if np.any(distinct[np.minimum(where, distinct.size - 1)] != runs):
-                distinct, where = np.unique(runs, return_inverse=True)
-            if runs.size < bits.size:
-                where = np.repeat(where, np.diff(starts, append=bits.size))
-            words = np.array([format_float(v) for v in distinct.view(np.float64).tolist()],
-                             dtype=object)
-            columns.append(words[where])
-            formats.append("%s")
-        else:
-            columns.append(col)
-            formats.append("%.17g")
-    return columns, ",".join(formats) + "\n"
-
-
 def write_csv(
-    path: Path, header: Sequence[str], rows: Union[Iterable[Sequence], np.ndarray]
+    path: Path,
+    header: Sequence[str],
+    rows: Union[Iterable[Sequence], np.ndarray],
+    index: Optional[Tuple[Sequence[float], Sequence[float]]] = None,
 ) -> Path:
     """Write a CSV with LF endings and full-precision floats; overwrite quietly.
 
     ``rows`` is an iterable of rows, whose floats go through
     :func:`format_float` and other cells through ``str``, or a 2-D float
     array, which is streamed to the file a block of rows at a time with the
-    same bytes.
+    same bytes.  Given ``index = (times, nodes)``, ``rows`` is a 2-D array of
+    values instead, and ``rows[k, i]`` is written as the row
+    ``times[k], nodes[i], rows[k, i]``, again with the same bytes: each label
+    is formatted once, and one level ``k`` is formatted at a time.
     """
     path = Path(path)
+    if index is not None:
+        rows = np.asarray(rows, dtype=float)
+        lengths = tuple(len(labels) for labels in index)
+        if lengths != rows.shape:
+            raise ValueError(f"labels of lengths {lengths} do not index values of shape "
+                             f"{rows.shape}")
+    elif isinstance(rows, np.ndarray) and rows.ndim != 2:
+        raise ValueError(f"expected a 2-D array of rows, got shape {rows.shape}")
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        if isinstance(rows, np.ndarray):
-            if rows.ndim != 2:
-                raise ValueError(f"expected a 2-D array of rows, got shape {rows.shape}")
-            columns, line = _array_columns(rows.astype(float, copy=False))
+        if index is not None:
+            times, nodes = (np.asarray(labels, dtype=float).tolist() for labels in index)
+            # one level's %-format with the node labels filled in; a formatted
+            # float holds no "%", so each level's time label replaces the "%s"
+            level = "".join(f"%s,{format_float(x)},%.17g\n" for x in nodes)
+            for t, values in zip(times, rows):
+                fh.write(level.replace("%s", format_float(t)) % tuple(values.tolist()))
+        elif isinstance(rows, np.ndarray):
+            line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
             for start in range(0, rows.shape[0], _BLOCK_ROWS):
-                stop = min(start + _BLOCK_ROWS, rows.shape[0])
-                block = np.empty((stop - start, len(columns)), dtype=object)
-                for j, col in enumerate(columns):
-                    block[:, j] = col[start:stop]
-                fh.write(line * (stop - start) % tuple(block.ravel().tolist()))
+                block = rows[start : start + _BLOCK_ROWS]
+                fh.write(line * block.shape[0] % tuple(block.ravel().tolist()))
         else:
             for row in rows:
                 fh.write(

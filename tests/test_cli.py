@@ -17,6 +17,9 @@ def test_forward_smoke(tmp_path, capsys):
     lines = (out / "trajectory.csv").read_text().splitlines()
     assert lines[0] == "t,x,u"
     assert len(lines) == 1 + 31 * 29
+    # the last level of the trajectory is U^M, written with the same text
+    u_num = [line.split(",")[1] for line in (out / "u_final.csv").read_text().splitlines()[1:]]
+    assert [line.split(",")[2] for line in lines[-29:]] == u_num
 
 
 def test_inverse_smoke(tmp_path, capsys):

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fracheat import assemble, build_manufactured, make_grid, make_step_operators
+from fracheat.forward import SOLVERS
 from fracheat.riesz import _FFT_MIN_SIZE, SCHEMES, RieszOperator
 
 orders = st.floats(0.01, 0.99)
@@ -53,14 +54,21 @@ def test_cg_route_matches_cholesky(s, n_cells, log_tau, seed, scheme):
 
 @pytest.mark.parametrize("n_cells", [40, _FFT_MIN_SIZE + 1])
 def test_blocks_go_column_by_column(n_cells):
-    # a block product with R (convolve, then FFT) and a CG block solve are
-    # bitwise the products and solves of their columns
+    # on every route a block product with R (convolve, then FFT, or a
+    # diagonal) and a block solve are bitwise the products and solves of
+    # their columns; K = n is the square block a diagonal could scale along
+    # the wrong axis without a shape error
     grid = make_grid(1, 1, n_cells, 1, 0.7)
     op = assemble(grid)
-    ops = make_step_operators(grid, op=op, solver="cg")
-    b = np.random.default_rng(2).standard_normal((op.size, 3))
-    assert np.array_equal(ops.times_r(b), np.column_stack([ops.times_r(col) for col in b.T]))
-    assert np.array_equal(ops.solve(b), np.column_stack([ops.solve(col) for col in b.T]))
+    for solver in SOLVERS:
+        ops = make_step_operators(grid, op=op, solver=solver)
+        for k in (3, op.size):
+            b = np.random.default_rng(2).standard_normal((op.size, k))
+            columns = [ops.times_r(col) for col in b.T]
+            assert np.array_equal(ops.times_r(b), np.column_stack(columns)), (solver, k)
+            # solve may overwrite its right-hand side
+            columns = [ops.solve(col.copy()) for col in b.T]
+            assert np.array_equal(ops.solve(b.copy()), np.column_stack(columns)), (solver, k)
 
 
 def test_first_step_solve_takes_few_matvecs(monkeypatch):

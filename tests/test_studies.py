@@ -1,7 +1,10 @@
+import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fracheat import (
     ConvergenceTable,
@@ -301,6 +304,19 @@ class TestEmitOutputs:
             emit_outputs(object(), tmp_path)
 
 
+# every double class a cell can hold: signed zeros, subnormals, NaN, infinities
+_CELLS = st.floats() | st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308])
+
+
+@st.composite
+def _labelled_trajectories(draw):
+    """Time labels, node labels and a (levels, nodes) block of values."""
+    levels, nodes = draw(st.integers(1, 5)), draw(st.integers(1, 6))
+    cells = [draw(st.lists(_CELLS, min_size=size, max_size=size))
+             for size in (levels, nodes, levels * nodes)]
+    return cells[0], cells[1], np.reshape(cells[2], (levels, nodes))
+
+
 class TestCsvFormat:
     def test_float_full_precision(self):
         x = 1.0 / 3.0
@@ -326,7 +342,7 @@ class TestCsvFormat:
             np.repeat([0.0, -0.0, 0.1], len(edge)),  # equal but not the same bits
             rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n),
             rng.permutation(np.tile(edge, 3)),
-            np.repeat(edge, 3),  # repeats in the first block: each value formatted once
+            np.repeat(edge, 3),
         ))
         header = ("a", "b", "c", "d", "e")
         cells = write_csv(tmp_path / "cells.csv", header, [tuple(map(float, r)) for r in table])
@@ -336,80 +352,24 @@ class TestCsvFormat:
         assert array.read_bytes() == cells.read_bytes()
         assert b",-0," in cells.read_bytes() and b"nan" in cells.read_bytes()
 
-    def test_first_block_decides_deduplication(self, tmp_path, monkeypatch):
-        import fracheat.studies
-
-        monkeypatch.setattr(fracheat.studies, "_BLOCK_ROWS", 8)
-        rng = np.random.default_rng(9)
-        distinct = rng.standard_normal(8)
-        table = np.column_stack((
-            # distinct in the first block, then one value repeated
-            np.concatenate((distinct, np.full(40, -0.0))),
-            # one value repeated in the first block, then distinct values
-            np.concatenate((np.full(8, 0.5), rng.standard_normal(40))),
-            np.tile([0.0, -0.0, 1.0 / 3.0], 16),
-            rng.standard_normal(48),
-        ))
-        _, line = fracheat.studies._array_columns(table)
-        assert line == "%.17g,%s,%s,%.17g\n"
-        header = ("a", "b", "c", "d")
-        cells = write_csv(tmp_path / "cells.csv", header, [tuple(map(float, r)) for r in table])
-        array = write_csv(tmp_path / "array.csv", header, table)
-        assert array.read_bytes() == cells.read_bytes()
-
-    @staticmethod
-    def _spy_on_unique(monkeypatch):
-        sizes = []
-        unique = np.unique
-
-        def spy(values, *args, **kwargs):
-            sizes.append(np.size(values))
-            return unique(values, *args, **kwargs)
-
-        monkeypatch.setattr(np, "unique", spy)
-        return sizes
-
-    def test_repeated_and_tiled_columns_skip_the_full_sort(self, tmp_path, monkeypatch):
-        import fracheat.studies
-
-        # a trajectory's layout: each time repeated over the nodes, the nodes tiled
-        monkeypatch.setattr(fracheat.studies, "_BLOCK_ROWS", 16)
-        times = np.array([0.0, -0.0, 0.1, 1.0 / 3.0, 0.5, 0.7, 0.9, 1.0, 1e-300])
-        nodes = np.array([-0.0, 0.0, 0.2, 0.4, 2.0 / 3.0, 0.8])
-        table = np.column_stack((
-            np.repeat(times, nodes.size),
-            np.tile(nodes, times.size),
-            np.random.default_rng(3).standard_normal(times.size * nodes.size),
-        ))
-        sizes = self._spy_on_unique(monkeypatch)
-        _, line = fracheat.studies._array_columns(table)
-        assert line == "%s,%s,%.17g\n"
-        # the repeated times sort one value per run, the tiled nodes none
-        assert sizes == [times.size]
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(case=_labelled_trajectories())
+    @example(case=([0.0, -0.0], [-0.0], np.array([[math.nan], [5e-324]])))  # N = 2
+    @example(case=([1e308, -math.inf], [0.0, -0.0, 1e308],
+                   np.array([[-5e-324, math.inf, -0.0], [1e308, 0.0, -1e308]])))
+    def test_labelled_rows_match_cell_rows(self, tmp_path_factory, case):
+        times, nodes, values = case
+        out = tmp_path_factory.mktemp("labelled")
         header = ("t", "x", "u")
-        cells = write_csv(tmp_path / "cells.csv", header, [tuple(map(float, r)) for r in table])
-        array = write_csv(tmp_path / "array.csv", header, table)
-        assert array.read_bytes() == cells.read_bytes()
-        assert b"\n-0,-0," in cells.read_bytes() and b"\n0,0," in cells.read_bytes()
-
-    def test_values_new_after_the_head_fall_back_to_a_sort(self, tmp_path, monkeypatch):
-        import fracheat.studies
-
-        monkeypatch.setattr(fracheat.studies, "_BLOCK_ROWS", 8)
-        rng = np.random.default_rng(4)
-        late = rng.standard_normal(30)
-        # three values in the head, then values the head never held, and -0.0
-        column = np.concatenate((np.tile([0.0, 1.0 / 3.0, 2.0], 3), late, [-0.0], late[::-1]))
-        table = np.column_stack((column, rng.standard_normal(column.size)))
-        sizes = self._spy_on_unique(monkeypatch)
-        _, line = fracheat.studies._array_columns(table)
-        assert line == "%s,%.17g\n"
-        assert sizes == [column.size]  # no runs: every row is sorted
-        header = ("a", "b")
-        cells = write_csv(tmp_path / "cells.csv", header, [tuple(map(float, r)) for r in table])
-        array = write_csv(tmp_path / "array.csv", header, table)
-        assert array.read_bytes() == cells.read_bytes()
-        assert b"\n-0," in cells.read_bytes()
+        rows = [(t, x, float(values[k, i])) for k, t in enumerate(times)
+                for i, x in enumerate(nodes)]
+        cells = write_csv(out / "cells.csv", header, rows)
+        labelled = write_csv(out / "labelled.csv", header, values, index=(times, nodes))
+        assert labelled.read_bytes() == cells.read_bytes()
+        for bad_values, index in ((values, (times + [0.0], nodes)), (values, (times, nodes[1:])),
+                                  (values.ravel(), (times, nodes))):
+            with pytest.raises(ValueError, match="labels"):
+                write_csv(out / "bad.csv", header, bad_values, index=index)
 
     def test_array_rows_edge_shapes(self, tmp_path):
         for shape in ((0, 3), (1, 1), (5, 0)):
