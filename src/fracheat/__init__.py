@@ -51,9 +51,7 @@ from .solvers import (
     SpectralDecomposition,
     cg_solve,
     cholesky,
-    dual_norm,
     eigendecompose,
-    energy_norm,
 )
 from .studies import (
     ConvergenceTable,
@@ -98,11 +96,9 @@ __all__ = [
     "convergence_study_space",
     "convergence_study_time",
     "discrete_measurement",
-    "dual_norm",
     "eigendecompose",
     "emit_outputs",
     "energy_identity_residual",
-    "energy_norm",
     "exterior_tail",
     "load_config",
     "make_grid",

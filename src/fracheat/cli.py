@@ -1,16 +1,17 @@
 """Command-line front end: forward/inverse runs, studies, and operator dumps.
 
-Every command accepts a flat ``key = value`` config file; explicit flags
-override file values, which override built-in defaults.  All numeric output
-goes to CSV files with 17-significant-digit floats, so reruns with the same
-configuration are byte-identical.
+Each command takes only the flags it reads, each flag setting one
+``StudyConfig`` field, and every command accepts a flat ``key = value``
+config file; explicit flags override file values, which override built-in
+defaults.  All numeric output goes to CSV files with 17-significant-digit
+floats, so reruns with the same configuration are byte-identical.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -38,57 +39,43 @@ from .studies import (
 
 _EXAMPLES = {"1": "example1", "2": "example2"}
 
-
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--example", choices=("1", "2"), default=None, help="benchmark problem id")
-    p.add_argument("--s", type=float, default=None, help="fractional order in (0, 1)")
-    p.add_argument("--N", type=int, default=None, help="number of spatial subintervals")
-    p.add_argument("--M", type=int, default=None, help="number of time steps")
-    p.add_argument("--l", type=float, default=None, help="domain length (default 1)")
-    p.add_argument("--T", type=float, default=None, help="final time (default 1)")
-    p.add_argument("--solver", choices=SOLVERS, default=None,
-                   help="solver route (default: chosen from N, M and the series marched)")
-    p.add_argument("--tol", type=float, default=None, help="iterative solver tolerance")
-    p.add_argument("--delta", type=float, default=None, help="relative noise level")
-    p.add_argument("--seed", type=int, default=None, help="noise RNG seed")
-    p.add_argument("--smooth-window", type=int, default=None, help="odd moving-average window")
-    p.add_argument("--source", choices=("discrete", "quadrature"), default=None)
-    p.add_argument("--scheme", choices=SCHEMES, default=None, help="stiffness matrix scheme")
-    p.add_argument("--out", type=str, default=None, help="output directory")
-    p.add_argument("--config", type=str, default=None, help="key = value config file")
-
-
-def _one(value):
-    return (value,)
-
-
-# flag attribute -> (StudyConfig field, conversion of the flag value)
-_FLAG_FIELDS = {
-    "example": ("example", _EXAMPLES.__getitem__),
-    "s": ("s", float),
-    "N": ("n_values", _one),
-    "M": ("m_values", _one),
-    "l": ("l", float),
-    "T": ("t_final", float),
-    "solver": ("solver", str),
-    "tol": ("tol", float),
-    "delta": ("deltas", _one),
-    "seed": ("seeds", _one),
-    "smooth_window": ("smooth_window", int),
-    "source": ("source", str),
-    "scheme": ("scheme", str),
-    "out": ("out", str),
+# flag -> (StudyConfig field it sets, its argparse keywords); --config names
+# the file the fields are read from.  A field holding a tuple, such as
+# n_values, is set to the 1-tuple of the flag's value.
+_FLAGS = {
+    "--example": ("example", dict(choices=_EXAMPLES, help="benchmark problem id")),
+    "--s": ("s", dict(type=float, help="fractional order in (0, 1)")),
+    "--N": ("n_values", dict(type=int, help="number of spatial subintervals")),
+    "--M": ("m_values", dict(type=int, help="number of time steps")),
+    "--l": ("l", dict(type=float, help="domain length (default 1)")),
+    "--T": ("t_final", dict(type=float, help="final time (default 1)")),
+    "--solver": ("solver", dict(
+        choices=SOLVERS, help="solver route (default: chosen from N, M and the series marched)")),
+    "--tol": ("tol", dict(type=float, help="iterative solver tolerance")),
+    "--delta": ("deltas", dict(type=float, help="relative noise level")),
+    "--seed": ("seeds", dict(type=int, help="noise RNG seed")),
+    "--smooth-window": ("smooth_window", dict(type=int, help="odd moving-average window")),
+    "--source": ("source", dict(choices=("discrete", "quadrature"))),
+    "--scheme": ("scheme", dict(choices=SCHEMES, help="stiffness matrix scheme")),
+    "--out": ("out", dict(help="output directory")),
+    "--config": ("config", dict(help="key = value config file")),
 }
+
+# the flags of a run without noise, and of a command on the operator alone
+_RUN_FLAGS = [flag for flag in _FLAGS if flag not in ("--delta", "--seed", "--smooth-window")]
+_OPERATOR_FLAGS = ["--s", "--N", "--l", "--scheme", "--out", "--config"]
 
 
 def _build_config(args: argparse.Namespace) -> StudyConfig:
     """defaults < config file < explicit flags"""
     config = load_config(args.config) if args.config else StudyConfig()
-    updates = {
-        field: convert(getattr(args, flag))
-        for flag, (field, convert) in _FLAG_FIELDS.items()
-        if getattr(args, flag) is not None
-    }
+    updates = {}
+    for field in fields(StudyConfig):
+        value = getattr(args, field.name, None)
+        if value is not None:
+            updates[field.name] = (value,) if isinstance(field.default, tuple) else value
+    if "example" in updates:
+        updates["example"] = _EXAMPLES[updates["example"]]
     return replace(config, **updates)
 
 
@@ -121,7 +108,7 @@ def _cmd_inverse(args: argparse.Namespace) -> int:
     grid = _single_grid(config)
     # single-run noise comes from the explicit flag only; delta lists belong
     # to the noise study
-    noise = None if args.delta is None else NoiseSpec(delta=args.delta, seed=config.seeds[0])
+    noise = None if args.deltas is None else NoiseSpec(delta=args.deltas, seed=config.seeds[0])
     result = run_inverse_case(
         config.example,
         grid,
@@ -160,7 +147,7 @@ def _cmd_convergence_space(args: argparse.Namespace) -> int:
     if len(config.n_values) == 1:
         # the study needs a refinement path: expand a single N by doublings
         n = config.n_values[0]
-        if args.N is None and args.config is None:
+        if args.n_values is None and args.config is None:
             config = replace(config, n_values=(100, 200, 400, 800))
         else:
             config = replace(config, n_values=(n, 2 * n, 4 * n))
@@ -169,7 +156,7 @@ def _cmd_convergence_space(args: argparse.Namespace) -> int:
 
 def _cmd_noise(args: argparse.Namespace) -> int:
     config = _build_config(args)
-    if args.N is None and args.M is None and args.config is None:
+    if args.n_values is None and args.m_values is None and args.config is None:
         # noise ensembles default to the desk-scale grid
         config = replace(config, n_values=(100,), m_values=(100,))
     study = noise_study(config)
@@ -223,20 +210,28 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         description="Fractional heat equation: forward solves and coefficient recovery",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # each command takes the flags its _cmd_ function reads, and argparse
+    # rejects the others
     commands = {
-        "forward": ("solve the direct problem with the exact coefficient", _cmd_forward),
-        "inverse": ("recover the coefficient from measured integrals", _cmd_inverse),
-        "convergence-time": ("error table under time refinement", _cmd_convergence_time),
+        "forward": ("solve the direct problem with the exact coefficient", _cmd_forward,
+                    _RUN_FLAGS),
+        "inverse": ("recover the coefficient from measured integrals", _cmd_inverse, _FLAGS),
+        "convergence-time": ("error table under time refinement", _cmd_convergence_time,
+                             _RUN_FLAGS),
         "convergence-space": ("error table under space refinement with tau = h",
-                              _cmd_convergence_space),
-        "noise": ("recovery from noisy measurements over a seed ensemble", _cmd_noise),
+                              _cmd_convergence_space,
+                              [flag for flag in _RUN_FLAGS if flag != "--M"]),
+        "noise": ("recovery from noisy measurements over a seed ensemble", _cmd_noise, _FLAGS),
         "oracle-check": ("consistency defect of the stiffness matrix vs quadrature",
-                         _cmd_oracle_check),
-        "operator-dump": ("write the dense stiffness matrix to CSV", _cmd_operator_dump),
+                         _cmd_oracle_check, ["--example", *_OPERATOR_FLAGS]),
+        "operator-dump": ("write the dense stiffness matrix to CSV", _cmd_operator_dump,
+                          _OPERATOR_FLAGS),
     }
-    for name, (help_text, fn) in commands.items():
+    for name, (help_text, fn, flags) in commands.items():
         p = sub.add_parser(name, help=help_text)
-        _add_common(p)
+        for flag in flags:
+            field, kwargs = _FLAGS[flag]
+            p.add_argument(flag, dest=field, **kwargs)
         p.set_defaults(fn=fn)
     args = parser.parse_args(argv)
     try:

@@ -89,6 +89,8 @@ class NoiseSpec:
     def __post_init__(self) -> None:
         if not 0.0 <= self.delta < 1.0:
             raise ValueError(f"noise level delta must lie in [0, 1), got {self.delta}")
+        if self.seed < 0:
+            raise ValueError(f"noise seed must be a non-negative integer, got {self.seed}")
 
 
 def discrete_measurement(u: np.ndarray, weight: np.ndarray, h: float) -> float:

@@ -193,10 +193,6 @@ class RieszOperator:
         np.fill_diagonal(full, self.diag)
         return full
 
-    def row_sums(self) -> np.ndarray:
-        """A @ 1, positive because the exterior tail dominates in aggregate."""
-        return self.apply(np.ones(self.size))
-
 
 def _midpoint_weights(grid: Grid) -> tuple:
     n, s = grid.interior_dim, grid.s

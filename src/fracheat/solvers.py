@@ -16,7 +16,7 @@ Cholesky solve, so every other route runs on NumPy alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -28,8 +28,6 @@ __all__ = [
     "cholesky",
     "cg_solve",
     "eigendecompose",
-    "dual_norm",
-    "energy_norm",
 ]
 
 # The largest size at which the O(n^3) eigendecomposition and its validation
@@ -206,19 +204,3 @@ def eigendecompose(mat: np.ndarray) -> SpectralDecomposition:
     if ortho > 1e-12:
         raise SolverError(f"eigenvectors not orthonormal to 1e-12 (got {ortho:.3e})")
     return SpectralDecomposition(eigenvalues=lam, eigenvectors=q)
-
-
-def dual_norm(a: Union[np.ndarray, SpdFactorization], v: np.ndarray) -> float:
-    """Dual norm ||v||_{A^{-1}} = sqrt(<A^{-1} v, v>) via one SPD solve.
-
-    Accepts the dense matrix or a prebuilt factorization (cheaper in loops).
-    """
-    factor = a if isinstance(a, SpdFactorization) else cholesky(a)
-    v = np.asarray(v, dtype=float)
-    return float(np.sqrt(max(factor.solve(v) @ v, 0.0)))
-
-
-def energy_norm(apply_a: Callable[[np.ndarray], np.ndarray], v: np.ndarray) -> float:
-    """Energy norm ||v||_A = sqrt(<A v, v>) for an SPD operator action."""
-    v = np.asarray(v, dtype=float)
-    return float(np.sqrt(max(apply_a(v) @ v, 0.0)))

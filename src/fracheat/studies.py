@@ -88,6 +88,9 @@ class StudyConfig:
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if self.smooth_window < 1 or self.smooth_window % 2 == 0:
             raise ValueError("smooth_window must be odd and >= 1")
+        for delta in self.deltas:
+            for seed in self.seeds:
+                NoiseSpec(delta=delta, seed=seed)  # raises on a bad delta or seed
 
 
 def format_float(x: float) -> str:
@@ -514,10 +517,11 @@ def _parse_value(key: str, value: str):
 
 
 def load_config(path) -> StudyConfig:
-    """Parse a flat ``key = value`` UTF-8 config file; unknown keys are rejected."""
+    """Parse a flat ``key = value`` UTF-8 config file; unknown or repeated keys are rejected."""
     path = Path(path)
     known = {f.name for f in fields(StudyConfig)}
     values: dict = {}
+    key_lines: dict = {}
     for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -528,6 +532,9 @@ def load_config(path) -> StudyConfig:
         key = key.strip()
         if key not in known:
             raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+        if key in key_lines:
+            raise ValueError(f"{path}:{lineno}: key {key!r} already set on line {key_lines[key]}")
+        key_lines[key] = lineno
         try:
             values[key] = _parse_value(key, value.strip())
         except ValueError as exc:

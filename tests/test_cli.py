@@ -4,7 +4,9 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from fracheat.cli import _add_common, _build_config, main
+import fracheat.cli
+import fracheat.studies
+from fracheat.cli import _FLAGS, _build_config, main
 from fracheat.studies import StudyConfig, load_config
 
 
@@ -76,6 +78,13 @@ def test_unknown_config_key_fails(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("nonsense = 1\n", encoding="utf-8")
     assert main(["inverse", "--config", str(cfg)]) == 2
+
+
+def test_repeated_config_key_fails(tmp_path, capsys):
+    cfg = tmp_path / "twice.cfg"
+    cfg.write_text("s = 0.3\n# again\ns = 0.7\n", encoding="utf-8")
+    assert main(["inverse", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == f"error: {cfg}:3: key 's' already set on line 1\n"
 
 
 def test_bad_number_in_config_keeps_location(tmp_path, capsys):
@@ -163,7 +172,6 @@ def test_solver_error_exits_cleanly(tmp_path, capsys):
 
 
 def test_quadrature_error_exits_cleanly(tmp_path, capsys, monkeypatch):
-    import fracheat.cli
     from fracheat import QuadratureConvergenceError
 
     def unconverged(*args, **kwargs):
@@ -214,8 +222,6 @@ def test_unknown_scheme_in_config_rejected(tmp_path, capsys):
 
 
 def test_misspelt_solver_in_config_fails_before_any_work(tmp_path, capsys, monkeypatch):
-    import fracheat.cli
-
     def no_assembly(*args, **kwargs):
         raise AssertionError("assembled an operator for a config it rejects")
 
@@ -236,11 +242,18 @@ def test_misspelt_solver_in_config_fails_before_any_work(tmp_path, capsys, monke
     (["inverse", "--T", "inf"], "T must be finite and positive, got inf"),
     (["forward", "--l", "nan"], "l must be finite and positive, got nan"),
     (["inverse", "--delta", "-0.1"], "noise level delta must lie in [0, 1), got -0.1"),
-], ids=["tol-nan", "tol-negative", "T-nan", "T-inf", "l-nan", "delta-negative"])
+    (["inverse", "--delta", "0.1", "--seed", "-3"],
+     "noise seed must be a non-negative integer, got -3"),
+    (["noise", "--delta", "-0.1"], "noise level delta must lie in [0, 1), got -0.1"),
+    (["noise", "--seed", "-3"], "noise seed must be a non-negative integer, got -3"),
+    (["noise", "--source", "quadrature", "--delta", "-0.1"],
+     "noise level delta must lie in [0, 1), got -0.1"),
+    (["noise", "--source", "quadrature", "--seed", "-3"],
+     "noise seed must be a non-negative integer, got -3"),
+], ids=["tol-nan", "tol-negative", "T-nan", "T-inf", "l-nan", "delta-negative", "seed-negative",
+        "noise-delta-negative", "noise-seed-negative", "noise-quadrature-delta-negative",
+        "noise-quadrature-seed-negative"])
 def test_bad_number_exits_2_before_any_work(tmp_path, capsys, monkeypatch, argv, message):
-    import fracheat.cli
-    import fracheat.studies
-
     def no_assembly(*args, **kwargs):
         raise AssertionError("assembled an operator for a run it rejects")
 
@@ -291,7 +304,8 @@ out = from_file
 """
 
 
-@pytest.mark.parametrize("flag, value, field, expected", [
+# (flag, a value, the StudyConfig field it sets, that field's value)
+_FLAG_CASES = [
     ("--example", "1", "example", "example1"),
     ("--s", "0.75", "s", 0.75),
     ("--N", "12", "n_values", (12,)),
@@ -307,7 +321,10 @@ out = from_file
     ("--scheme", "midpoint", "scheme", "midpoint"),
     ("--out", "from_flag", "out", "from_flag"),
     ("--solver", "modal", "solver", "modal"),
-])
+]
+
+
+@pytest.mark.parametrize("flag, value, field, expected", _FLAG_CASES)
 def test_each_flag_overrides_only_its_field(tmp_path, flag, value, field, expected):
     cfg = tmp_path / "full.cfg"
     cfg.write_text(_FULL_CONFIG, encoding="utf-8")
@@ -316,8 +333,61 @@ def test_each_flag_overrides_only_its_field(tmp_path, flag, value, field, expect
         f.name for f in fields(StudyConfig)
     }
     parser = argparse.ArgumentParser()
-    _add_common(parser)
+    for name, (dest, kwargs) in _FLAGS.items():
+        parser.add_argument(name, dest=dest, **kwargs)
     config = _build_config(parser.parse_args(["--config", str(cfg), flag, value]))
     # repr tells (12,) from (12.0,) and 3 from 3.0
     assert repr(getattr(config, field)) == repr(expected)
     assert config == replace(from_file, **{field: expected})
+
+
+_ALL_FLAGS = tuple(dict.fromkeys(flag for flag, *_ in _FLAG_CASES))
+# the flags each command reads; every command takes --config as well
+_KEPT_FLAGS = {
+    "forward": ("--example", "--s", "--N", "--M", "--l", "--T", "--solver", "--tol",
+                "--source", "--scheme", "--out"),
+    "inverse": _ALL_FLAGS,
+    "convergence-time": ("--example", "--s", "--N", "--M", "--l", "--T", "--solver", "--tol",
+                         "--source", "--scheme", "--out"),
+    "convergence-space": ("--example", "--s", "--N", "--l", "--T", "--solver", "--tol",
+                          "--source", "--scheme", "--out"),
+    "noise": _ALL_FLAGS,
+    "oracle-check": ("--example", "--s", "--N", "--l", "--scheme", "--out"),
+    "operator-dump": ("--s", "--N", "--l", "--scheme", "--out"),
+}
+# the 27 (command, flag) pairs whose setting no command reads
+_DROPPED_PAIRS = [(command, flag) for command, kept in _KEPT_FLAGS.items()
+                  for flag in _ALL_FLAGS if flag not in kept]
+
+
+@pytest.mark.parametrize("command, flag", _DROPPED_PAIRS)
+def test_flag_a_command_does_not_read_exits_2(tmp_path, capsys, monkeypatch, command, flag):
+    def no_assembly(*args, **kwargs):
+        raise AssertionError("assembled an operator for a command line it rejects")
+
+    monkeypatch.setattr(fracheat.cli, "assemble", no_assembly)
+    monkeypatch.setattr(fracheat.studies, "assemble", no_assembly)
+    value = next(value for name, value, *_ in _FLAG_CASES if name == flag)
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--N", "8", flag, value, "--out", str(tmp_path / "o")])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", _KEPT_FLAGS)
+def test_each_command_parses_every_flag_it_keeps(tmp_path, monkeypatch, command):
+    cfg = tmp_path / "full.cfg"
+    cfg.write_text(_FULL_CONFIG, encoding="utf-8")
+    configs = []
+    # the command's function builds its config and does no work
+    monkeypatch.setattr(fracheat.cli, "_cmd_" + command.replace("-", "_"),
+                        lambda args: configs.append(_build_config(args)) or 0)
+    cases = {flag: (value, field, expected) for flag, value, field, expected in _FLAG_CASES
+             if flag in _KEPT_FLAGS[command]}
+    argv = [command, "--config", str(cfg)]
+    for flag, (value, _, _) in cases.items():
+        argv += [flag, value]
+    assert main(argv) == 0
+    assert configs == [replace(load_config(cfg),
+                               **{field: expected for _, field, expected in cases.values()})]

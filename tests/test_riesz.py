@@ -224,8 +224,9 @@ class TestAssembly:
         assert np.linalg.eigvalsh(a).min() > 0.0
 
     def test_row_sums_positive(self):
-        op = assemble(make_grid(1, 1, 64, 1, 0.5))
-        assert np.all(op.row_sums() > 0.0)
+        # A @ 1 > 0: the exterior tail dominates in aggregate
+        a = assemble(make_grid(1, 1, 64, 1, 0.5)).dense()
+        assert np.all(a.sum(axis=1) > 0.0)
 
     def test_smallest_grid(self):
         op = assemble(make_grid(1, 1, 2, 1, 0.5))
@@ -583,8 +584,8 @@ class TestInterpolatedScheme:
         assert np.linalg.eigvalsh(a).min() > 0.0
 
     def test_row_sums_positive(self):
-        op = assemble(make_grid(1, 1, 64, 1, 0.3), "interpolated")
-        assert np.all(op.row_sums() > 0.0)
+        a = assemble(make_grid(1, 1, 64, 1, 0.3), "interpolated").dense()
+        assert np.all(a.sum(axis=1) > 0.0)
 
     @pytest.mark.parametrize("s", [0.1, 0.5, 0.9])
     def test_sine_defect_rate_up_to_the_walls(self, s):
