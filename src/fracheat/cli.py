@@ -104,6 +104,8 @@ def _cmd_forward(args: argparse.Namespace) -> int:
 
 
 def _cmd_inverse(args: argparse.Namespace) -> int:
+    if args.seeds is not None and args.deltas is None:
+        raise ValueError("--seed seeds the noise of --delta: give --delta too, or no --seed")
     config = _build_config(args)
     grid = _single_grid(config)
     # single-run noise comes from the explicit flag only; delta lists belong

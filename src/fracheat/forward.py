@@ -6,8 +6,10 @@ only ``StepOperators``, one subclass per route, knows the route, and it
 lends the marches its operations in the route's own coordinates.  The
 change of basis is the eigenbasis Q of A on the modal route and the
 identity otherwise; the L-solve is a Cholesky factor, CG, or b/d with
-d = 1 + tau lambda/2; R is v - tau/2 A v, or (1 - tau lambda/2) v; A is the
-operator's matvec, or lambda v.  So a modal step costs O(n) after one
+d = 1 + tau lambda/2; A is the operator's matvec, or lambda v.  The step
+itself, ``advance``, is written once per route: L^-1 (U - tau/2 A U + tau r F),
+or g U + tau r F/d with g = (1 - tau lambda/2)/d on the modal route, where
+L^-1 R is diagonal.  So a modal step costs O(n) after one
 eigendecomposition.  The scheme satisfies an exact energy identity in the
 homogeneous case and two unconditional stability bounds with forcing; those
 are evaluated here as runtime diagnostics rather than assumed.  A spectral
@@ -93,21 +95,16 @@ class StepOperators:
         """Take stacked route coordinates (K, n) back to nodal vectors, in place."""
         return rows
 
-    def times_r(self, v: np.ndarray) -> np.ndarray:
-        """R v for v (n,) or (n, K)."""
-        v = np.asarray(v, dtype=float)
-        if v.ndim == 2:  # one matvec per column
-            return np.apply_along_axis(self.times_r, 0, v)
-        return v - (self.tau / 2.0) * self.op.apply(v)
-
     def times_a(self, v: np.ndarray) -> np.ndarray:
         """A v for one vector (n,)."""
         return self.op.apply(v)
 
     def advance(self, u: np.ndarray, f: np.ndarray, rt: np.ndarray) -> np.ndarray:
-        """L^-1 (R U + f rt^T) for a block U (n, K), one forcing f (n,) and rt (K,);
-        it may overwrite U.  One block solve: ``run_forward``'s step for K series."""
-        return self.solve(self.times_r(u) + np.multiply.outer(f, rt))
+        """The Crank-Nicolson step L^-1 (R U + f rt^T) of K series, for a block U (n, K),
+        one forcing f (n,) and rt (K,), the coefficients times tau; it may overwrite U.
+        R U is U - tau/2 A U with one matvec per column, then one block solve."""
+        au = np.apply_along_axis(self.op.apply, 0, u)
+        return self.solve(u - (self.tau / 2.0) * au + np.multiply.outer(f, rt))
 
 
 @dataclass(frozen=True)
@@ -140,17 +137,17 @@ class _CgStepOperators(StepOperators):
 
 class _ModalStepOperators(StepOperators):
     """The eigenbasis of A = Q diag(lambda) Q^T, built on first use and cached on the
-    operator, where L and R are diagonal: ``_diagonals`` is (Q, d, 1 - tau lambda/2, g)
-    with g = (1 - tau lambda/2)/d, the diagonal of L^-1 R."""
+    operator, where L and R are diagonal: ``_diagonals`` is (Q, d, g) with
+    d = 1 + tau lambda/2, the diagonal of L, and g = (1 - tau lambda/2)/d, that of L^-1 R."""
 
     solver = "modal"
 
     @cached_property
-    def _diagonals(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    def _diagonals(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         dec = self.op.eigendecomposition
         half = (self.tau / 2.0) * dec.eigenvalues
-        d, r = 1.0 + half, 1.0 - half
-        return dec.eigenvectors, d, r, r / d
+        d = 1.0 + half
+        return dec.eigenvectors, d, (1.0 - half) / d
 
     def to_basis(self, rows: np.ndarray) -> np.ndarray:
         return _rows_times(rows, self._diagonals[0])
@@ -162,16 +159,12 @@ class _ModalStepOperators(StepOperators):
         d = self._diagonals[1]
         return np.divide(b, d if b.ndim == 1 else d[:, None], out=b)
 
-    def times_r(self, v: np.ndarray) -> np.ndarray:
-        r = self._diagonals[2]
-        return (r if v.ndim == 1 else r[:, None]) * v
-
     def times_a(self, v: np.ndarray) -> np.ndarray:
         return self.op.eigendecomposition.eigenvalues * v
 
     def advance(self, u: np.ndarray, f: np.ndarray, rt: np.ndarray) -> np.ndarray:
         # diagonal, so L^-1 (R U + f rt^T) = g U + (f/d) rt^T: two passes over U
-        _, d, _, g = self._diagonals
+        _, d, g = self._diagonals
         u *= g[:, None]
         u += np.multiply.outer(f / d, rt)
         return u
@@ -223,11 +216,13 @@ def make_step_operators(
 
 def cn_step(ops: StepOperators, u_n: np.ndarray, r_mid: float, f_mid: np.ndarray) -> np.ndarray:
     """One Crank-Nicolson update L U^{n+1} = R U^n + tau r^{n+1/2} F^{n+1/2}: the step
-    of ``run_forward``, taken in the route's coordinates."""
+    of ``run_forward`` and of the recovery, ``ops.advance`` in the route's coordinates."""
     if not np.isfinite(r_mid):
         raise ValueError("midpoint coefficient is not finite")
-    u, f = ops.to_basis(np.array([u_n, f_mid], dtype=float))
-    return ops.from_basis(ops.solve(ops.times_r(u) + ops.tau * r_mid * f)[None])[0]
+    # one row at a time, as the marches take U^0 and each forcing to the basis
+    u = ops.to_basis(np.array(u_n, float, ndmin=2))
+    f = ops.to_basis(np.array(f_mid, float, ndmin=2))[0]
+    return ops.from_basis(ops.advance(u.T, f, np.array([ops.tau * r_mid])).T)[0]
 
 
 def _r_at_midpoints(r: RCoefficient, grid: Grid) -> np.ndarray:
@@ -271,18 +266,19 @@ def run_forward(
         raise ValueError("midpoint coefficient is not finite")
 
     # U^0 goes to the basis first, so an eigendecomposition peaks before the forcings
-    # fill memory; row n+1 holds F^{n+1/2} until U^{n+1} replaces it, all in place.
+    # fill memory; row n+1 holds F^{n+1/2} until U^{n+1} replaces it.
+    u = ops.to_basis(problem.phi[None].copy()).T
     states = np.empty((grid.M + 1, grid.interior_dim))
-    states[0] = problem.phi
-    ops.to_basis(states[:1])
     for n, t in enumerate(grid.midpoint_times()):
         states[n + 1] = problem.forcing(float(t))
     _check_forcings(states[1:])
     ops.to_basis(states[1:])
-    for n in range(grid.M):
-        states[n + 1] = ops.solve(ops.times_r(states[n]) + ops.tau * r_mid[n] * states[n + 1])
+    rt = ops.tau * r_mid[:, None]
+    for n in range(grid.M):  # the recovery's march, with r given
+        u = ops.advance(u, states[n + 1], rt[n])
+        states[n + 1] = u[:, 0]
     ops.from_basis(states[1:])
-    states[0] = problem.phi  # row 0 still holds U^0 in route coordinates
+    states[0] = problem.phi
     return Trajectory(states=states)
 
 
@@ -401,9 +397,7 @@ def spectral_duhamel_oracle(
 
     sigma = np.linspace(0.0, t_final, m + 1)
     r_vals = np.array([r_fn(float(t)) for t in sigma])
-    f_modes = np.empty((m + 1, lam.size))
-    for j, t in enumerate(sigma):
-        f_modes[j] = q.T @ np.asarray(f_fn(float(t)), dtype=float)
+    f_modes = np.array([f_fn(float(t)) for t in sigma], dtype=float) @ q
 
     # exp(-lam (T - sigma)) r(sigma) f_k(sigma), Simpson-weighted along sigma
     decay = np.exp(-np.outer(t_final - sigma, lam))

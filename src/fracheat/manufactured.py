@@ -60,13 +60,6 @@ class ManufacturedProblem:
             out += mode.coef(t) * mode.shape(x)
         return out
 
-    def du_dt(self, t: float, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x)
-        for mode in self.modes:
-            out += mode.dcoef(t) * mode.shape(x)
-        return out
-
     def r_at_midpoints(self, grid: Grid) -> np.ndarray:
         return np.array([self.r_exact(float(t)) for t in grid.midpoint_times()])
 

@@ -61,10 +61,6 @@ class SpdFactorization:
 
     lower: np.ndarray
 
-    @property
-    def size(self) -> int:
-        return self.lower.shape[0]
-
     def solve(self, b: np.ndarray) -> np.ndarray:
         # SciPy is imported by the first Cholesky solve, not with the package
         from scipy.linalg import cho_solve

@@ -263,6 +263,20 @@ def test_bad_number_exits_2_before_any_work(tmp_path, capsys, monkeypatch, argv,
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+def test_inverse_seed_without_delta_exits_2_before_any_work(tmp_path, capsys, monkeypatch):
+    # a single run draws noise only for --delta, so a lone --seed would be ignored
+    def no_assembly(*args, **kwargs):
+        raise AssertionError("assembled an operator for a run it rejects")
+
+    monkeypatch.setattr(fracheat.cli, "assemble", no_assembly)
+    monkeypatch.setattr(fracheat.studies, "assemble", no_assembly)
+    assert main(["inverse", "--N", "8", "--M", "4", "--seed", "3",
+                 "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == (
+        "error: --seed seeds the noise of --delta: give --delta too, or no --seed\n")
+    assert not (tmp_path / "o").exists()
+
+
 def test_zero_delta_is_exact_data(tmp_path):
     args = ["inverse", "--N", "20", "--M", "10"]
     assert main([*args, "--out", str(tmp_path / "exact")]) == 0

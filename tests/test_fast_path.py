@@ -54,18 +54,22 @@ def test_cg_route_matches_cholesky(s, n_cells, log_tau, seed, scheme):
 
 @pytest.mark.parametrize("n_cells", [40, _FFT_MIN_SIZE + 1])
 def test_blocks_go_column_by_column(n_cells):
-    # on every route a block product with R (convolve, then FFT, or a
-    # diagonal) and a block solve are bitwise the products and solves of
-    # their columns; K = n is the square block a diagonal could scale along
-    # the wrong axis without a shape error
+    # on every route a block step (its matvecs by convolve, then FFT, or a
+    # diagonal) and a block solve are bitwise the steps and solves of their
+    # columns; K = n is the square block a diagonal could scale along the
+    # wrong axis without a shape error
     grid = make_grid(1, 1, n_cells, 1, 0.7)
     op = assemble(grid)
+    f = np.random.default_rng(3).standard_normal(op.size)
     for solver in SOLVERS:
         ops = make_step_operators(grid, op=op, solver=solver)
         for k in (3, op.size):
             b = np.random.default_rng(2).standard_normal((op.size, k))
-            columns = [ops.times_r(col) for col in b.T]
-            assert np.array_equal(ops.times_r(b), np.column_stack(columns)), (solver, k)
+            rt = np.linspace(-1.0, 2.0, k)
+            # advance may overwrite its block
+            columns = [ops.advance(b[:, [j]].copy(), f, rt[j : j + 1])[:, 0] for j in range(k)]
+            assert np.array_equal(ops.advance(b.copy(), f, rt), np.column_stack(columns)), (
+                solver, k)
             # solve may overwrite its right-hand side
             columns = [ops.solve(col.copy()) for col in b.T]
             assert np.array_equal(ops.solve(b.copy()), np.column_stack(columns)), (solver, k)
@@ -78,7 +82,8 @@ def test_first_step_solve_takes_few_matvecs(monkeypatch):
     spec, data = build_manufactured("example2", grid, op=op)
     ops = make_step_operators(grid, op=op, solver="cg")
     t_mid = grid.tau / 2.0
-    rhs = ops.times_r(data.phi) + grid.tau * spec.r_exact(t_mid) * data.forcing(t_mid)
+    rhs = (data.phi - (grid.tau / 2.0) * op.apply(data.phi)
+           + grid.tau * spec.r_exact(t_mid) * data.forcing(t_mid))
     calls = []
     original = RieszOperator.apply
 
