@@ -51,6 +51,19 @@ SOLVERS = ("cholesky", "cg", "modal")
 
 # Above this system size the dense factor-once path gives way to conjugate
 # gradients with the FFT matvec and the Strang-circulant preconditioner.
+# One inverse series of example 2, set-up included, in seconds (one BLAS
+# thread, default tol, median of 3, ranges over T = 0.1, 1 and s = 0.1, 0.5, 0.9):
+#
+#   N      M = 10: Cholesky   CG            M = 100: Cholesky   CG
+#   800    0.031-0.038        0.008-0.017   0.090-0.102         0.044-0.110
+#   1025   0.069-0.086        0.006-0.018   0.161-0.179         0.049-0.143
+#   1500   0.135-0.158        0.009-0.023   0.317-0.348         0.094-0.207
+#   2048   0.318-0.343        0.012-0.036   0.625-0.684         0.093-0.253
+#
+# CG is ahead on every grid but N = 800, M = 100, T = 1, s = 0.9.  The limit
+# stays all the same: at M = 10, T = 1, s = 0.9 CG fails for N = 1500 and
+# 2048, its relative-residual stop stalling above the default tol.  Moving
+# these runs off Cholesky waits for a backward-error stop in cg_solve.
 _CHOLESKY_SIZE_LIMIT = 2048
 # The modal route pays one O(n^3) eigendecomposition, then O(n) per step and
 # series; Cholesky pays O(n^2) per step and series.  Without a solver the
@@ -121,7 +134,8 @@ class _CholeskyStepOperators(StepOperators):
 @dataclass(frozen=True)
 class _CgStepOperators(StepOperators):
     """L^-1 by conjugate gradients to relative residual ``tol``, with the operator's
-    matvec and ``precond``, the Strang circulant of L; one solve per column."""
+    matvec and ``precond``, the inverse of the Strang circulant of L at the 5-smooth
+    size m >= n, restricted to the first n entries (SPD); one solve per column."""
 
     solver = "cg"
     tol: float

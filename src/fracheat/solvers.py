@@ -37,6 +37,12 @@ EIGEN_SIZE_LIMIT = 1024
 _EIGEN_TOL = 1e-10
 # CG iterations allowed per unknown before a solve fails
 _CG_ITERS_PER_UNKNOWN = 10
+# Restarts from the true residual that may end no lower than the lowest true
+# residual before a solve fails.  Near the rounding floor of b - Ax each
+# evaluation scatters by about 10 %, so one such restart is weak evidence that
+# tol is out of reach: example 2 at s = 0.9, N = 1000, M = 10, T = 1 failed 9 of
+# 40 recoveries from data perturbed by 2 ulp when one was allowed, 0 with three.
+_CG_STALLED_RESTARTS = 3
 
 
 class NotSpdError(ValueError):
@@ -103,9 +109,9 @@ def cg_solve(
     when the recursively updated residual gets there, the true one is
     evaluated once, and if it misses the iteration restarts from it.
     :class:`SolverError` carries the true residual when
-    ``_CG_ITERS_PER_UNKNOWN`` iterations per unknown pass, or when a restart
-    fails to lower it: ``tol`` is then below the rounding error of evaluating
-    b - Ax.
+    ``_CG_ITERS_PER_UNKNOWN`` iterations per unknown pass, or when more than
+    ``_CG_STALLED_RESTARTS`` restarts fail to lower it below its lowest value:
+    ``tol`` is then below the rounding error of evaluating b - Ax.
     """
     if not tol > 0.0:  # NaN fails this test
         raise ValueError(f"tol must be positive, got {tol}")
@@ -123,7 +129,8 @@ def cg_solve(
     # r is at most one update away from an evaluated b - Ax; that update only
     # adds rounding of the size any evaluation of b - Ax carries.
     fresh = True
-    last_res = float("inf")  # true residual at the previous failed check
+    lowest_res = float("inf")  # lowest true residual at a failed check
+    stalled = 0  # restarts that ended no lower than lowest_res
     for _ in range(maxit):
         z = precond(r)
         rz_new = float(r @ z)
@@ -145,10 +152,12 @@ def cg_solve(
             res = float(np.linalg.norm(r)) / norm_b
             if res <= tol:
                 return x
-            if res >= last_res:
-                raise SolverError(f"cg: true residual {res:.3e} stalls above tolerance "
-                                  f"{tol:.1e}", residual=res)
-            last_res = res
+            if res >= lowest_res:
+                stalled += 1
+                if stalled > _CG_STALLED_RESTARTS:
+                    raise SolverError(f"cg: true residual {res:.3e} stalls above tolerance "
+                                      f"{tol:.1e}", residual=res)
+            lowest_res = min(lowest_res, res)
             p, fresh = None, True
             continue
         fresh = False

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from fracheat import assemble, build_manufactured, make_grid, make_step_operators
 from fracheat.forward import SOLVERS
-from fracheat.riesz import _FFT_MIN_SIZE, SCHEMES, RieszOperator
+from fracheat.riesz import _FFT_MIN_SIZE, SCHEMES, RieszOperator, _fft_length
+from fracheat.solvers import cg_solve
 
 orders = st.floats(0.01, 0.99)
 sizes = st.integers(2, 1200)
@@ -34,7 +35,7 @@ def test_apply_matches_dense(s, n_cells, seed, scheme):
 @given(s=orders, n_cells=sizes, log_tau=st.floats(-3.0, 3.0), seed=seeds, scheme=schemes)
 @example(s=0.99, n_cells=1200, log_tau=3.0, seed=0, scheme="midpoint")
 @example(s=0.99, n_cells=1200, log_tau=3.0, seed=0, scheme="interpolated")
-@example(s=0.5, n_cells=5, log_tau=3.0, seed=0, scheme="midpoint")  # floored preconditioner eigenvalues
+@example(s=0.9, n_cells=5, log_tau=3.0, seed=0, scheme="midpoint")  # floored preconditioner eigenvalues
 def test_cg_route_matches_cholesky(s, n_cells, log_tau, seed, scheme):
     tol = 1e-10
     tau = 10.0**log_tau
@@ -50,6 +51,61 @@ def test_cg_route_matches_cholesky(s, n_cells, log_tau, seed, scheme):
     # Gershgorin: lambda_max(L) <= 1 + tau max(diag A), and lambda_min(L) >= 1
     cond = 1.0 + tau * float(np.max(op.diag))
     assert np.linalg.norm(x - ref) <= cond * tol * np.linalg.norm(ref)
+
+
+def _strang_inverse(op, c):
+    """r -> C^{-1} r for the size-n Strang circulant C of I + c A, transformed at
+    length n whatever n is: the preconditioner's formula before it padded to a
+    5-smooth length."""
+    n = op.size
+    k = n // 2
+    col = np.zeros(n)
+    col[1 : k + 1] = op.offdiag[:k]
+    col[k + 1 :] = op.offdiag[: n - k - 1][::-1]
+    eig = np.maximum(1.0 + c * (float(np.median(op.diag)) - np.fft.rfft(col).real), 1.0)
+    return lambda r: np.fft.irfft(np.fft.rfft(r) / eig, n)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(s=orders, n_cells=st.integers(2, 301), log_tau=st.floats(-3.0, 3.0), scheme=schemes)
+@example(s=0.9, n_cells=5, log_tau=3.0, scheme="midpoint")  # floored eigenvalues, m = n = 4
+@example(s=0.99, n_cells=8, log_tau=3.0, scheme="midpoint")  # floored eigenvalues, n = 7 pads to 8
+@example(s=0.9, n_cells=300, log_tau=3.0, scheme="interpolated")  # n = 299 pads to 300
+def test_preconditioner_is_spd(s, n_cells, log_tau, scheme):
+    op = assemble(make_grid(1, 1, n_cells, 1, s), scheme)
+    precond = op.circulant_preconditioner(10.0**log_tau / 2.0)
+    dense = np.column_stack([precond(e) for e in np.eye(op.size)])
+    assert np.max(np.abs(dense - dense.T)) <= 1e-14 * np.max(np.abs(dense))
+    assert np.linalg.eigvalsh(dense).min() > 0.0
+
+
+def _cg_matvecs(op, c, b, precond):
+    calls = []
+
+    def apply_l(v):
+        calls.append(1)
+        return v + c * op.apply(v)
+
+    cg_solve(apply_l, b, tol=1e-10, precond=precond)
+    return len(calls)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(s=orders, n_cells=sizes, log_tau=st.floats(-3.0, 3.0), seed=seeds, scheme=schemes)
+@example(s=0.5, n_cells=3072, log_tau=-2.0, seed=0, scheme="midpoint")  # cg_large: n = 3071
+@example(s=0.5, n_cells=1026, log_tau=0.0, seed=0, scheme="midpoint")  # n = 1025 pads to 1080
+@example(s=0.5, n_cells=1025, log_tau=0.0, seed=0, scheme="midpoint")  # n = 1024 is 5-smooth
+def test_padded_preconditioner_against_size_n_strang(s, n_cells, log_tau, seed, scheme):
+    # P^{-1} transforms at the 5-smooth length m >= n; at m = n it is the
+    # size-n Strang inverse bit for bit, and otherwise no worse for CG than it
+    c = 10.0**log_tau / 2.0
+    op = assemble(make_grid(1, 1, n_cells, 1, s), scheme)
+    precond, strang = op.circulant_preconditioner(c), _strang_inverse(op, c)
+    b = np.random.default_rng(seed).standard_normal(op.size)
+    if _fft_length(op.size) == op.size:
+        assert np.array_equal(precond(b), strang(b))
+    else:
+        assert _cg_matvecs(op, c, b, precond) <= _cg_matvecs(op, c, b, strang) + 1
 
 
 @pytest.mark.parametrize("n_cells", [40, _FFT_MIN_SIZE + 1])

@@ -13,6 +13,7 @@ from fracheat import (
     normalization_constant,
     quadrature_oracle,
 )
+from fracheat.riesz import _fft_length
 from conftest import smooth_bump
 
 
@@ -264,6 +265,21 @@ class TestApply:
         op = assemble(make_grid(1, 1, 16, 1, 0.5))
         with pytest.raises(ValueError):
             op.apply(np.zeros(14))
+
+
+def test_fft_length_is_the_next_5_smooth_number():
+    # brute force: strip the factors 2, 3 and 5 from every k, mark the k left
+    # at 1, and take for each m the first marked k >= m
+    top = 20000
+    k = np.arange(1, 2 * top + 1)
+    rest = k.copy()
+    for p in (2, 3, 5):
+        while np.any(rest % p == 0):
+            rest = np.where(rest % p == 0, rest // p, rest)
+    marked = np.where(rest == 1, k, 2 * top + 1)
+    want = np.minimum.accumulate(marked[::-1])[::-1][:top]
+    got = np.array([_fft_length(m) for m in range(1, top + 1)])
+    assert np.array_equal(got, want)
 
 
 def _l2h_defect(u, grid, **kw):

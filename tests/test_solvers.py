@@ -132,6 +132,30 @@ class TestConjugateGradient:
             ops.solve(np.ones(49))
         assert 0.0 < info.value.residual < 1e-12
 
+    @pytest.mark.parametrize("stalled_restarts, succeeds", [(0, False), (3, True)])
+    def test_noisy_true_residual_gets_more_restarts(self, monkeypatch, stalled_restarts,
+                                                    succeeds):
+        # products 3 and 6 are the first two true-residual checks; they err by
+        # 5e-12 and -6e-12 relative, as evaluations at the rounding floor
+        # scatter.  The second and third checks then find the residual no
+        # lower than the first, and the fourth finds it at rounding level
+        mat = np.diag([1.0, 2.0])
+        noise = {3: 5e-12, 6: -6e-12}
+        calls = []
+
+        def op(v):
+            calls.append(1)
+            return mat @ v + noise.get(len(calls), 0.0) * np.linalg.norm(v)
+
+        b = np.array([1.0, 1.0])
+        monkeypatch.setattr(fracheat.solvers, "_CG_STALLED_RESTARTS", stalled_restarts)
+        if not succeeds:
+            with pytest.raises(SolverError, match="stalls"):
+                cg_solve(op, b, tol=1e-12)
+            return
+        x = cg_solve(op, b, tol=1e-12)
+        assert np.linalg.norm(b - mat @ x) <= 1e-12 * np.linalg.norm(b)
+
     def test_rejects_nonpositive_tol(self):
         with pytest.raises(ValueError):
             cg_solve(lambda v: v, np.ones(3), tol=0.0)
