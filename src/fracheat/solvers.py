@@ -105,9 +105,13 @@ def cg_solve(
     """Conjugate gradients on an SPD operator given as a matvec closure.
 
     ``precond`` applies an SPD approximate inverse r -> M^{-1} r.  Success
-    means the true relative residual ||b - Ax|| / ||b|| is at most ``tol``:
-    when the recursively updated residual gets there, the true one is
-    evaluated once, and if it misses the iteration restarts from it.
+    means the recursively updated relative residual is at most ``tol``.  If
+    it gets there two or more updates after the last evaluated b - Ax (the
+    start or a restart), the true relative residual ||b - Ax|| / ||b|| is
+    evaluated once, and if it misses ``tol`` the iteration restarts from it.
+    If a single update after an evaluated b - Ax gets there, x is returned
+    unchecked, and its true relative residual may exceed ``tol`` by a small
+    factor: 2.0-2.2e-12 has been measured at ``tol`` 1e-12.
     :class:`SolverError` carries the true residual when
     ``_CG_ITERS_PER_UNKNOWN`` iterations per unknown pass, or when more than
     ``_CG_STALLED_RESTARTS`` restarts fail to lower it below its lowest value:

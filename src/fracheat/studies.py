@@ -10,10 +10,11 @@ a study with the same configuration writes byte-identical files.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -102,6 +103,142 @@ def format_float(x: float) -> str:
 # %-format whose bytes equal format_float's
 _BLOCK_ROWS = 4096
 
+# The labelled path formats its values with a NumPy kernel whose bytes equal
+# format_float's.  A value x gets its exponent k = floor(log10|x|) and the
+# 17-digit integer D nearest |x|·10^(16-k), read off a double-double product
+# with 10^(16-k) held as an exact pair hi + lo (Dekker's split).  That product
+# errs by less than 1e-14 of D's last unit, far inside _MIDPOINT_MARGIN, so D
+# rounds as CPython's exact dtoa does.  A value that near a rounding midpoint,
+# outside (_TABLE_MIN, _TABLE_MAX), zero or not finite goes through
+# format_float instead.  The sign, the "0.000" prefix, D's digits, the point
+# and the exponent fill fixed slots of 4-byte words, unused slots NUL, and
+# bytes.translate deletes the NULs from the finished chunk.
+_VALUES_PER_CHUNK = 4096  # values laid out per pass: no full-size temporary
+_POW_MIN, _POW_MAX = -270, 300  # the table holds 10^p for p in this range
+_K_MIN = 16 - _POW_MAX  # the least exponent k the tables hold
+_TABLE_MIN, _TABLE_MAX = 1e-280, 1e280  # |x| whose 16 - k, k off by one, the table holds
+_MIDPOINT_MARGIN = 1e-6
+_SPLIT = 134217729.0  # 2^27 + 1, Dekker's splitting constant
+_GROUP_SCALES = (10**16, 10**12, 10**8, 10**4, 1)  # D as five 4-digit groups
+# a value's slots, in words: the sign, a "0.000" prefix and the integer digits;
+# the point and the fraction digits; the exponent and the newline.  Digit j of
+# D sits at byte 3 + j of the integer and of the fraction words.
+_INT, _FRAC, _EXP, _FIELD = 0, 5, 10, 12
+
+
+def _words(texts: Sequence[str], width: int) -> np.ndarray:
+    """ASCII texts as rows of ``width`` 4-byte words, NUL-padded."""
+    return (np.array([t.encode() for t in texts], dtype=f"S{4 * width}")
+            .view(np.uint32).reshape(len(texts), width))
+
+
+class _FormatTables(NamedTuple):
+    pow_hi: np.ndarray  # 10^p = pow_hi + pow_lo to 2^-106, p from _POW_MIN
+    pow_lo: np.ndarray
+    quads: np.ndarray  # the four digits of 0..9999, one word each
+    lead: np.ndarray  # "\0\0.d" for the leading digit d: the point the fraction mask keeps
+    ends: np.ndarray  # 1 - trailing zeros of 1..9999, -16 for 0: plus 4c, where group c's
+    #                   significant digits end
+    keep_int: np.ndarray  # masks of the first i digits, i = 0..17
+    keep_frac: np.ndarray  # masks of digits i..n-1 and the point if 0 < i < n, row 18i + n
+    prefix: np.ndarray  # or-ed over the integer digits, row 2z + sign: z zeros before D
+    exponent: np.ndarray  # "e±XX" unless -4 <= k < 17, then the newline; row k - _K_MIN
+
+
+@functools.cache
+def _format_tables() -> _FormatTables:
+    """The kernel's tables, built on first use, off the import path."""
+    pows = range(_POW_MIN, _POW_MAX + 1)
+    pow_hi, pow_lo = np.empty(len(pows)), np.empty(len(pows))
+    for j, p in enumerate(pows):
+        num, den = (10**p, 1) if p >= 0 else (1, 10**-p)
+        pow_hi[j] = num / den  # correctly rounded, as is the remainder below
+        a, b = pow_hi[j].as_integer_ratio()
+        pow_lo[j] = (num * b - a * den) / (den * b)
+    q = np.arange(10000)
+    quads = (48 + q[:, None] // np.array([1000, 100, 10, 1]) % 10).astype(np.uint8)
+    trailing = sum((q % 10**j == 0).astype(int) for j in (1, 2, 3, 4))
+    digit = np.arange(-3, 17)  # of each byte of five digit words
+    i, n = np.ogrid[:18, :18]
+    keep_frac = ((digit >= i[..., None]) & (digit < n[..., None])
+                 | (digit == -1) & (0 < i[..., None]) & (i[..., None] < n[..., None]))
+    return _FormatTables(
+        pow_hi, pow_lo, quads.view(np.uint32)[:, 0],
+        _words([f"\0\0.{d}" for d in range(10)], 1)[:, 0],
+        np.where(q == 0, -16, 1 - trailing),
+        (255 * ((0 <= digit) & (digit < i))).astype(np.uint8).view(np.uint32),
+        (255 * keep_frac).astype(np.uint8).reshape(18 * 18, 20).view(np.uint32),
+        _words(["", "\0\0-"] + [sign + "0." + "0" * z for z in range(4) for sign in ("", "-")],
+               _FRAC - _INT),
+        _words([("" if -4 <= k < 17 else f"e{k:+03d}") + "\n"
+                for k in range(_K_MIN, 17 - _POW_MIN)], _FIELD - _EXP),
+    )
+
+
+def _split(a: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Dekker's split: a = high + low, each with at most 26 significant bits."""
+    c = _SPLIT * a
+    high = c - (c - a)
+    return high, a - high
+
+
+def _scaled(ax: np.ndarray, k: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Integer part and fraction of ax·10^(16-k), from an error-free product."""
+    tables = _format_tables()
+    hi, lo = tables.pow_hi[16 - k - _POW_MIN], tables.pow_lo[16 - k - _POW_MIN]
+    p = ax * hi
+    (ah, al), (bh, bl) = _split(ax), _split(hi)
+    rest = (((ah * bh - p) + ah * bl + al * bh) + al * bl) + ax * lo
+    carry = np.floor(rest)
+    # p is whole from 2^53 up; below, the integer part is under 10^16 either way
+    return p.astype(np.int64) + carry.astype(np.int64), rest - carry
+
+
+def _format_values(x: np.ndarray) -> np.ndarray:
+    """format_float of each x and a newline, NUL-padded into rows of _FIELD words."""
+    tables = _format_tables()
+    ax = np.abs(x)
+    table = (ax > _TABLE_MIN) & (ax < _TABLE_MAX)
+    ax[~table] = 1.0
+    k = np.floor(np.log10(ax)).astype(np.int64)
+    d, frac = _scaled(ax, k)
+    # log10 may miss k by one: step it and scale again
+    off = (d >= 10**17).astype(np.int64) - (d < 10**16)
+    redo = np.flatnonzero(off)
+    if redo.size:
+        k[redo] += off[redo]
+        d[redo], frac[redo] = _scaled(ax[redo], k[redo])
+    fallback = np.flatnonzero(~table | (np.abs(frac - 0.5) < _MIDPOINT_MARGIN)
+                              | (d < 10**16) | (d >= 10**17))
+    d += frac > 0.5
+    carry = d == 10**17  # 99...9.5 rounds up to the next power of ten
+    d[carry] = 10**16
+    k += carry
+    d[fallback], k[fallback] = 10**16, 0
+    groups = np.stack([d // scale % 10000 for scale in _GROUP_SCALES])
+    digits = np.take(tables.quads, groups.T)
+    digits[:, 0] = np.take(tables.lead, groups[0])
+    nd = (np.take(tables.ends, groups) + np.arange(0, 20, 4)[:, None]).max(axis=0)
+    fixed = (k >= -4) & (k < 17)
+    ni = np.where(fixed, np.maximum(k + 1, 0), 1)  # digits before the point
+    zeros = np.where(fixed & (k < 0), -k, 0)  # before D, the one before the point included
+    ni[fallback] = nd[fallback] = zeros[fallback] = 0
+    out = np.empty((x.size, _FIELD), np.uint32)
+    out[:, _INT:_FRAC] = (digits & np.take(tables.keep_int, ni, axis=0)
+                          | np.take(tables.prefix, 2 * zeros + np.signbit(x), axis=0))
+    out[:, _FRAC:_EXP] = digits & np.take(tables.keep_frac, 18 * ni + np.maximum(nd, ni), axis=0)
+    out[:, _EXP:] = np.take(tables.exponent, k - _K_MIN, axis=0)
+    if fallback.size:
+        out[fallback, _INT:_EXP] = _words([format_float(v) for v in x[fallback].tolist()],
+                                          _EXP - _INT)
+    return out
+
+
+def _label_words(labels: Sequence[float]) -> np.ndarray:
+    """format_float of each label and a comma, NUL-padded into rows of 4-byte words."""
+    texts = [format_float(v) + "," for v in np.asarray(labels, dtype=float).tolist()]
+    return _words(texts, -(-max(map(len, texts), default=0) // 4))
+
 
 def write_csv(
     path: Path,
@@ -117,7 +254,8 @@ def write_csv(
     same bytes.  Given ``index = (times, nodes)``, ``rows`` is a 2-D array of
     values instead, and ``rows[k, i]`` is written as the row
     ``times[k], nodes[i], rows[k, i]``, again with the same bytes: each label
-    is formatted once, and one level ``k`` is formatted at a time.
+    is formatted once, and the values go through the NumPy formatting kernel
+    ``_VALUES_PER_CHUNK`` at a time.
     """
     path = Path(path)
     if index is not None:
@@ -129,26 +267,26 @@ def write_csv(
     elif isinstance(rows, np.ndarray) and rows.ndim != 2:
         raise ValueError(f"expected a 2-D array of rows, got shape {rows.shape}")
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode())
         if index is not None:
-            times, nodes = (np.asarray(labels, dtype=float).tolist() for labels in index)
-            # one level's %-format with the node labels filled in; a formatted
-            # float holds no "%", so each level's time label replaces the "%s"
-            level = "".join(f"%s,{format_float(x)},%.17g\n" for x in nodes)
-            for t, values in zip(times, rows):
-                fh.write(level.replace("%s", format_float(t)) % tuple(values.tolist()))
+            times, nodes = (_label_words(labels) for labels in index)
+            for start in range(0, rows.size, _VALUES_PER_CHUNK):
+                values = rows.flat[start : start + _VALUES_PER_CHUNK]
+                level, node = np.divmod(np.arange(start, start + values.size), len(nodes))
+                lines = np.concatenate((np.take(times, level, axis=0),
+                                        np.take(nodes, node, axis=0),
+                                        _format_values(values)), axis=1)
+                fh.write(lines.tobytes().translate(None, b"\0"))
         elif isinstance(rows, np.ndarray):
             line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
             for start in range(0, rows.shape[0], _BLOCK_ROWS):
                 block = rows[start : start + _BLOCK_ROWS]
-                fh.write(line * block.shape[0] % tuple(block.ravel().tolist()))
+                fh.write((line * block.shape[0] % tuple(block.ravel().tolist())).encode())
         else:
             for row in rows:
-                fh.write(
-                    ",".join(format_float(v) if isinstance(v, float) else str(v) for v in row)
-                    + "\n"
-                )
+                fh.write((",".join(format_float(v) if isinstance(v, float) else str(v)
+                                   for v in row) + "\n").encode())
     return path
 
 

@@ -18,7 +18,7 @@ from fracheat import (
     run_inverse_case,
 )
 from fracheat.grid import make_grid
-from fracheat.studies import ConvergenceRow, format_float, write_csv
+from fracheat.studies import ConvergenceRow, _format_values, format_float, write_csv
 
 # reference error levels of this configuration (h = 1/800, s = 0.5),
 # used as a published-values oracle for the rate fitter
@@ -317,6 +317,28 @@ def _labelled_trajectories(draw):
     return cells[0], cells[1], np.reshape(cells[2], (levels, nodes))
 
 
+# any bit pattern: NaNs with payloads, infinities, zeros, subnormals and normals
+_RAW_DOUBLES = st.integers(0, 2**64 - 1).map(
+    lambda bits: float(np.array(bits, dtype=np.uint64).view(np.float64)))
+
+
+@st.composite
+def _near_midpoints(draw):
+    """A 17-digit rounding midpoint D + 1/2, or a double next to it, of either sign."""
+    digits = draw(st.integers(10**16, 10**17 - 1))
+    x = float(f"{digits}5e{draw(st.integers(-330, 330)) - 17}")
+    ulps = draw(st.sampled_from([-1, 0, 1]))
+    if ulps:
+        x = float(np.nextafter(x, ulps * math.inf))
+    return -x if draw(st.booleans()) else x
+
+
+def _kernel_lines(values):
+    """What the labelled path's formatting kernel writes for each value."""
+    out = _format_values(np.array(values, dtype=float))
+    return out.tobytes().translate(None, b"\0").decode().split("\n")[:-1]
+
+
 class TestCsvFormat:
     def test_float_full_precision(self):
         x = 1.0 / 3.0
@@ -371,6 +393,60 @@ class TestCsvFormat:
             with pytest.raises(ValueError, match="labels"):
                 write_csv(out / "bad.csv", header, bad_values, index=index)
 
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(values=st.lists(_RAW_DOUBLES | _near_midpoints(), min_size=1, max_size=64))
+    @example(values=[99999999999999998.0])  # rounds to 1e17 exactly
+    @example(values=[1e-176])  # the double below 1e-176: 17 nines round up, a carry
+    @example(values=[123456789012345675.0, 1e-5, 1e-4, 1e16, 1e17, 1e100, 1e-100, -1e100,
+                     0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, math.inf,
+                     -math.inf, math.nan])
+    def test_kernel_matches_format_float(self, values):
+        assert _kernel_lines(values) == [format_float(v) for v in values]
+
+    def test_labelled_chunks_mix_fallback_values(self, tmp_path, monkeypatch):
+        import fracheat.studies
+
+        # 12 values in chunks of 5: nan, zeros, an exact tie (1 + 2^-17 has 18
+        # significant digits, the last a 5) and values beyond the kernel's range
+        # go through format_float beside values the kernel writes
+        values = np.array([[0.1, math.nan, -2.5e-7, 1e-300],
+                           [0.0, 123.456, 1.0 + 2.0**-17, -0.0],
+                           [1e300, 7.0, -1e-5, 2.0 / 3.0]])
+        times, nodes = [0.0, 0.5, 1.0], [0.2, 0.4, 0.6, 0.8]
+        header = ("t", "x", "u")
+        rows = [(t, x, float(values[k, i])) for k, t in enumerate(times)
+                for i, x in enumerate(nodes)]
+        cells = write_csv(tmp_path / "cells.csv", header, rows)
+        formatted = []
+
+        def recording_format_float(x):
+            formatted.append(x)
+            return format_float(x)
+
+        monkeypatch.setattr(fracheat.studies, "format_float", recording_format_float)
+        monkeypatch.setattr(fracheat.studies, "_VALUES_PER_CHUNK", 5)
+        labelled = write_csv(tmp_path / "labelled.csv", header, values, index=(times, nodes))
+        assert labelled.read_bytes() == cells.read_bytes()
+        assert {1.0 + 2.0**-17, 1e-300, 1e300} <= set(formatted)
+        assert not {123.456, 7.0, -1e-5} & set(formatted)
+
+    def test_labelled_write_rebinds_nothing(self, tmp_path):
+        """The kernel's tables are built on first use without touching a module global."""
+        import sys
+
+        import fracheat.studies
+
+        fracheat.studies._format_tables.cache_clear()
+        modules = {name for name in sys.modules if name.startswith("fracheat")}
+        before = dict(vars(fracheat.studies))
+        write_csv(tmp_path / "t.csv", ("t", "x", "u"), np.full((2, 3), 0.3),
+                  index=([0.0, 1.0], [0.25, 0.5, 0.75]))
+        after = vars(fracheat.studies)
+        assert fracheat.studies._format_tables.cache_info().currsize == 1
+        assert after.keys() == before.keys()
+        assert all(after[name] is value for name, value in before.items())
+        assert {name for name in sys.modules if name.startswith("fracheat")} == modules
+
     def test_array_rows_edge_shapes(self, tmp_path):
         for shape in ((0, 3), (1, 1), (5, 0)):
             table = np.full(shape, 0.25)
@@ -381,6 +457,12 @@ class TestCsvFormat:
             assert a == b
         with pytest.raises(ValueError, match="2-D"):
             write_csv(tmp_path / "c.csv", ("x",), np.zeros(3))
+
+    def test_labelled_rows_edge_shapes(self, tmp_path):
+        for levels, nodes in ((0, 3), (2, 0), (0, 0)):
+            path = write_csv(tmp_path / "t.csv", ("t", "x", "u"), np.zeros((levels, nodes)),
+                             index=([0.5] * levels, [0.25] * nodes))
+            assert path.read_bytes() == b"t,x,u\n"
 
 
 class TestLoadConfig:
