@@ -65,16 +65,17 @@ SOLVERS = ("cholesky", "cg", "modal")
 # 2048, its relative-residual stop stalling above the default tol.  Moving
 # these runs off Cholesky waits for a backward-error stop in cg_solve.
 _CHOLESKY_SIZE_LIMIT = 2048
-# The modal route pays one O(n^3) eigendecomposition, then O(n) per step and
-# series; Cholesky pays O(n^2) per step and series.  Without a solver the
-# route is modal once M * series >= _MODAL_ALPHA * n, up to the size cap of
-# eigendecompose.  Measured crossovers of M * series / n (one BLAS thread,
-# s = 0.5, N = 200 / 400 / 800, the decomposition or the factor included):
-# one forward series 0.28 / 0.25 / 0.32, one inverse series 0.31-0.38 /
-# 0.38-0.50 / 0.25-0.31 (one Cholesky solve per step), and 60 inverse
-# series 4.4 / 1.9 / 1.9, where block solves amortise better.  alpha = 1
-# lies between them; it keeps a single series with M < n, such as N = 16,
-# M = 10, on the factor-once route.
+# The modal route pays one eigendecomposition, two O((n/2)^3) halves, then
+# O(n) per step and series; Cholesky pays O(n^2) per step and series.
+# Without a solver the route is modal once M * series >= _MODAL_ALPHA * n, up
+# to the size cap of eigendecompose.  Measured crossovers of M * series / n
+# (one BLAS thread, s = 0.5, N = 200 / 400 / 800, the decomposition or the
+# factor included, three runs): one forward series 0.14-0.15 / 0.07-0.09 /
+# 0.06-0.08, one inverse series 0.10-0.13 / 0.07-0.09 / 0.06-0.07, and 60
+# inverse series <= 0.60 (modal ahead from M = 2) / 0.30-0.37 / 0.41-0.53.
+# alpha = 1 lies above them all; it keeps a single series with M < n, such
+# as N = 16, M = 10, on the factor-once route, where modal would be faster
+# from M ~ 0.15 n.
 _MODAL_ALPHA = 1.0
 # rows taken to or from the eigenbasis per matrix product
 _BLOCK_ROWS = 512

@@ -154,7 +154,8 @@ class RieszOperator:
     @cached_property
     def eigendecomposition(self) -> SpectralDecomposition:
         """A = Q diag(lambda) Q^T, validated; built on first use and kept, so every
-        step size and every march over this operator shares one O(n^3) ``eigh``."""
+        step size and every march over this operator shares one decomposition:
+        two ``eigh`` of size about n/2, on A's even and odd halves."""
         return eigendecompose(self.dense())
 
     @property

@@ -1,9 +1,14 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import fracheat.solvers
 from fracheat import (
     NotSpdError,
+    ProblemData,
     SolverError,
     assemble,
     cg_solve,
@@ -11,6 +16,7 @@ from fracheat import (
     eigendecompose,
     make_grid,
     make_step_operators,
+    run_forward,
 )
 
 
@@ -199,6 +205,46 @@ class TestEigendecompose:
     def test_rejects_large_systems(self):
         with pytest.raises(ValueError):
             eigendecompose(np.eye(1025))
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(s=st.floats(0.01, 0.99), n_cells=st.integers(2, 400),
+           scheme=st.sampled_from(("midpoint", "interpolated")))
+    @example(s=0.5, n_cells=2, scheme="midpoint")  # n = 1: the middle node alone
+    @example(s=0.5, n_cells=3, scheme="midpoint")  # n = 2: no middle node
+    @example(s=0.5, n_cells=4, scheme="interpolated")  # n = 3
+    @example(s=0.99, n_cells=399, scheme="interpolated")  # n = 398
+    @example(s=0.99, n_cells=400, scheme="interpolated")  # n = 399
+    def test_split_matches_full_eigh(self, s, n_cells, scheme):
+        # the even and odd halves give the spectrum of the whole matrix
+        a = assemble(make_grid(1, 1, n_cells, 1, s), scheme=scheme).dense()
+        dec = eigendecompose(a)
+        lam, q = dec.eigenvalues, dec.eigenvectors
+        _, q_full = np.linalg.eigh(a)
+        lam_full = np.sort(np.einsum("ij,ij->j", q_full, a @ q_full))
+        assert np.all(np.diff(lam) >= 0.0)
+        assert np.max(np.abs(lam - lam_full) / lam_full) <= 1e-12
+        # each column is even or odd under the reversal, bit for bit
+        flipped = q[::-1]
+        assert np.all(np.all(flipped == q, axis=0) | np.all(flipped == -q, axis=0))
+        assert np.all(np.linalg.norm(a @ q - q * lam, axis=0) <= 1e-10 * lam)
+        assert np.max(np.abs(q.T @ q - np.eye(dec.size))) <= 1e-12
+
+    def test_rejects_a_matrix_that_is_not_centrosymmetric(self):
+        a = assemble(make_grid(1, 1, 16, 1, 0.5)).dense()
+        a[0, 0] *= 1.0 + 1e-15  # symmetric still, but diag is no palindrome
+        with pytest.raises(ValueError, match="centrosymmetric"):
+            eigendecompose(a)
+
+    def test_modal_march_refuses_an_operator_that_is_not_centrosymmetric(self, grid16, op16):
+        # a hand-built operator; assemble never gives one whose diag is not a palindrome
+        op = replace(op16, diag=op16.diag + np.linspace(0.0, 1.0, op16.size))
+        calls = []
+        problem = ProblemData(phi=np.ones(op.size), forcing=lambda t: calls.append(t),
+                              weight=np.ones(op.size))
+        ops = make_step_operators(grid16, op=op, solver="modal")
+        with pytest.raises(ValueError, match="centrosymmetric"):
+            run_forward(problem, grid16, r=np.zeros(grid16.M), ops=ops)
+        assert calls == []  # the first to_basis raised, before any forcing or step
 
 
 class TestNorms:
