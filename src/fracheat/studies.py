@@ -99,21 +99,17 @@ def format_float(x: float) -> str:
     return f"{x:.17g}"
 
 
-# rows of a float array are written a block at a time, each block with one
-# %-format whose bytes equal format_float's
-_BLOCK_ROWS = 4096
-
-# The labelled path formats its values with a NumPy kernel whose bytes equal
+# A float array's values are formatted with a NumPy kernel whose bytes equal
 # format_float's.  A value x gets its exponent k = floor(log10|x|) and the
 # 17-digit integer D nearest |x|·10^(16-k), read off a double-double product
 # with 10^(16-k) held as an exact pair hi + lo (Dekker's split).  That product
 # errs by less than 1e-14 of D's last unit, far inside _MIDPOINT_MARGIN, so D
 # rounds as CPython's exact dtoa does.  A value that near a rounding midpoint,
 # outside (_TABLE_MIN, _TABLE_MAX), zero or not finite goes through
-# format_float instead.  The sign, the "0.000" prefix, D's digits, the point
-# and the exponent fill fixed slots of 4-byte words, unused slots NUL, and
-# bytes.translate deletes the NULs from the finished chunk.
-_VALUES_PER_CHUNK = 4096  # values laid out per pass: no full-size temporary
+# format_float instead.  The sign, the "0.000" prefix, D's digits, the point,
+# the exponent and the separator fill fixed slots of 4-byte words, unused slots
+# NUL, and bytes.translate deletes the NULs from the finished chunk.
+_VALUES_PER_CHUNK = 4096  # values per pass, across row ends: ~1 MB of temporaries at most
 _POW_MIN, _POW_MAX = -270, 300  # the table holds 10^p for p in this range
 _K_MIN = 16 - _POW_MAX  # the least exponent k the tables hold
 _TABLE_MIN, _TABLE_MAX = 1e-280, 1e280  # |x| whose 16 - k, k off by one, the table holds
@@ -121,7 +117,7 @@ _MIDPOINT_MARGIN = 1e-6
 _SPLIT = 134217729.0  # 2^27 + 1, Dekker's splitting constant
 _GROUP_SCALES = (10**16, 10**12, 10**8, 10**4, 1)  # D as five 4-digit groups
 # a value's slots, in words: the sign, a "0.000" prefix and the integer digits;
-# the point and the fraction digits; the exponent and the newline.  Digit j of
+# the point and the fraction digits; the exponent and the separator.  Digit j of
 # D sits at byte 3 + j of the integer and of the fraction words.
 _INT, _FRAC, _EXP, _FIELD = 0, 5, 10, 12
 
@@ -142,7 +138,8 @@ class _FormatTables(NamedTuple):
     keep_int: np.ndarray  # masks of the first i digits, i = 0..17
     keep_frac: np.ndarray  # masks of digits i..n-1 and the point if 0 < i < n, row 18i + n
     prefix: np.ndarray  # or-ed over the integer digits, row 2z + sign: z zeros before D
-    exponent: np.ndarray  # "e±XX" unless -4 <= k < 17, then the newline; row k - _K_MIN
+    exponent: np.ndarray  # "e±XX" unless -4 <= k < 17, then "," or the newline; row
+    #                       2(k - _K_MIN) + 1 ends in the newline
 
 
 @functools.cache
@@ -170,8 +167,8 @@ def _format_tables() -> _FormatTables:
         (255 * keep_frac).astype(np.uint8).reshape(18 * 18, 20).view(np.uint32),
         _words(["", "\0\0-"] + [sign + "0." + "0" * z for z in range(4) for sign in ("", "-")],
                _FRAC - _INT),
-        _words([("" if -4 <= k < 17 else f"e{k:+03d}") + "\n"
-                for k in range(_K_MIN, 17 - _POW_MIN)], _FIELD - _EXP),
+        _words([("" if -4 <= k < 17 else f"e{k:+03d}") + sep
+                for k in range(_K_MIN, 17 - _POW_MIN) for sep in ",\n"], _FIELD - _EXP),
     )
 
 
@@ -194,8 +191,11 @@ def _scaled(ax: np.ndarray, k: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return p.astype(np.int64) + carry.astype(np.int64), rest - carry
 
 
-def _format_values(x: np.ndarray) -> np.ndarray:
-    """format_float of each x and a newline, NUL-padded into rows of _FIELD words."""
+def _format_values(x: np.ndarray, newline: Union[bool, np.ndarray]) -> np.ndarray:
+    """format_float of each x and a separator, NUL-padded into rows of _FIELD words.
+
+    The separator is the newline where ``newline`` is true, the comma elsewhere.
+    """
     tables = _format_tables()
     ax = np.abs(x)
     table = (ax > _TABLE_MIN) & (ax < _TABLE_MAX)
@@ -227,7 +227,7 @@ def _format_values(x: np.ndarray) -> np.ndarray:
     out[:, _INT:_FRAC] = (digits & np.take(tables.keep_int, ni, axis=0)
                           | np.take(tables.prefix, 2 * zeros + np.signbit(x), axis=0))
     out[:, _FRAC:_EXP] = digits & np.take(tables.keep_frac, 18 * ni + np.maximum(nd, ni), axis=0)
-    out[:, _EXP:] = np.take(tables.exponent, k - _K_MIN, axis=0)
+    out[:, _EXP:] = np.take(tables.exponent, 2 * (k - _K_MIN) + newline, axis=0)
     if fallback.size:
         out[fallback, _INT:_EXP] = _words([format_float(v) for v in x[fallback].tolist()],
                                           _EXP - _INT)
@@ -249,17 +249,19 @@ def write_csv(
     """Write a CSV with LF endings and full-precision floats; overwrite quietly.
 
     ``rows`` is an iterable of rows, whose floats go through
-    :func:`format_float` and other cells through ``str``, or a 2-D float
-    array, which is streamed to the file a block of rows at a time with the
-    same bytes.  Given ``index = (times, nodes)``, ``rows`` is a 2-D array of
-    values instead, and ``rows[k, i]`` is written as the row
-    ``times[k], nodes[i], rows[k, i]``, again with the same bytes: each label
-    is formatted once, and the values go through the NumPy formatting kernel
-    ``_VALUES_PER_CHUNK`` at a time.
+    :func:`format_float` and other cells through ``str``, or a 2-D array,
+    whose values are written as floats with the same bytes.  Given
+    ``index = (times, nodes)``, ``rows`` is a 2-D array of values instead,
+    and ``rows[k, i]`` is written as the row ``times[k], nodes[i], rows[k, i]``,
+    again with the same bytes; each label is formatted once.  An array's
+    values go through the NumPy formatting kernel ``_VALUES_PER_CHUNK`` at a
+    time over its flat row-major range, so a chunk may start or end inside a
+    row, and no temporary grows with the table.
     """
     path = Path(path)
-    if index is not None:
+    if index is not None or isinstance(rows, np.ndarray):
         rows = np.asarray(rows, dtype=float)
+    if index is not None:
         lengths = tuple(len(labels) for labels in index)
         if lengths != rows.shape:
             raise ValueError(f"labels of lengths {lengths} do not index values of shape "
@@ -269,24 +271,27 @@ def write_csv(
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\n").encode())
-        if index is not None:
-            times, nodes = (_label_words(labels) for labels in index)
-            for start in range(0, rows.size, _VALUES_PER_CHUNK):
-                values = rows.flat[start : start + _VALUES_PER_CHUNK]
-                level, node = np.divmod(np.arange(start, start + values.size), len(nodes))
-                lines = np.concatenate((np.take(times, level, axis=0),
-                                        np.take(nodes, node, axis=0),
-                                        _format_values(values)), axis=1)
-                fh.write(lines.tobytes().translate(None, b"\0"))
-        elif isinstance(rows, np.ndarray):
-            line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
-            for start in range(0, rows.shape[0], _BLOCK_ROWS):
-                block = rows[start : start + _BLOCK_ROWS]
-                fh.write((line * block.shape[0] % tuple(block.ravel().tolist())).encode())
-        else:
+        if not isinstance(rows, np.ndarray):
             for row in rows:
                 fh.write((",".join(format_float(v) if isinstance(v, float) else str(v)
                                    for v in row) + "\n").encode())
+            return path
+        width = rows.shape[1]
+        if index is not None:
+            times, nodes = (_label_words(labels) for labels in index)
+        elif not width:
+            fh.write(b"\n" * len(rows))  # a row without cells is an empty line
+        for start in range(0, rows.size, _VALUES_PER_CHUNK):
+            values = rows.flat[start : start + _VALUES_PER_CHUNK]
+            flat = np.arange(start, start + values.size)
+            if index is None:
+                lines = _format_values(values, flat % width == width - 1)
+            else:
+                level, node = np.divmod(flat, width)
+                lines = np.concatenate((np.take(times, level, axis=0),
+                                        np.take(nodes, node, axis=0),
+                                        _format_values(values, True)), axis=1)
+            fh.write(lines.tobytes().translate(None, b"\0"))
     return path
 
 

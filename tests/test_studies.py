@@ -1,5 +1,7 @@
 import math
+import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -333,9 +335,19 @@ def _near_midpoints(draw):
     return -x if draw(st.booleans()) else x
 
 
+@st.composite
+def _float_tables(draw):
+    """A (rows, columns) table of any doubles, up to 12 x 9, either side possibly 0."""
+    shape = (draw(st.integers(0, 12)), draw(st.integers(0, 9)))
+    size = shape[0] * shape[1]
+    cells = draw(st.lists(_RAW_DOUBLES | _near_midpoints() | _CELLS,
+                          min_size=size, max_size=size))
+    return np.reshape(np.array(cells, dtype=float), shape)
+
+
 def _kernel_lines(values):
-    """What the labelled path's formatting kernel writes for each value."""
-    out = _format_values(np.array(values, dtype=float))
+    """What the formatting kernel writes for each value, each ending a row."""
+    out = _format_values(np.array(values, dtype=float), True)
     return out.tobytes().translate(None, b"\0").decode().split("\n")[:-1]
 
 
@@ -368,11 +380,35 @@ class TestCsvFormat:
         ))
         header = ("a", "b", "c", "d", "e")
         cells = write_csv(tmp_path / "cells.csv", header, [tuple(map(float, r)) for r in table])
-        # blocks of 7 rows, so that a block boundary falls inside the table
-        monkeypatch.setattr(fracheat.studies, "_BLOCK_ROWS", 7)
+        # chunks of 7 values over rows of 5, so that chunks start and end mid-row
+        monkeypatch.setattr(fracheat.studies, "_VALUES_PER_CHUNK", 7)
         array = write_csv(tmp_path / "array.csv", header, table)
         assert array.read_bytes() == cells.read_bytes()
         assert b",-0," in cells.read_bytes() and b"nan" in cells.read_bytes()
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(table=_float_tables(), chunk=st.integers(1, 50))
+    @example(table=np.array([[3, -7, 0], [2**53 + 1, 10**17, -1]]), chunk=4)  # integers
+    def test_any_array_matches_cell_rows(self, tmp_path_factory, table, chunk):
+        import fracheat.studies
+
+        out = tmp_path_factory.mktemp("array")
+        header = tuple(f"c{j}" for j in range(table.shape[1]))
+        cells = write_csv(out / "cells.csv", header, [tuple(map(float, r)) for r in table])
+        with mock.patch.object(fracheat.studies, "_VALUES_PER_CHUNK", chunk):
+            array = write_csv(out / "array.csv", header, table)
+        assert array.read_bytes() == cells.read_bytes()
+
+    def test_array_write_memory_is_bounded(self, tmp_path):
+        """The chunks bound the write's temporaries, whatever the table's size."""
+        table = np.random.default_rng(3).standard_normal((2000, 500))
+        tracemalloc.start()
+        try:
+            write_csv(tmp_path / "wide.csv", tuple(f"c{j}" for j in range(500)), table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
 
     @settings(max_examples=80, deadline=None, derandomize=True)
     @given(case=_labelled_trajectories())
