@@ -79,6 +79,9 @@ _CHOLESKY_SIZE_LIMIT = 2048
 _MODAL_ALPHA = 1.0
 # rows taken to or from the eigenbasis per matrix product
 _BLOCK_ROWS = 512
+# values per block of steps in stability_bounds: about 256 KB per (steps, n)
+# temporary whatever n is, where 512 rows would take 2.5 MB at n = 599
+_STEP_BLOCK_VALUES = 1 << 15
 
 RCoefficient = Union[Callable[[float], float], CoefficientSeries, Sequence[float], np.ndarray]
 
@@ -309,29 +312,49 @@ def energy_identity_residual(
 
     Exact (to solver tolerance) for a homogeneous step; a positive value
     2 tau ||U||_A^2 flags a pair that no homogeneous step produced.  One pair
-    of (n,) states gives a float.  Stacked pairs, shaped (K, n), give the K
-    residuals, with every A-norm from one product with the dense A.
+    of (n,) states gives a float, with the A-norm from one matvec.  Stacked
+    pairs, shaped (K, n), give the K residuals, with the A-norms from
+    ``_energy_norms``; neither forms the dense A.
     """
     u_n = np.asarray(u_n, dtype=float)
     u_np1 = np.asarray(u_np1, dtype=float)
     mid = 0.5 * (u_n + u_np1)
-    a_mid = op.apply(mid) if mid.ndim == 1 else mid @ op.dense()
-    res = _rowdot(u_np1, u_np1) + 2.0 * tau * _rowdot(a_mid, mid) - _rowdot(u_n, u_n)
+    mid_energy = _rowdot(op.apply(mid), mid) if mid.ndim == 1 else _energy_norms(op, mid)
+    res = _rowdot(u_np1, u_np1) + 2.0 * tau * mid_energy - _rowdot(u_n, u_n)
     return float(res) if mid.ndim == 1 else res
 
 
-def _dual_norms(op: RieszOperator, rows: np.ndarray) -> np.ndarray:
-    """||f||_{A^{-1}}^2 of every row f of ``rows``.
+def _energy_norms(op: RieszOperator, rows: np.ndarray) -> np.ndarray:
+    """||u||_A^2 of every row u of ``rows`` (K, n).
+
+    With the eigendecomposition already on the operator, from one product
+    with its eigenvectors as sum_k lambda_k uhat_k^2; otherwise from one
+    matvec per row.  Never decomposes A for this, nor forms it.
+    """
+    dec = op.cached_eigendecomposition
+    if dec is not None:
+        coef = rows @ dec.eigenvectors
+        return _rowdot(coef * dec.eigenvalues, coef)
+    return np.array([op.apply(u) @ u for u in rows], dtype=float)
+
+
+def _dual_norms(
+    op: RieszOperator, rows: np.ndarray, factor: Optional[SpdFactorization] = None
+) -> np.ndarray:
+    """||f||_{A^{-1}}^2 of every row f of ``rows`` (K, n).
 
     With the eigendecomposition already on the operator, from one product
     with its eigenvectors as sum_k fhat_k^2 / lambda_k; otherwise from one
-    block solve with the Cholesky factor of A.  Never decomposes A for this.
+    block solve with ``factor``, the Cholesky factor of A, which is made from
+    the dense A when not given.  Never decomposes A for this.
     """
     dec = op.cached_eigendecomposition
     if dec is not None:
         coef = rows @ dec.eigenvectors
         return _rowdot(coef / dec.eigenvalues, coef)
-    return np.maximum(_rowdot(cholesky(op.dense()).solve(rows.T).T, rows), 0.0)
+    if factor is None:
+        factor = cholesky(op.dense())
+    return np.maximum(_rowdot(factor.solve(rows.T).T, rows), 0.0)
 
 
 @dataclass(frozen=True)
@@ -362,26 +385,42 @@ def stability_bounds(
     """Evaluate both stability inequalities along a completed forward run.
 
     The L2 bound ||U^n|| <= ||U^0|| + sum tau |r| ||F|| and the energy bound
-    with A^{-1} dual norms are evaluated at every step at once; violations
-    are reported through the slack arrays, never raised.
+    ||U^n||^2 + tau sum ||U^{j+1/2}||_A^2 <= ||U^0||^2 + sum tau r^2 ||F||_{A^-1}^2
+    are evaluated at every step; violations are reported through the slack
+    arrays, never raised.  The run is folded over blocks of about
+    ``_STEP_BLOCK_VALUES`` values: each block evaluates its forcings and
+    midpoint states and reduces them to per-step scalars at once, so memory
+    does not grow with M.  The norms in A and A^-1 are sums over the
+    eigenbasis when the operator already holds its eigendecomposition, and
+    no dense matrix is formed; otherwise ||.||_A takes the operator's matvec
+    and ||.||_{A^-1} the Cholesky factor of the dense A, made once per call.
     """
     if not trajectory.matches_grid(grid):
         raise ValueError("trajectory shape does not match the grid")
     tau = grid.tau
     r_mid = _r_at_midpoints(r, grid)
-    forcings = np.array([forcing(float(t)) for t in grid.midpoint_times()], dtype=float)
+    times = grid.midpoint_times()
     states = trajectory.states
-    norms = np.linalg.norm(states, axis=1)
+    factor = None if op.cached_eigendecomposition is not None else cholesky(op.dense())
+    # per step n: ||U^n||, ||F||, <F, U^{n+1/2}>, ||U^{n+1/2}||_A^2 and ||F||_{A^-1}^2
+    norms = np.empty(grid.M + 1)
+    f_norm, f_dot_mid, mid_energy, dual = np.empty((4, grid.M))
+    rows = max(1, _STEP_BLOCK_VALUES // states.shape[1])
+    for start in range(0, grid.M, rows):
+        step = slice(start, min(start + rows, grid.M))
+        u = states[step.start : step.stop + 1]
+        f = np.array([forcing(float(t)) for t in times[step]], dtype=float)
+        mid = 0.5 * (u[:-1] + u[1:])
+        norms[step.start : step.stop + 1] = np.linalg.norm(u, axis=1)
+        f_norm[step] = np.linalg.norm(f, axis=1)
+        f_dot_mid[step] = _rowdot(f, mid)
+        mid_energy[step] = _energy_norms(op, mid)
+        dual[step] = _dual_norms(op, f, factor)
 
-    rho = energy_identity_residual(op, states[:-1], states[1:], tau)
-    mids = 0.5 * (states[:-1] + states[1:])
-    identity = rho / tau - 2.0 * r_mid * _rowdot(forcings, mids)
-    l2_bound = norms[0] + np.cumsum(tau * np.abs(r_mid) * np.linalg.norm(forcings, axis=1))
-    dual = _dual_norms(op, forcings)
+    identity = (norms[1:] ** 2 - norms[:-1] ** 2) / tau + 2.0 * mid_energy - 2.0 * r_mid * f_dot_mid
+    l2_bound = norms[0] + np.cumsum(tau * np.abs(r_mid) * f_norm)
     energy_bound = norms[0] ** 2 + np.cumsum(tau * r_mid**2 * dual)
-    # Summed over steps 0..n the identity gives the dissipation:
-    # ||U^{n+1}||^2 + tau sum_j ||U^{j+1/2}||_A^2 = (||U^{n+1}||^2 + ||U^0||^2 + sum_j rho_j) / 2
-    energy_slack = energy_bound - 0.5 * (norms[1:] ** 2 + norms[0] ** 2 + np.cumsum(rho))
+    energy_slack = energy_bound - (norms[1:] ** 2 + np.cumsum(tau * mid_energy))
     return StabilityReport(
         identity_residuals=identity, l2_slack=l2_bound - norms[1:], energy_slack=energy_slack
     )

@@ -153,7 +153,10 @@ def _format_tables() -> _FormatTables:
         a, b = pow_hi[j].as_integer_ratio()
         pow_lo[j] = (num * b - a * den) / (den * b)
     q = np.arange(10000)
-    quads = (48 + q[:, None] // np.array([1000, 100, 10, 1]) % 10).astype(np.uint8)
+    # a column at a time: no (10000, 4) int64 temporaries, and only loops the kernel runs
+    quads = np.empty((q.size, 4), np.uint8)
+    for j, p in enumerate((1000, 100, 10, 1)):
+        quads[:, j] = 48 + q // p % 10
     trailing = sum((q % 10**j == 0).astype(int) for j in (1, 2, 3, 4))
     digit = np.arange(-3, 17)  # of each byte of five digit words
     i, n = np.ogrid[:18, :18]

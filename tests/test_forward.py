@@ -1,12 +1,16 @@
+import tracemalloc
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import fracheat.forward
 from fracheat import (
     ProblemData,
+    RieszOperator,
     assemble,
     build_manufactured,
     cn_step,
@@ -18,7 +22,7 @@ from fracheat import (
     spectral_duhamel_oracle,
     stability_bounds,
 )
-from fracheat.forward import StabilityReport, _dual_norms
+from fracheat.forward import SOLVERS, StabilityReport, _dual_norms
 from fracheat.grid import Trajectory
 from conftest import within_cg_floor
 
@@ -26,6 +30,10 @@ from conftest import within_cg_floor
 def _zero_forcing(n):
     z = np.zeros(n)
     return lambda t: z
+
+
+def _refuse_dense(op):
+    raise AssertionError("the dense A was formed")
 
 
 class TestCnStep:
@@ -139,15 +147,19 @@ class TestEnergyIdentityResidual:
         assert res == pytest.approx(expected, rel=1e-12)
         assert res > 0.0
 
-    def test_stacked_pairs_match_single_pairs(self, op16):
+    def test_stacked_pairs_match_single_pairs(self, grid16, monkeypatch):
         rng = np.random.default_rng(8)
         u_n, u_np1 = rng.standard_normal((2, 7, 15))
-        stacked = energy_identity_residual(op16, u_n, u_np1, 0.3)
-        assert stacked.shape == (7,)
-        for k in range(7):
-            single = energy_identity_residual(op16, u_n[k], u_np1[k], 0.3)
-            scale = float(u_n[k] @ u_n[k] + u_np1[k] @ u_np1[k])
-            assert abs(stacked[k] - single) <= 1e-12 * scale
+        by_matvec, by_modes = assemble(grid16), assemble(grid16)
+        by_modes.eigendecomposition
+        monkeypatch.setattr(RieszOperator, "dense", _refuse_dense)  # on neither branch
+        for op in (by_matvec, by_modes):
+            stacked = energy_identity_residual(op, u_n, u_np1, 0.3)
+            assert stacked.shape == (7,)
+            for k in range(7):
+                single = energy_identity_residual(op, u_n[k], u_np1[k], 0.3)
+                scale = float(u_n[k] @ u_n[k] + u_np1[k] @ u_np1[k])
+                assert abs(stacked[k] - single) <= 1e-12 * scale
 
     def test_stacked_homogeneous_steps(self, grid16, op16):
         ops = make_step_operators(grid16, op=op16)
@@ -310,11 +322,27 @@ class TestStabilityBounds:
             assert rhs10 == pytest.approx(10.0 * rhs1, rel=1e-9)
         assert rep10.holds(tol=1e-9)
 
+    def test_memory_is_bounded(self):
+        # blocks of steps, never the (M, n) forcings, midpoints or A-products of
+        # the whole run: stacked, they took 11.6 MB of temporaries on this grid
+        grid = make_grid(1, 1, 600, 600, 0.3)
+        op = assemble(grid)
+        spec, data = build_manufactured("example1", grid, source="discrete", op=op)
+        ops = make_step_operators(grid, op=op)
+        assert ops.solver == "modal"
+        traj = run_forward(data, grid, ops=ops)
+        tracemalloc.start()
+        try:
+            report = stability_bounds(traj, spec.r_exact, data.forcing, op, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.holds(tol=1e-10)
+        assert peak < 3e6
+
     @pytest.mark.parametrize("s, n_cells, m_steps", [(0.3, 64, 64), (0.99, 300, 20),
                                                       (0.01, 200, 5), (0.5, 2, 1)])
     def test_eigenbasis_dual_norms_match_cholesky(self, s, n_cells, m_steps, monkeypatch):
-        import fracheat.forward
-
         grid = make_grid(1, 1, n_cells, m_steps, s)
         op = assemble(grid)
         spec, data = build_manufactured("example1", grid, source="discrete", op=op)
@@ -324,7 +352,9 @@ class TestStabilityBounds:
         dual_factor = _dual_norms(op, forcings)
         assert op.cached_eigendecomposition is None  # the Cholesky branch decomposes nothing
         op.eigendecomposition
-        monkeypatch.setattr(fracheat.forward, "cholesky", None)  # the eigenbasis branch factors nothing
+        # the eigenbasis branch factors nothing and forms no dense A
+        monkeypatch.setattr(fracheat.forward, "cholesky", None)
+        monkeypatch.setattr(RieszOperator, "dense", _refuse_dense)
         by_modes = stability_bounds(traj, spec.r_exact, data.forcing, op, grid)
         pairs = ((dual_factor, _dual_norms(op, forcings)),
                  (by_factor.l2_slack, by_modes.l2_slack),
@@ -363,15 +393,28 @@ def _stability_loop(trajectory, r_mid, forcing, op, grid):
     return identity, l2_slack, energy_slack
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
-@given(s=st.floats(0.01, 0.99), n_cells=st.integers(2, 300), m_steps=st.integers(1, 6),
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(s=st.floats(0.01, 0.99), n_cells=st.integers(2, 300), m_steps=st.integers(1, 9),
        log_tau=st.floats(-3.0, 3.0), seed=st.integers(0, 2**32 - 1),
-       noise=st.sampled_from((0.0, 1e-3, 1.0)))
-@example(s=0.99, n_cells=300, m_steps=6, log_tau=3.0, seed=0, noise=0.0)
-@example(s=0.01, n_cells=2, m_steps=1, log_tau=-3.0, seed=1, noise=1.0)
-def test_stability_bounds_match_per_step_loop(s, n_cells, m_steps, log_tau, seed, noise):
-    # a CN run with random data; ``noise`` perturbs the states afterwards, so
-    # that some trajectories break the bounds and holds() is tested both ways
+       noise=st.sampled_from((0.0, 1e-3, 1.0)), solver=st.sampled_from(SOLVERS),
+       block_steps=st.integers(1, 10))
+@example(s=0.99, n_cells=300, m_steps=6, log_tau=3.0, seed=0, noise=0.0, solver="cholesky",
+         block_steps=4)
+@example(s=0.99, n_cells=200, m_steps=9, log_tau=3.0, seed=0, noise=0.0, solver="modal",
+         block_steps=2)
+@example(s=0.01, n_cells=200, m_steps=7, log_tau=-3.0, seed=2, noise=1e-3, solver="modal",
+         block_steps=3)
+@example(s=0.01, n_cells=200, m_steps=5, log_tau=-3.0, seed=3, noise=0.0, solver="cg",
+         block_steps=2)
+@example(s=0.01, n_cells=2, m_steps=1, log_tau=-3.0, seed=1, noise=1.0, solver="cholesky",
+         block_steps=1)
+def test_stability_bounds_match_per_step_loop(s, n_cells, m_steps, log_tau, seed, noise, solver,
+                                              block_steps):
+    # a CN run with random data on one route; ``noise`` perturbs the states
+    # afterwards, so that some trajectories break the bounds and holds() is
+    # tested both ways.  The modal route leaves the eigendecomposition on the
+    # operator, so stability_bounds takes its eigenbasis branch there, and
+    # blocks of ``block_steps`` steps split the run unevenly where M is no multiple
     tau = 10.0**log_tau
     grid = make_grid(1, tau * m_steps, n_cells, m_steps, s)
     op = assemble(grid)
@@ -381,11 +424,15 @@ def test_stability_bounds_match_per_step_loop(s, n_cells, m_steps, log_tau, seed
     r_mid = rng.uniform(-2.0, 2.0, m_steps)
     data = ProblemData(phi=rng.standard_normal(n), forcing=lambda t: np.cos(t) * g,
                        weight=np.ones(n))
-    states = run_forward(data, grid, r=r_mid, ops=make_step_operators(grid, op=op)).states.copy()
+    with within_cg_floor():
+        ops = make_step_operators(grid, op=op, solver=solver)
+        states = run_forward(data, grid, r=r_mid, ops=ops).states.copy()
     states[1:] += noise * rng.standard_normal((m_steps, n))
     traj = Trajectory(states=states)
 
-    report = stability_bounds(traj, r_mid, data.forcing, op, grid)
+    with mock.patch.object(fracheat.forward, "_STEP_BLOCK_VALUES", block_steps * n):
+        report = stability_bounds(traj, r_mid, data.forcing, op, grid)
+    assert (op.cached_eigendecomposition is not None) == (solver == "modal")
     identity, l2_slack, energy_slack = _stability_loop(traj, r_mid, data.forcing, op, grid)
     norms = np.linalg.norm(traj.states, axis=1)
     l2_scale = max(1.0, float(np.max(np.abs(l2_slack) + norms[1:])))
