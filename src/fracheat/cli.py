@@ -61,9 +61,11 @@ _FLAGS = {
     "--config": ("config", dict(help="key = value config file")),
 }
 
-# the flags of a run without noise, and of a command on the operator alone
-_RUN_FLAGS = [flag for flag in _FLAGS if flag not in ("--delta", "--seed", "--smooth-window")]
-_OPERATOR_FLAGS = ["--s", "--N", "--l", "--scheme", "--out", "--config"]
+# the flags of a run with noise and without, and of the operator alone; only
+# operator-dump takes --l, as the benchmarks are defined on unit domain length
+_NOISE_FLAGS = [flag for flag in _FLAGS if flag != "--l"]
+_RUN_FLAGS = [flag for flag in _NOISE_FLAGS if flag not in ("--delta", "--seed", "--smooth-window")]
+_OPERATOR_FLAGS = ["--s", "--N", "--scheme", "--out", "--config"]
 
 
 def _build_config(args: argparse.Namespace) -> StudyConfig:
@@ -217,17 +219,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     commands = {
         "forward": ("solve the direct problem with the exact coefficient", _cmd_forward,
                     _RUN_FLAGS),
-        "inverse": ("recover the coefficient from measured integrals", _cmd_inverse, _FLAGS),
+        "inverse": ("recover the coefficient from measured integrals", _cmd_inverse, _NOISE_FLAGS),
         "convergence-time": ("error table under time refinement", _cmd_convergence_time,
                              _RUN_FLAGS),
         "convergence-space": ("error table under space refinement with tau = h",
                               _cmd_convergence_space,
                               [flag for flag in _RUN_FLAGS if flag != "--M"]),
-        "noise": ("recovery from noisy measurements over a seed ensemble", _cmd_noise, _FLAGS),
+        "noise": ("recovery from noisy measurements over a seed ensemble", _cmd_noise,
+                  _NOISE_FLAGS),
         "oracle-check": ("consistency defect of the stiffness matrix vs quadrature",
                          _cmd_oracle_check, ["--example", *_OPERATOR_FLAGS]),
         "operator-dump": ("write the dense stiffness matrix to CSV", _cmd_operator_dump,
-                          _OPERATOR_FLAGS),
+                          ["--l", *_OPERATOR_FLAGS]),
     }
     for name, (help_text, fn, flags) in commands.items():
         p = sub.add_parser(name, help=help_text)

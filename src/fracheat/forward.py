@@ -119,9 +119,8 @@ class StepOperators:
     def advance(self, u: np.ndarray, f: np.ndarray, rt: np.ndarray) -> np.ndarray:
         """The Crank-Nicolson step L^-1 (R U + f rt^T) of K series, for a block U (n, K),
         one forcing f (n,) and rt (K,), the coefficients times tau; it may overwrite U.
-        R U is U - tau/2 A U with one matvec per column, then one block solve."""
-        au = np.apply_along_axis(self.op.apply, 0, u)
-        return self.solve(u - (self.tau / 2.0) * au + np.multiply.outer(f, rt))
+        R U is U - tau/2 A U with one block matvec, then one block solve."""
+        return self.solve(u - (self.tau / 2.0) * self.op.apply(u) + np.multiply.outer(f, rt))
 
 
 @dataclass(frozen=True)
@@ -329,13 +328,13 @@ def _energy_norms(op: RieszOperator, rows: np.ndarray) -> np.ndarray:
 
     With the eigendecomposition already on the operator, from one product
     with its eigenvectors as sum_k lambda_k uhat_k^2; otherwise from one
-    matvec per row.  Never decomposes A for this, nor forms it.
+    block matvec.  Never decomposes A for this, nor forms it.
     """
     dec = op.cached_eigendecomposition
     if dec is not None:
         coef = rows @ dec.eigenvectors
         return _rowdot(coef * dec.eigenvalues, coef)
-    return np.array([op.apply(u) @ u for u in rows], dtype=float)
+    return _rowdot(op.apply(rows.T).T, rows)
 
 
 def _dual_norms(

@@ -7,7 +7,6 @@ from typing import Callable, Optional
 
 import numpy as np
 
-Vector = np.ndarray
 ForcingFn = Callable[[float], np.ndarray]
 ScalarFn = Callable[[float], float]
 

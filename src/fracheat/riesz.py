@@ -33,8 +33,8 @@ continuous case and the second difference does not cancel catastrophically
 at large lags.
 
 Only the Toeplitz coefficient vector and the diagonal are stored; symmetry is
-structural.  Large systems apply the Toeplitz part through the FFT of a
-circulant embedding in O(n log n), and ``I + c A`` is preconditioned by a
+structural.  The Toeplitz part is applied, at every size, through the FFT of
+a circulant embedding in O(n log n), and ``I + c A`` is preconditioned by a
 Strang circulant (Chan & Strang 1989) of the 5-smooth size m >= n, applied to
 the zero-padded vector and truncated, so that its real FFT is a fast one.  A
 singularity-subtracted quadrature of the defining integral is provided as an
@@ -91,13 +91,6 @@ def exterior_tail(i: Union[int, np.ndarray], grid: Grid) -> Union[float, np.ndar
     return float(tail) if tail.ndim == 0 else tail
 
 
-# From this size up, apply() multiplies by the Toeplitz part through the FFT of
-# its circulant embedding instead of np.convolve.  Single-threaded on a 2-vCPU
-# Xeon, microseconds per matvec (convolve / FFT): n = 199: 15-29 / 17-27,
-# n = 255: 23-42 / 19-30, n = 599: 112 / 36, n = 3071: 2566 / 146.
-_FFT_MIN_SIZE = 256
-
-
 def _fft_length(m: int) -> int:
     """Smallest 2^a 3^b 5^c >= m: a length numpy.fft transforms quickly."""
     best = 1 << (m - 1).bit_length()
@@ -124,21 +117,17 @@ class RieszOperator:
     diag: np.ndarray
 
     def apply(self, v: np.ndarray) -> np.ndarray:
-        """Matrix-vector product A v over the structured storage."""
+        """A v for a vector (n,), or A V for a block (n, K), each column bit for bit
+        its own product: the diagonal times v, less T v by the FFT of T's circulant
+        embedding along axis 0."""
         v = np.asarray(v, dtype=float)
-        if v.shape != (self.size,):
-            raise ValueError(f"expected vector of length {self.size}, got shape {v.shape}")
-        if self.size == 1:
-            return self.diag * v
-        if self.size >= _FFT_MIN_SIZE:
-            m = 2 * (self._embedding_spectrum.size - 1)
-            tv = np.fft.irfft(np.fft.rfft(v, m) * self._embedding_spectrum, m)[: self.size]
-            return self.diag * v - tv
-        # (Tv)_i = sum_j offdiag[|i-j|] v_j via full correlation with the
-        # symmetric kernel [c_{n-1} .. c_1, 0, c_1 .. c_{n-1}].
-        kernel = np.concatenate((self.offdiag[::-1], [0.0], self.offdiag))
-        tv = np.convolve(v, kernel)[self.size - 1 : 2 * self.size - 1]
-        return self.diag * v - tv
+        if v.ndim not in (1, 2) or v.shape[0] != self.size:
+            raise ValueError(f"expected shape ({self.size},) or ({self.size}, K), got {v.shape}")
+        shape = (-1,) + (1,) * (v.ndim - 1)  # a per-row vector, broadcast over columns
+        spectrum = self._embedding_spectrum.reshape(shape)
+        m = 2 * (spectrum.shape[0] - 1)
+        tv = np.fft.irfft(np.fft.rfft(v, m, axis=0) * spectrum, m, axis=0)
+        return self.diag.reshape(shape) * v - tv[: self.size]
 
     @cached_property
     def _embedding_spectrum(self) -> np.ndarray:

@@ -145,9 +145,19 @@ def test_domain_flags_plumb_through(tmp_path):
     row = (out / "table.csv").read_text().splitlines()[1].split(",")
     assert float(row[0]) == pytest.approx(1.0 / 20)  # h = l/N
     assert float(row[1]) == pytest.approx(4.0 / 10)  # tau = T/M
-    # the closed-form benchmarks are tied to unit domain length
+    # the closed-form benchmarks are tied to unit domain length, so no run
+    # takes --l and a config that sets l fails
+    cfg = tmp_path / "long.cfg"
+    cfg.write_text("l = 2.0\n", encoding="utf-8")
     assert main(["inverse", "--example", "1", "--N", "20", "--M", "10",
-                 "--l", "2.0", "--out", str(tmp_path / "bad")]) == 2
+                 "--config", str(cfg), "--out", str(tmp_path / "bad")]) == 2
+    # operator-dump takes the domain length: h = l/N scales A by h^{-2s}
+    for l, name in ((1.0, "unit"), (2.0, "long")):
+        assert main(["operator-dump", "--N", "10", "--l", str(l),
+                     "--out", str(tmp_path / name)]) == 0
+    unit, long = (np.loadtxt(tmp_path / name / "operator.csv", delimiter=",", skiprows=1)
+                  for name in ("unit", "long"))
+    np.testing.assert_allclose(long, unit / 2.0, rtol=1e-14)
 
 
 def test_operator_dump(tmp_path):
@@ -240,7 +250,7 @@ def test_misspelt_solver_in_config_fails_before_any_work(tmp_path, capsys, monke
     (["forward", "--tol", "-1"], "tol must be finite and positive, got -1.0"),
     (["inverse", "--T", "nan"], "T must be finite and positive, got nan"),
     (["inverse", "--T", "inf"], "T must be finite and positive, got inf"),
-    (["forward", "--l", "nan"], "l must be finite and positive, got nan"),
+    (["operator-dump", "--l", "nan"], "l must be finite and positive, got nan"),
     (["inverse", "--delta", "-0.1"], "noise level delta must lie in [0, 1), got -0.1"),
     (["inverse", "--delta", "0.1", "--seed", "-3"],
      "noise seed must be a non-negative integer, got -3"),
@@ -259,7 +269,8 @@ def test_bad_number_exits_2_before_any_work(tmp_path, capsys, monkeypatch, argv,
 
     monkeypatch.setattr(fracheat.cli, "assemble", no_assembly)
     monkeypatch.setattr(fracheat.studies, "assemble", no_assembly)
-    assert main([*argv, "--N", "8", "--M", "4", "--out", str(tmp_path / "o")]) == 2
+    steps = [] if argv[0] == "operator-dump" else ["--M", "4"]  # the operator has no steps
+    assert main([*argv, "--N", "8", *steps, "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
@@ -356,20 +367,22 @@ def test_each_flag_overrides_only_its_field(tmp_path, flag, value, field, expect
 
 
 _ALL_FLAGS = tuple(dict.fromkeys(flag for flag, *_ in _FLAG_CASES))
+# every flag but the domain length, which only operator-dump reads
+_NOISE_FLAGS = tuple(flag for flag in _ALL_FLAGS if flag != "--l")
 # the flags each command reads; every command takes --config as well
 _KEPT_FLAGS = {
-    "forward": ("--example", "--s", "--N", "--M", "--l", "--T", "--solver", "--tol",
+    "forward": ("--example", "--s", "--N", "--M", "--T", "--solver", "--tol",
                 "--source", "--scheme", "--out"),
-    "inverse": _ALL_FLAGS,
-    "convergence-time": ("--example", "--s", "--N", "--M", "--l", "--T", "--solver", "--tol",
+    "inverse": _NOISE_FLAGS,
+    "convergence-time": ("--example", "--s", "--N", "--M", "--T", "--solver", "--tol",
                          "--source", "--scheme", "--out"),
-    "convergence-space": ("--example", "--s", "--N", "--l", "--T", "--solver", "--tol",
+    "convergence-space": ("--example", "--s", "--N", "--T", "--solver", "--tol",
                           "--source", "--scheme", "--out"),
-    "noise": _ALL_FLAGS,
-    "oracle-check": ("--example", "--s", "--N", "--l", "--scheme", "--out"),
+    "noise": _NOISE_FLAGS,
+    "oracle-check": ("--example", "--s", "--N", "--scheme", "--out"),
     "operator-dump": ("--s", "--N", "--l", "--scheme", "--out"),
 }
-# the 27 (command, flag) pairs whose setting no command reads
+# the 33 (command, flag) pairs whose setting no command reads
 _DROPPED_PAIRS = [(command, flag) for command, kept in _KEPT_FLAGS.items()
                   for flag in _ALL_FLAGS if flag not in kept]
 

@@ -1,4 +1,4 @@
-"""Properties of the large-system route: FFT matvec and circulant-preconditioned CG."""
+"""Properties of the FFT matvec and of the circulant-preconditioned CG route."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from fracheat import assemble, build_manufactured, make_grid, make_step_operators
 from fracheat.forward import SOLVERS
-from fracheat.riesz import _FFT_MIN_SIZE, SCHEMES, RieszOperator, _fft_length
+from fracheat.riesz import SCHEMES, RieszOperator, _fft_length
 from fracheat.solvers import cg_solve
 
 orders = st.floats(0.01, 0.99)
@@ -18,10 +18,10 @@ schemes = st.sampled_from(SCHEMES)
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(s=orders, n_cells=sizes, seed=seeds, scheme=schemes)
-@example(s=0.5, n_cells=_FFT_MIN_SIZE, seed=0, scheme="midpoint")  # last size on np.convolve
-@example(s=0.5, n_cells=_FFT_MIN_SIZE + 1, seed=0, scheme="midpoint")  # first size on the FFT
-@example(s=0.5, n_cells=_FFT_MIN_SIZE, seed=0, scheme="interpolated")
-@example(s=0.5, n_cells=_FFT_MIN_SIZE + 1, seed=0, scheme="interpolated")
+@example(s=0.5, n_cells=2, seed=0, scheme="midpoint")  # n = 1: no Toeplitz part
+@example(s=0.5, n_cells=3, seed=0, scheme="interpolated")
+@example(s=0.5, n_cells=256, seed=0, scheme="midpoint")  # n = 255 pads to 256
+@example(s=0.5, n_cells=257, seed=0, scheme="interpolated")  # n = 256 is 5-smooth
 def test_apply_matches_dense(s, n_cells, seed, scheme):
     op = assemble(make_grid(1, 1, n_cells, 1, s), scheme)
     dense = op.dense()
@@ -29,6 +29,50 @@ def test_apply_matches_dense(s, n_cells, seed, scheme):
     err = np.max(np.abs(op.apply(v) - dense @ v))
     # relative to the size of the terms summed, which rounding scales with
     assert err <= 1e-12 * np.max(np.abs(dense) @ np.abs(v))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(s=orders, n_cells=sizes, seed=seeds, scheme=schemes)
+@example(s=0.5, n_cells=2, seed=0, scheme="midpoint")  # n = 1: K = 1 and K = n coincide
+@example(s=0.5, n_cells=40, seed=0, scheme="interpolated")
+@example(s=0.5, n_cells=257, seed=0, scheme="midpoint")
+def test_block_apply_is_its_columns(s, n_cells, seed, scheme):
+    op = assemble(make_grid(1, 1, n_cells, 1, s), scheme)
+    rng = np.random.default_rng(seed)
+    for k in (1, 3, op.size):
+        block = rng.standard_normal((op.size, k))
+        columns = [op.apply(block[:, j]) for j in range(k)]
+        assert np.array_equal(op.apply(block), np.column_stack(columns)), k
+
+
+def _extended(a: np.ndarray) -> np.ndarray:
+    """``a`` in np.longdouble, which must be wider than float64 for a reference to mean anything."""
+    eps = float(np.finfo(np.longdouble).eps)
+    assert eps < 1e-18, f"np.longdouble has eps {eps:.3g}: no extended-precision reference here"
+    return a.astype(np.longdouble)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(s=orders, n_cells=st.integers(2, 256), seed=seeds, scheme=schemes,
+       smooth=st.booleans())
+@example(s=0.99, n_cells=200, seed=0, scheme="midpoint", smooth=True)
+@example(s=0.99, n_cells=200, seed=0, scheme="interpolated", smooth=True)
+@example(s=0.01, n_cells=256, seed=0, scheme="midpoint", smooth=False)
+@example(s=0.5, n_cells=2, seed=0, scheme="interpolated", smooth=False)
+def test_apply_and_energy_near_extended_products(s, n_cells, seed, scheme, smooth):
+    # the FFT matvec and u^T A u against long-double products of the same
+    # stored A, each relative to the size of the terms it sums
+    op = assemble(make_grid(1, 1, n_cells, 1, s), scheme)
+    dense = op.dense()
+    if smooth:
+        u = np.sin(np.pi * np.arange(1, n_cells) / n_cells)
+    else:
+        u = np.random.default_rng(seed).standard_normal(op.size)
+    au_wide = _extended(dense) @ _extended(u)
+    terms = np.abs(dense) @ np.abs(u)
+    au = op.apply(u)
+    assert np.max(np.abs(au - au_wide)) <= 1e-14 * np.max(terms)
+    assert abs(au @ u - au_wide @ _extended(u)) <= 1e-14 * (terms @ np.abs(u))
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
@@ -108,9 +152,9 @@ def test_padded_preconditioner_against_size_n_strang(s, n_cells, log_tau, seed, 
         assert _cg_matvecs(op, c, b, precond) <= _cg_matvecs(op, c, b, strang) + 1
 
 
-@pytest.mark.parametrize("n_cells", [40, _FFT_MIN_SIZE + 1])
+@pytest.mark.parametrize("n_cells", [40, 257])
 def test_blocks_go_column_by_column(n_cells):
-    # on every route a block step (its matvecs by convolve, then FFT, or a
+    # on every route a block step (its matvecs by one block FFT, or a
     # diagonal) and a block solve are bitwise the steps and solves of their
     # columns; K = n is the square block a diagonal could scale along the
     # wrong axis without a shape error

@@ -379,7 +379,7 @@ def _stability_loop(trajectory, r_mid, forcing, op, grid):
     for n in range(grid.M):
         f_mid = np.asarray(forcing(float(t_mid[n])), dtype=float)
         mid = 0.5 * (states[n] + states[n + 1])
-        mid_energy = float(op.apply(mid) @ mid)
+        mid_energy = float((a @ mid) @ mid)
         identity[n] = (
             (norms[n + 1] ** 2 - norms[n] ** 2) / tau
             + 2.0 * mid_energy

@@ -263,8 +263,9 @@ class TestApply:
 
     def test_length_mismatch(self):
         op = assemble(make_grid(1, 1, 16, 1, 0.5))
-        with pytest.raises(ValueError):
-            op.apply(np.zeros(14))
+        for shape in (14, (14, 3), (15, 2, 2), ()):
+            with pytest.raises(ValueError):
+                op.apply(np.zeros(shape))
 
 
 def test_fft_length_is_the_next_5_smooth_number():
