@@ -10,7 +10,6 @@ from .forward import (
     StabilityReport,
     StepOperators,
     cn_step,
-    energy_identity_residual,
     make_step_operators,
     run_forward,
     spectral_duhamel_oracle,
@@ -98,7 +97,6 @@ __all__ = [
     "discrete_measurement",
     "eigendecompose",
     "emit_outputs",
-    "energy_identity_residual",
     "exterior_tail",
     "load_config",
     "make_grid",

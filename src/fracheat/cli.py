@@ -184,9 +184,8 @@ def _cmd_oracle_check(args: argparse.Namespace) -> int:
         spec, _ = build_manufactured(config.example, grid, source="discrete", op=op)
         mode = spec.modes[0]
         nodal = mode.shape(grid.interior_x())
-        defect = op.apply(nodal) - quadrature_oracle(
-            mode.shape, grid, u_xx=mode.shape_xx, check=False
-        )
+        (image,) = quadrature_oracle((mode.shape,), grid, u_xx=(mode.shape_xx,))
+        defect = op.apply(nodal) - image
         norm = float(np.sqrt(grid.h * np.sum(defect * defect)))
         defects.append(norm)
         hs.append(grid.h)

@@ -41,7 +41,6 @@ __all__ = [
     "make_step_operators",
     "cn_step",
     "run_forward",
-    "energy_identity_residual",
     "StabilityReport",
     "stability_bounds",
     "spectral_duhamel_oracle",
@@ -304,25 +303,6 @@ def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("...n,...n->...", a, b)
 
 
-def energy_identity_residual(
-    op: RieszOperator, u_n: np.ndarray, u_np1: np.ndarray, tau: float
-) -> Union[float, np.ndarray]:
-    """Residual of ||U^{n+1}||^2 + 2 tau ||U^{n+1/2}||_A^2 = ||U^n||^2.
-
-    Exact (to solver tolerance) for a homogeneous step; a positive value
-    2 tau ||U||_A^2 flags a pair that no homogeneous step produced.  One pair
-    of (n,) states gives a float, with the A-norm from one matvec.  Stacked
-    pairs, shaped (K, n), give the K residuals, with the A-norms from
-    ``_energy_norms``; neither forms the dense A.
-    """
-    u_n = np.asarray(u_n, dtype=float)
-    u_np1 = np.asarray(u_np1, dtype=float)
-    mid = 0.5 * (u_n + u_np1)
-    mid_energy = _rowdot(op.apply(mid), mid) if mid.ndim == 1 else _energy_norms(op, mid)
-    res = _rowdot(u_np1, u_np1) + 2.0 * tau * mid_energy - _rowdot(u_n, u_n)
-    return float(res) if mid.ndim == 1 else res
-
-
 def _energy_norms(op: RieszOperator, rows: np.ndarray) -> np.ndarray:
     """||u||_A^2 of every row u of ``rows`` (K, n).
 
@@ -361,6 +341,9 @@ class StabilityReport:
     """Measured slack of the unconditional stability bounds along one run.
 
     ``identity_residuals[n]`` is the forced energy-identity defect of step n;
+    with r = 0 it is the homogeneous identity over tau,
+    (||U^{n+1}||^2 + 2 tau ||U^{n+1/2}||_A^2 - ||U^n||^2)/tau, which a
+    Crank-Nicolson step keeps to solver tolerance.
     ``l2_slack[n-1]`` and ``energy_slack[n-1]`` are bound minus actual for the
     growth estimate and the dissipation estimate at level n.  Nonnegative
     slack (up to tolerance) means the bound holds.

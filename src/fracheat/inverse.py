@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Optional, Tuple, Union
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -105,21 +105,19 @@ def discrete_measurement(u: np.ndarray, weight: np.ndarray, h: float) -> float:
 def recover_r_step(
     ops: StepOperators,
     u_n: np.ndarray,
-    w_n: Union[float, np.ndarray],
-    w_np1: Union[float, np.ndarray],
+    w_n: float,
+    w_np1: float,
     f_mid: np.ndarray,
     weight: np.ndarray,
-) -> Tuple[Union[float, np.ndarray], np.ndarray]:
+) -> Tuple[float, np.ndarray]:
     """One step of the recovery, the M = 1 march: closed-form r^{n+1/2}, then U^{n+1}.
 
-    ``u_n`` is one state (n,) with scalar measurements, or K states (n, K) with
-    measurements of shape (K,); r^{n+1/2} and U^{n+1} come back in that form."""
-    u_n = np.asarray(u_n, dtype=float)
-    w = np.array([w_n, w_np1], dtype=float).reshape(2, -1)
+    ``u_n`` is one state (n,) and ``w_n``, ``w_np1`` are its two scalar
+    measurements; returns r^{n+1/2} as a float and U^{n+1} as (n,)."""
     weight = np.asarray(weight, dtype=float)
-    r, u = _march(ops, _adjoint_weights(ops, weight), u_n.reshape(len(u_n), -1).copy(), w,
-                  np.array(f_mid, float, ndmin=2), weight)
-    return (float(r[0, 0]), u[:, 0]) if u_n.ndim == 1 else (r[0], u)
+    r, u = _march(ops, _adjoint_weights(ops, weight), np.array(u_n, float)[:, None],
+                  np.array([[w_n], [w_np1]], dtype=float), np.array(f_mid, float, ndmin=2), weight)
+    return float(r[0, 0]), u[:, 0]
 
 
 def _adjoint_weights(ops: StepOperators, weight: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:

@@ -363,36 +363,32 @@ def _far_field(us, uxs, xs: np.ndarray, h: float, s: float, l: float, panels: in
 
 
 def quadrature_oracle(
-    u: Union[ArrayFn, Sequence[ArrayFn]],
+    us: Sequence[ArrayFn],
     grid: Grid,
-    u_xx: Union[None, ArrayFn, Sequence[Optional[ArrayFn]]] = None,
-    check: bool = True,
-) -> Union[np.ndarray, Tuple[np.ndarray, ...]]:
-    """Fractional Laplacian of a smooth zero-extended u at the interior nodes.
+    u_xx: Optional[Sequence[Optional[ArrayFn]]] = None,
+) -> Tuple[np.ndarray, ...]:
+    """Fractional Laplacian of smooth zero-extended shapes at the interior nodes.
 
     Reference values computed straight from the defining singular integral,
     independent of the stiffness matrix, for measuring its consistency defect.
-    ``u`` must be vectorised and evaluable anywhere on [0, l]; ``u_xx`` is an
-    optional analytic second derivative (a finite-difference estimate is used
-    otherwise).  The far field starts at ``_QUADRATURE_PANELS`` 12-point
-    Gauss-Legendre panels on each side of a node, whatever the grid.  With
-    ``check`` the count is doubled until two successive counts agree to
+    ``us`` is a tuple of vectorised shapes, evaluable anywhere on [0, l], and
+    ``u_xx`` None or a matching tuple of analytic second derivatives, each
+    possibly None (a finite-difference estimate is used then); the result is
+    a tuple of images.  The far field starts at ``_QUADRATURE_PANELS`` 12-point
+    Gauss-Legendre panels on each side of a node, whatever the grid, and the
+    count is always doubled until two successive counts agree to
     ``_QUADRATURE_RTOL``, the first check comparing the starting count with
     twice it; disagreement that persists through ``_QUADRATURE_DOUBLINGS``
-    doublings raises :class:`QuadratureConvergenceError`.  Analytic shapes such as
-    sin(k pi x) pass the first check; the images sit within 2e-14 relative
+    doublings raises :class:`QuadratureConvergenceError`.  The shapes share
+    the far-field grids, and each stops doubling at its own converged count,
+    so its image does not depend on the other shapes.  Analytic shapes such
+    as sin(k pi x) pass the first check; the images sit within 2e-14 relative
     of a 512-panel evaluation for N = 7 .. 600, s = 0.1 .. 0.95.  A bump that
     is smooth but not analytic where its support ends converges more slowly:
     it takes up to four doublings, to 128 panels, for N = 600 .. 2400.
-
-    ``u`` may also be a tuple of shapes, with ``u_xx`` a matching tuple (or
-    None); the result is then a tuple of images, each bit for bit the one a
-    single-shape call returns.  The shapes share the far-field grids, and
-    each stops doubling at its own converged panel count.
     """
-    single = callable(u)
-    us = (u,) if single else tuple(u)
-    derivs = (u_xx,) if single else (tuple(u_xx) if u_xx is not None else (None,) * len(us))
+    us = tuple(us)
+    derivs = (None,) * len(us) if u_xx is None else tuple(u_xx)
     if len(derivs) != len(us):
         raise ValueError(f"got {len(us)} shapes but {len(derivs)} second derivatives")
     s, h, l = grid.s, grid.h, grid.l
@@ -409,13 +405,8 @@ def quadrature_oracle(
         far = _far_field([us[k] for k in which], [uxs[k] for k in which], xs, h, s, l, panels)
         return [c * (near[k] + far[j] + uxs[k] * wall) for j, k in enumerate(which)]
 
-    def packed(images: list):
-        return images[0] if single else tuple(images)
-
     pending = list(range(len(us)))
     images = evaluate(pending)
-    if not check:
-        return packed(images)
     for _ in range(_QUADRATURE_DOUBLINGS):
         panels *= 2
         gaps = {}
@@ -427,7 +418,7 @@ def quadrature_oracle(
                 gaps[k] = gap
         pending = list(gaps)
         if not pending:
-            return packed(images)
+            return tuple(images)
     raise QuadratureConvergenceError(
         f"far-field quadrature not converged: gap {max(gaps.values()):.3e} at {panels} panels"
     )

@@ -348,8 +348,6 @@ def _error_norms(table: np.ndarray, step: float) -> Tuple[float, float]:
 class InverseRunResult:
     """One inverse run against a benchmark, with its r and U^M beside the exact data."""
 
-    grid: Grid
-    problem: ManufacturedProblem
     trajectory: Trajectory
     recovered: CoefficientSeries
     r_table: np.ndarray  # rows (t_mid, r_recovered, r_exact, abs_error)
@@ -403,8 +401,6 @@ def run_inverse_case(
     linf_u, l2_u = _error_norms(u_table, grid.h)
     linf_r, l2_r = _error_norms(r_table, grid.tau)
     return InverseRunResult(
-        grid=grid,
-        problem=spec,
         trajectory=trajectory,
         recovered=recovered,
         r_table=r_table,
@@ -542,12 +538,7 @@ class NoiseCase:
 
 @dataclass(frozen=True)
 class NoiseStudyResult:
-    example: str
-    s: float
     cases: Tuple[NoiseCase, ...]
-    smooth_window: int
-    grid: Grid
-    problem: ManufacturedProblem
 
     def mean_linf_r(self) -> dict:
         """Mean raw coefficient error per noise level, over completed seeds."""
@@ -634,10 +625,7 @@ def noise_study(config: StudyConfig) -> NoiseStudyResult:
             linf_r_smoothed=_error_norms(r_tables[stride * k + 1], grid.tau)[0] if smooth else None,
             r_table=r_table, u_table=u_tables[k], failure=failure,
         ))
-    return NoiseStudyResult(
-        example=config.example, s=config.s, cases=tuple(cases),
-        smooth_window=config.smooth_window, grid=grid, problem=spec,
-    )
+    return NoiseStudyResult(cases=tuple(cases))
 
 
 def emit_outputs(result, outdir) -> List[Path]:

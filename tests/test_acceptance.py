@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from fracheat import (
+    ProblemData,
     StudyConfig,
     assemble,
     build_manufactured,
@@ -20,7 +21,6 @@ from fracheat import (
     convergence_study_time,
     eigendecompose,
     emit_outputs,
-    energy_identity_residual,
     make_grid,
     make_step_operators,
     measurements_from_trajectory,
@@ -76,19 +76,15 @@ def test_criterion_03_energy_identity():
     grid = make_grid(1, 1, 64, 64, 0.5)
     op = assemble(grid)
     spec, data = build_manufactured("example1", grid, source="discrete", op=op)
-    ops = make_step_operators(grid, op=op)
-    u = data.phi.copy()
-    zero = np.zeros_like(u)
-    bound = 1e-10 * float(u @ u)
-    worst = 0.0
-    monotone = True
-    prev = np.linalg.norm(u)
-    for _ in range(grid.M):
-        u_next = cn_step(ops, u, 0.0, zero)
-        worst = max(worst, abs(energy_identity_residual(op, u, u_next, grid.tau)))
-        cur = np.linalg.norm(u_next)
-        monotone = monotone and cur <= prev * (1.0 + 1e-14)
-        u, prev = u_next, cur
+    zero = np.zeros_like(data.phi)
+    homogeneous = ProblemData(phi=data.phi, forcing=lambda t: zero, weight=data.weight)
+    r = np.zeros(grid.M)
+    traj = run_forward(homogeneous, grid, r=r, ops=make_step_operators(grid, op=op))
+    report = stability_bounds(traj, r, homogeneous.forcing, op, grid)
+    bound = 1e-10 * float(data.phi @ data.phi)
+    worst = float(np.max(np.abs(grid.tau * report.identity_residuals)))
+    norms = np.linalg.norm(traj.states, axis=1)
+    monotone = bool(np.all(norms[1:] <= norms[:-1] * (1.0 + 1e-14)))
     _report(
         "criterion 3 (energy identity)",
         worst <= bound and monotone,

@@ -14,7 +14,6 @@ from fracheat import (
     assemble,
     build_manufactured,
     emit_outputs,
-    energy_identity_residual,
     make_grid,
     make_step_operators,
     measurements_from_trajectory,
@@ -22,6 +21,7 @@ from fracheat import (
     run_forward,
     run_inverse,
     run_inverse_batch,
+    stability_bounds,
 )
 from fracheat.grid import MeasurementSeries
 from conftest import within_cg_floor
@@ -225,8 +225,10 @@ def test_homogeneous_runs_keep_the_energy_identity(s, n_cells, m_steps, log_tau,
     data = ProblemData(phi=np.random.default_rng(seed).standard_normal(n),
                        forcing=lambda t: zero, weight=np.ones(n))
     with within_cg_floor():
-        states = run_forward(data, grid, r=np.zeros(grid.M), ops=ops).states
-    residuals = energy_identity_residual(ops.op, states[:-1], states[1:], ops.tau)
+        traj = run_forward(data, grid, r=np.zeros(grid.M), ops=ops)
+    report = stability_bounds(traj, np.zeros(grid.M), data.forcing, ops.op, grid)
+    residuals = ops.tau * report.identity_residuals
+    states = traj.states
     scale = np.einsum("kn,kn->k", states[:-1], states[:-1]) / ops.tau
     bound = 1e-10 if solver == "cg" else 1e-12
     assert np.all(np.abs(residuals) / ops.tau <= bound * scale)

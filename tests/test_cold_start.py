@@ -22,6 +22,7 @@ _STAGES = (
     ("forward_modal", ["forward", "--N", "16", "--M", "16", "--solver", "modal"]),
     ("noise_modal", ["noise", "--N", "16", "--M", "16", "--solver", "modal"]),
     ("inverse_cg", ["inverse", "--N", "16", "--M", "10", "--solver", "cg"]),
+    ("oracle_check", ["oracle-check", "--N", "16"]),
     ("inverse_cholesky", ["inverse", "--N", "16", "--M", "10", "--solver", "cholesky"]),
 )
 
@@ -58,7 +59,7 @@ def test_import_loads_no_scipy(loaded):
     assert loaded["import"] == []
 
 
-@pytest.mark.parametrize("stage", ["forward_modal", "noise_modal", "inverse_cg"])
+@pytest.mark.parametrize("stage", ["forward_modal", "noise_modal", "inverse_cg", "oracle_check"])
 def test_commands_off_the_cholesky_route_load_no_scipy(loaded, stage):
     assert loaded[stage] == {"code": 0, "scipy": []}
 

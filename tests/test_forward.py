@@ -15,7 +15,6 @@ from fracheat import (
     build_manufactured,
     cn_step,
     eigendecompose,
-    energy_identity_residual,
     make_grid,
     make_step_operators,
     run_forward,
@@ -54,12 +53,14 @@ class TestCnStep:
             assert np.max(np.abs(u1 - g * q)) <= 1e-10
 
     def test_homogeneous_energy_identity(self, grid16, op16):
-        ops = make_step_operators(grid16, op=op16)
+        # one step on a one-step grid of grid16's tau, its identity read with r = 0
+        grid = make_grid(1, grid16.tau, 16, 1, 0.5)
+        ops = make_step_operators(grid, op=op16)
         rng = np.random.default_rng(2)
         u = rng.standard_normal(15)
         u1 = cn_step(ops, u, 0.0, np.zeros(15))
-        res = energy_identity_residual(op16, u, u1, ops.tau)
-        assert abs(res) <= 1e-10 * float(u @ u)
+        report = stability_bounds(Trajectory(states=[u, u1]), [0.0], _zero_forcing(15), op16, grid)
+        assert abs(grid.tau * report.identity_residuals[0]) <= 1e-10 * float(u @ u)
 
     def test_rejects_non_finite_coefficient(self, grid16, op16):
         ops = make_step_operators(grid16, op=op16)
@@ -134,39 +135,36 @@ class TestCnStep:
 
 
 class TestEnergyIdentityResidual:
-    def test_zero_pair(self, op16, grid16):
-        assert energy_identity_residual(op16, np.zeros(15), np.zeros(15), 0.1) == 0.0
+    # stability_bounds' identity_residuals with r = 0 and no forcing; on a
+    # two-level run [u, u] it is 2 ||u||_A^2, which no homogeneous step leaves
+    @staticmethod
+    def _unchanged_pair(op, u, tau):
+        grid = make_grid(1, tau, 16, 1, 0.5)
+        report = stability_bounds(Trajectory(states=[u, u]), [0.0], _zero_forcing(15), op, grid)
+        return report.identity_residuals[0]
+
+    def test_zero_pair(self, op16):
+        assert self._unchanged_pair(op16, np.zeros(15), 0.1) == 0.0
 
     def test_flags_non_cn_pair(self, op16):
-        # an unchanged nonzero state was not produced by a homogeneous step:
-        # the residual equals 2 tau ||U||_A^2 > 0
         u = np.linspace(0.1, 1.0, 15)
-        tau = 0.05
-        res = energy_identity_residual(op16, u, u, tau)
-        expected = 2.0 * tau * float(op16.apply(u) @ u)
+        res = self._unchanged_pair(op16, u, 0.05)
+        expected = 2.0 * float(op16.apply(u) @ u)
         assert res == pytest.approx(expected, rel=1e-12)
         assert res > 0.0
 
-    def test_stacked_pairs_match_single_pairs(self, grid16, monkeypatch):
-        rng = np.random.default_rng(8)
-        u_n, u_np1 = rng.standard_normal((2, 7, 15))
-        by_matvec, by_modes = assemble(grid16), assemble(grid16)
-        by_modes.eigendecomposition
-        monkeypatch.setattr(RieszOperator, "dense", _refuse_dense)  # on neither branch
-        for op in (by_matvec, by_modes):
-            stacked = energy_identity_residual(op, u_n, u_np1, 0.3)
-            assert stacked.shape == (7,)
-            for k in range(7):
-                single = energy_identity_residual(op, u_n[k], u_np1[k], 0.3)
-                scale = float(u_n[k] @ u_n[k] + u_np1[k] @ u_np1[k])
-                assert abs(stacked[k] - single) <= 1e-12 * scale
-
-    def test_stacked_homogeneous_steps(self, grid16, op16):
-        ops = make_step_operators(grid16, op=op16)
-        rng = np.random.default_rng(9)
-        u_n = rng.standard_normal((5, 15))
-        u_np1 = ops.solve(u_n.T - (ops.tau / 2.0) * (u_n @ op16.dense()).T).T
-        res = energy_identity_residual(op16, u_n, u_np1, ops.tau)
+    def test_stacked_homogeneous_steps(self, op16):
+        # five homogeneous steps taken outside the march, L^-1 (U - tau/2 A U)
+        # with the dense A, in one block of stability_bounds
+        grid = make_grid(1, 0.5, 16, 5, 0.5)
+        ops = make_step_operators(grid, op=op16)
+        states = [np.random.default_rng(9).standard_normal(15)]
+        for _ in range(grid.M):
+            states.append(ops.solve(states[-1] - (ops.tau / 2.0) * (op16.dense() @ states[-1])))
+        u_n = np.array(states[:-1])
+        report = stability_bounds(Trajectory(states=states), np.zeros(grid.M), _zero_forcing(15),
+                                  op16, grid)
+        res = ops.tau * report.identity_residuals
         assert np.all(np.abs(res) <= 1e-10 * np.einsum("kn,kn->k", u_n, u_n))
 
 
@@ -348,7 +346,12 @@ class TestStabilityBounds:
         spec, data = build_manufactured("example1", grid, source="discrete", op=op)
         traj = run_forward(data, grid, ops=make_step_operators(grid, op=op, solver="cholesky"))
         forcings = np.array([data.forcing(float(t)) for t in grid.midpoint_times()])
-        by_factor = stability_bounds(traj, spec.r_exact, data.forcing, op, grid)
+        dense, formed = RieszOperator.dense, []
+        with monkeypatch.context() as m:
+            m.setattr(RieszOperator, "dense", lambda self: formed.append(self) or dense(self))
+            by_factor = stability_bounds(traj, spec.r_exact, data.forcing, op, grid)
+        # once, for the Cholesky factor of A; the A-norms take the matvec
+        assert len(formed) == 1
         dual_factor = _dual_norms(op, forcings)
         assert op.cached_eigendecomposition is None  # the Cholesky branch decomposes nothing
         op.eigendecomposition
@@ -361,6 +364,10 @@ class TestStabilityBounds:
                  (by_factor.energy_slack, by_modes.energy_slack))
         for want, got in pairs:
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        # the matvec and eigenbasis A-norms of the midpoint states
+        identity_scale = float(np.max(np.sum(traj.states**2, axis=1))) / grid.tau
+        gap = np.max(np.abs(by_modes.identity_residuals - by_factor.identity_residuals))
+        assert gap <= 1e-12 * identity_scale
 
 
 def _stability_loop(trajectory, r_mid, forcing, op, grid):

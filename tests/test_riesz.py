@@ -80,7 +80,7 @@ def _oracle_from(u, grid, far, u_xx=None):
     return out
 
 
-def _oracle_per_node(u, grid, u_xx=None, check=True, refinement=8, rtol=1e-8, doublings=4):
+def _oracle_per_node(u, grid, u_xx=None, refinement=8, rtol=1e-8, doublings=4):
     """The Gauss-Legendre oracle computed one node and one side at a time, as its reference."""
     s, h, l = grid.s, grid.h, grid.l
     nodes, weights = np.polynomial.legendre.leggauss(12)
@@ -103,13 +103,13 @@ def _oracle_per_node(u, grid, u_xx=None, check=True, refinement=8, rtol=1e-8, do
 
     panels = refinement
     result = _oracle_from(u, grid, far(panels), u_xx)
-    for _ in range(doublings if check else 0):
+    for _ in range(doublings):
         panels *= 2
         finer = _oracle_from(u, grid, far(panels), u_xx)
         if np.max(np.abs(finer - result)) <= rtol * (1.0 + np.max(np.abs(finer))):
             return finer
         result = finer
-    return result if not check else None
+    return None
 
 
 def _oracle_simpson(u, grid, refinement=128, u_xx=None):
@@ -283,23 +283,25 @@ def test_fft_length_is_the_next_5_smooth_number():
     assert np.array_equal(got, want)
 
 
-def _l2h_defect(u, grid, **kw):
+def _l2h_defect(u, grid, u_xx=None):
     op = assemble(grid)
-    # checked: at the default 8 panels, unchecked, the bump's image is up to 9e-5 off
-    d = op.apply(u(grid.interior_x())) - quadrature_oracle(u, grid, **kw)
+    # the oracle doubles its panel count until the image converges: at the
+    # starting 8 panels the bump's image is up to 9e-5 off
+    (image,) = quadrature_oracle((u,), grid, u_xx=(u_xx,))
+    d = op.apply(u(grid.interior_x())) - image
     return float(np.sqrt(grid.h * np.sum(d * d))), d
 
 
 class TestQuadratureOracle:
     def test_zero_function(self):
         g = make_grid(1, 1, 16, 1, 0.5)
-        out = quadrature_oracle(lambda x: np.zeros_like(np.asarray(x, dtype=float)), g)
+        (out,) = quadrature_oracle((lambda x: np.zeros_like(np.asarray(x, dtype=float)),), g)
         np.testing.assert_allclose(out, 0.0, atol=1e-12)
 
     def test_richardson_matches_analytic_second_derivative(self):
         g = make_grid(1, 1, 32, 1, 0.5)
-        a = quadrature_oracle(sin_pi, g, u_xx=sin_pi_xx, check=False)
-        b = quadrature_oracle(sin_pi, g, u_xx=None, check=False)
+        (a,) = quadrature_oracle((sin_pi,), g, u_xx=(sin_pi_xx,))
+        (b,) = quadrature_oracle((sin_pi,), g, u_xx=(None,))
         assert np.max(np.abs(a - b)) <= 1e-10
 
     def test_internal_refinement_convergence(self, monkeypatch):
@@ -307,9 +309,9 @@ class TestQuadratureOracle:
 
         g = make_grid(1, 1, 32, 1, 0.5)
         monkeypatch.setattr(fracheat.riesz, "_QUADRATURE_PANELS", 8)
-        a = quadrature_oracle(sin_pi, g, u_xx=sin_pi_xx, check=False)
+        (a,) = quadrature_oracle((sin_pi,), g, u_xx=(sin_pi_xx,))
         monkeypatch.setattr(fracheat.riesz, "_QUADRATURE_PANELS", 32)
-        b = quadrature_oracle(sin_pi, g, u_xx=sin_pi_xx, check=False)
+        (b,) = quadrature_oracle((sin_pi,), g, u_xx=(sin_pi_xx,))
         assert np.max(np.abs(a - b)) <= 1e-7
 
     def test_unconverged_refinement_raises(self, monkeypatch):
@@ -324,7 +326,7 @@ class TestQuadratureOracle:
         monkeypatch.setattr(fracheat.riesz, "_QUADRATURE_PANELS", 1)
         monkeypatch.setattr(fracheat.riesz, "_QUADRATURE_RTOL", 1e-12)
         with pytest.raises(QuadratureConvergenceError):
-            quadrature_oracle(wiggle, g, check=True)
+            quadrature_oracle((wiggle,), g)
 
     def test_coarse_grid_doubles_panels_until_converged(self, monkeypatch):
         # the bump is smooth but not analytic where its support ends, so at
@@ -333,14 +335,14 @@ class TestQuadratureOracle:
         import fracheat.riesz
 
         g = make_grid(1, 1, 16, 1, 0.1)
-        out = quadrature_oracle(smooth_bump, g)
+        (out,) = quadrature_oracle((smooth_bump,), g)
         with monkeypatch.context() as m:
             m.setattr(fracheat.riesz, "_QUADRATURE_PANELS", 128)
-            ref = quadrature_oracle(smooth_bump, g, check=False)
+            (ref,) = quadrature_oracle((smooth_bump,), g)
         assert np.max(np.abs(out - ref)) <= 1e-8 * (1.0 + np.max(np.abs(ref)))
         monkeypatch.setattr(fracheat.riesz, "_QUADRATURE_DOUBLINGS", 1)
         with pytest.raises(QuadratureConvergenceError, match="at 16 panels"):
-            quadrature_oracle(smooth_bump, g)
+            quadrature_oracle((smooth_bump,), g)
 
     @pytest.mark.parametrize("n_cells, s, analytic", [(16, 0.1, True), (16, 0.1, False),
                                                        (40, 0.7, True), (7, 0.95, False)])
@@ -349,10 +351,8 @@ class TestQuadratureOracle:
         # the bump doubles its panel count on three of these grids
         for u, second in ((_sine(1), _sine_xx(1)), (_sine(3), _sine_xx(3)), (smooth_bump, None)):
             u_xx = second if analytic else None
-            ref = _oracle_per_node(u, g, u_xx=u_xx)
-            assert np.array_equal(quadrature_oracle(u, g, u_xx=u_xx), ref)
-            unchecked = _oracle_per_node(u, g, u_xx=u_xx, check=False)
-            assert np.array_equal(quadrature_oracle(u, g, u_xx=u_xx, check=False), unchecked)
+            (image,) = quadrature_oracle((u,), g, u_xx=(u_xx,))
+            assert np.array_equal(image, _oracle_per_node(u, g, u_xx=u_xx))
 
     def test_tuple_form_matches_single_calls_at_n600(self):
         g = make_grid(1, 1, 600, 1, 0.3)
@@ -361,7 +361,7 @@ class TestQuadratureOracle:
         images = quadrature_oracle(shapes, g, u_xx=derivs)
         assert isinstance(images, tuple) and len(images) == 2
         for image, u, u_xx in zip(images, shapes, derivs):
-            assert np.array_equal(image, quadrature_oracle(u, g, u_xx=u_xx))
+            assert np.array_equal(image, quadrature_oracle((u,), g, u_xx=(u_xx,))[0])
 
     def test_node_blocks_leave_the_images_unchanged(self, monkeypatch):
         # blocks of 5, 2 and 1 nodes at 16, 32 and 64 panels (the bump doubles to 64)
@@ -379,10 +379,7 @@ class TestQuadratureOracle:
         shapes = (_sine(1), _sine(3), smooth_bump)
         images = quadrature_oracle(shapes, g)
         for image, u in zip(images, shapes):
-            assert np.array_equal(image, quadrature_oracle(u, g, u_xx=None))
-        unchecked = quadrature_oracle(shapes, g, check=False, u_xx=(None, None, None))
-        for image, u in zip(unchecked, shapes):
-            assert np.array_equal(image, quadrature_oracle(u, g, check=False))
+            assert np.array_equal(image, quadrature_oracle((u,), g, u_xx=(None,))[0])
 
     def test_tuple_form_shapes_stop_at_their_own_panel_count(self, monkeypatch):
         # at N = 16, s = 0.1, the bump needs more doublings than sin(pi x)
@@ -401,7 +398,7 @@ class TestQuadratureOracle:
         singles, last = [], []
         for u, u_xx in zip(shapes, derivs):
             calls.clear()
-            singles.append(quadrature_oracle(u, g, u_xx=u_xx))
+            singles.append(quadrature_oracle((u,), g, u_xx=(u_xx,))[0])
             last.append(max(panels for _, panels in calls))
         assert last[0] < last[1]
         calls.clear()
@@ -421,7 +418,7 @@ class TestQuadratureOracle:
         # on this budget sin(pi x) converges and the wiggle does not
         g = make_grid(1, 1, 8, 1, 0.5)
         monkeypatch.setattr(fracheat.riesz, "_QUADRATURE_PANELS", 1)
-        assert np.all(np.isfinite(quadrature_oracle(sin_pi, g)))
+        assert np.all(np.isfinite(quadrature_oracle((sin_pi,), g)[0]))
         for shapes in ((sin_pi, wiggle), (wiggle, sin_pi)):
             with pytest.raises(QuadratureConvergenceError, match="at 16 panels"):
                 quadrature_oracle(shapes, g)
@@ -438,7 +435,7 @@ class TestQuadratureOracle:
         mpmath = pytest.importorskip("mpmath")
         n_cells = 100
         g = make_grid(1, 1, n_cells, 1, 0.1)
-        image = quadrature_oracle(sin_pi, g, u_xx=sin_pi_xx)
+        (image,) = quadrature_oracle((sin_pi,), g, u_xx=(sin_pi_xx,))
         with mpmath.workdps(30):
             s = mpmath.mpf(1) / 10
             c = 4**s * s * mpmath.gamma(0.5 + s) / (mpmath.sqrt(mpmath.pi) * mpmath.gamma(1 - s))
@@ -527,7 +524,7 @@ def test_oracle_agrees_with_simpson_far_field(s, n_cells, shape):
     # 128 N panels per side
     u = _SHAPES[shape]
     g = make_grid(1, 1, n_cells, 1, s)
-    image = quadrature_oracle(u, g)
+    (image,) = quadrature_oracle((u,), g)
     ref = _oracle_simpson(u, g, refinement=128)
     assert np.max(np.abs(image - ref)) <= 1e-9 * (1.0 + np.max(np.abs(image)))
 
@@ -613,9 +610,8 @@ class TestInterpolatedScheme:
         for n in (50, 100, 200, 400):
             g = make_grid(1, 1, n, 1, s)
             op = assemble(g, "interpolated")
-            d = op.apply(sin_pi(g.interior_x())) - quadrature_oracle(
-                sin_pi, g, u_xx=sin_pi_xx, check=False
-            )
+            (image,) = quadrature_oracle((sin_pi,), g, u_xx=(sin_pi_xx,))
+            d = op.apply(sin_pi(g.interior_x())) - image
             vals.append(float(np.max(np.abs(d))))
             hs.append(g.h)
         slope = np.polyfit(np.log(hs), np.log(vals), 1)[0]
