@@ -27,12 +27,34 @@ leading digits when tau lambda_1 >> 1 (three digits of r at s = 0.99,
 N = 300, tau = 1e3).  No nonlinear iteration.
 
 One march serves every solver route and K measurement series at once, as
-an n x K block of states.  The denominators do not depend on the data, so
+an n x K block of states; only a batch on the modal route takes the
+triangular form below.  The denominators do not depend on the data, so
 every one of them, the discrete identifiability margin, is checked before
-the first step; a vanishing one is reported with its step, not papered
-over.  Each step is ``StepOperators.advance``: one block solve on the
-Cholesky and CG routes, and g U + (F^/d) tau r on the modal route, with
+the first step or solve; a vanishing one is reported with its step, not
+papered over.  Each step is ``StepOperators.advance``: one block solve on
+the Cholesky and CG routes, and g U + (F^/d) tau r on the modal route, with
 g = (1 - tau lambda/2)/d and d = 1 + tau lambda/2, where z = lambda omega^/d.
+
+The recovery is a discrete Volterra equation of the second kind.  With
+G = L^-1 R and S_j = L^-1 F_j, U^n = G^n U^0 + tau sum_{j<n} G^{n-1-j} S_j r_j,
+so the numerator's h <z, U^n> is affine in the past r.  With
+a_n = h <z, G^n U^0> and K[n, j] = h <G^{n-1-j} z, S_j> for j < n,
+
+    (D - tau K) r = (w^{n+1} - w^n)/tau + a,   D = diag(h <F^{n+1/2}, y>),
+
+one lower-triangular system with one right-hand side per series, solved by
+forward substitution.  In the eigenbasis G^m is the diagonal power g^m, so
+K takes one matrix product per block of powers, and
+U^M = g^M U^0 + tau sum_j g^{M-1-j} S_j r_j one product with the M x K block
+of r.  ``run_inverse_batch`` on the modal route, and so the noise study,
+solves it: at N = M = 200 and K = 60 that took 3 ms against 6.5 ms for the
+march (one BLAS thread).  Its cost grows as M^2 (n + 2K) against the
+march's M n K, so a size rule (``_volterra_pays``) keeps long runs of few
+series, and any run whose M x M kernel would outgrow the forcing and
+coefficient tables, on the march.  The march also stays for one series,
+whose output is every state, for ``recover_r_step``, and for batches on the
+Cholesky and CG routes, where U^M of K series would still cost a K-column
+solve per step.
 
 Measurement utilities cover the three data provenances: exact analytic
 values, discrete pairings of a computed trajectory, and seeded noisy copies
@@ -61,6 +83,24 @@ __all__ = [
     "perturb_measurements",
     "smooth_measurements",
 ]
+
+
+# A modal batch solves the triangular system (_volterra_pays) when E, M x M, holds
+# no more values than the forcing and coefficient tables, M <= n + K, and when it
+# costs less than the march.  Per step, E's GEMM and the forward substitution take
+# about M (n + 2K) multiply-adds at BLAS speed, the march about n K at NumPy's
+# elementwise speed plus a fixed cost.  Fitted over N = 64 to 800, M = n/4 to 2n
+# and K = 2 to 180 (one BLAS thread): BLAS is _VOLTERRA_RATE times faster, and the
+# fixed cost is _VOLTERRA_STEP_COST of the march's multiply-adds.  Where the rule
+# takes the triangular form it ran in 0.20-0.87 of the march's time; outside, it
+# lost by up to 2.95x (n = 799, M = 2n, K = 2).
+_VOLTERRA_RATE = 25.0
+_VOLTERRA_STEP_COST = 2000.0
+# values per block of powers g^m in _volterra_kernel, and at least 16 rows: at
+# n = 199 two blocks of 32 KB, where stability_bounds' 1 << 15 values raised the
+# peak of the N = M = 200 noise study of 60 series by 0.77 MB; at n = 799, M = 800,
+# K = 60 the batch took 74 ms with 16 rows against 119 ms with 4,096 values' 5
+_KERNEL_BLOCK_VALUES = 1 << 12
 
 
 class DenominatorNearZero(ArithmeticError):
@@ -126,6 +166,35 @@ def _adjoint_weights(ops: StepOperators, weight: np.ndarray) -> Tuple[np.ndarray
     return y, ops.times_a(y)
 
 
+def _prologue(
+    ops: StepOperators, y: np.ndarray, u: np.ndarray, forcings: np.ndarray, weight: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """What both solutions of the recovery do before any work: check the forcings,
+    take U^0 (n, K) and the forcings (M, n) to route coordinates in place, and check
+    every denominator h <F, y>.  Returns the three."""
+    _check_forcings(forcings)
+    h = ops.grid.h
+    f_pair = h * (forcings @ weight)
+    forcings = ops.to_basis(forcings)
+    denominators = h * (forcings @ y)
+    thresholds = 1e-12 * np.maximum(1.0, np.abs(f_pair))  # scale-free "does not vanish"
+    failed = np.flatnonzero(np.abs(denominators) <= thresholds)
+    if failed.size:
+        n = int(failed[0])
+        raise DenominatorNearZero(float(denominators[n]), float(thresholds[n]), step=n)
+    return ops.to_basis(u.T).T, forcings, denominators
+
+
+def _nodal_and_finite(
+    ops: StepOperators, recovered: np.ndarray, u: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Take U^M (n, K) back to nodal values in place and refuse a non-finite result."""
+    ops.from_basis(u.T)
+    if not (np.all(np.isfinite(recovered)) and np.all(np.isfinite(u))):
+        raise ValueError("recovery produced non-finite values")
+    return recovered, u
+
+
 def _march(
     ops: StepOperators,
     adjoint: Tuple[np.ndarray, np.ndarray],
@@ -139,20 +208,10 @@ def _march(
     M forcings as rows and ``_adjoint_weights(ops, weight)``.  ``u`` is (n, K), or
     (n, 1) for a U^0 that every series shares; it and ``forcings`` are overwritten.
     U^n of the first series goes to ``states[n]`` when ``states`` is given."""
-    _check_forcings(forcings)
-    h, tau = ops.grid.h, ops.tau
     y, z = adjoint
-    hz = h * z  # the numerator's h <z, U^n> is hz @ U^n
-    f_pair = h * (forcings @ weight)
-    forcings = ops.to_basis(forcings)
-    denominators = h * (forcings @ y)
-    thresholds = 1e-12 * np.maximum(1.0, np.abs(f_pair))  # scale-free "does not vanish"
-    failed = np.flatnonzero(np.abs(denominators) <= thresholds)
-    if failed.size:
-        n = int(failed[0])
-        raise DenominatorNearZero(float(denominators[n]), float(thresholds[n]), step=n)
-
-    u = ops.to_basis(u.T).T
+    u, forcings, denominators = _prologue(ops, y, u, forcings, weight)
+    tau = ops.tau
+    hz = ops.grid.h * z  # the numerator's h <z, U^n> is hz @ U^n
     if u.shape[1] != w.shape[1]:
         u = np.repeat(u, w.shape[1], axis=1)
     recovered = np.empty((forcings.shape[0], w.shape[1]))
@@ -163,10 +222,72 @@ def _march(
             states[n + 1] = u[:, 0]
     if states is not None:
         ops.from_basis(states[1:])
-    ops.from_basis(u.T)
-    if not (np.all(np.isfinite(recovered)) and np.all(np.isfinite(u))):
-        raise ValueError("recovery produced non-finite values")
-    return recovered, u
+    return _nodal_and_finite(ops, recovered, u)
+
+
+def _volterra_kernel(
+    ops: StepOperators, hz: np.ndarray, u0: np.ndarray, forcings: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The modal batch's Volterra kernel, from the powers g^m, m < M, formed by
+    repeated products a block of ``_KERNEL_BLOCK_VALUES`` at a time.
+
+    ``forcings`` are the F^_j (M, n) in the eigenbasis; with S^_j = L^-1 F^_j, returns
+    E (M, M) with E[j, m] = hz g^m S^_j wherever j + m <= M - 2, the entries K reads,
+    a (M,) with a_m = hz g^m U^0, and g^M.  Row j of ``forcings`` becomes
+    g^(M-1-j) S^_j, the weight of r_j in U^M: a block scales the rows that only
+    earlier blocks read."""
+    g = ops._diagonals[2]
+    s = ops.solve(forcings.T).T
+    m_steps, n = s.shape
+    e = np.empty((m_steps, m_steps))
+    a = np.empty(m_steps)
+    rows = max(16, _KERNEL_BLOCK_VALUES // n)
+    powers, hz_powers = np.empty((2, min(rows, m_steps), n))
+    power = np.ones(n)
+    for start in range(0, m_steps, rows):
+        stop = min(start + rows, m_steps)
+        pw, hz_pw = powers[: stop - start], hz_powers[: stop - start]
+        pw[0] = power
+        pw[1:] = g
+        np.cumprod(pw, axis=0, out=pw)
+        power = pw[-1] * g
+        np.multiply(pw, hz, out=hz_pw)
+        sources = m_steps - 1 - start
+        e[:sources, start:stop] = s[:sources] @ hz_pw.T
+        a[start:stop] = hz_pw @ u0
+        s[m_steps - stop : m_steps - start] *= pw[::-1]
+    return e, a, power
+
+
+def _solve_volterra(
+    ops: StepOperators,
+    adjoint: Tuple[np.ndarray, np.ndarray],
+    u: np.ndarray,
+    w: np.ndarray,
+    forcings: np.ndarray,
+    weight: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """What ``_march`` returns for a U^0 (n, 1) that K series share, on the modal
+    route, from (D - tau K) r = dw/tau + a with K[n, j] = E[j, n-1-j] of
+    ``_volterra_kernel``; ``forcings`` is overwritten."""
+    y, z = adjoint
+    u, forcings, denominators = _prologue(ops, y, u, forcings, weight)
+    e, a, power = _volterra_kernel(ops, ops.grid.h * z, u[:, 0], forcings)
+    tau = ops.tau
+    recovered = (w[1:] - w[:-1]) / tau + a[:, None]
+    for n in range(recovered.shape[0]):  # forward substitution; row n of K is a view
+        recovered[n] += tau * (e[:n, n - 1 :: -1].diagonal() @ recovered[:n])
+        recovered[n] /= denominators[n]
+    final = forcings.T @ recovered
+    final *= tau
+    final += (power * u[:, 0])[:, None]
+    return _nodal_and_finite(ops, recovered, final)
+
+
+def _volterra_pays(m_steps: int, n: int, series: int) -> bool:
+    """Whether a modal batch takes the triangular form: ``_VOLTERRA_RATE``'s rule."""
+    return m_steps <= n + series and (
+        m_steps * (n + 2 * series) <= _VOLTERRA_RATE * (n * series + _VOLTERRA_STEP_COST))
 
 
 def _recover_series(
@@ -199,10 +320,12 @@ def _recover_series(
     forcings = np.empty((grid.M, grid.interior_dim)) if states is None else states[1:]
     for n, t in enumerate(grid.midpoint_times()):
         forcings[n] = problem.forcing(float(t))
+    u = problem.phi[:, None].copy()
+    if states is None and ops.solver == "modal" and _volterra_pays(grid.M, ops.op.size, w.shape[1]):
+        return _solve_volterra(ops, adjoint, u, w, forcings, problem.weight)
     if states is not None:
         states[0] = problem.phi
-    return _march(ops, adjoint, problem.phi[:, None].copy(), w, forcings, problem.weight,
-                  states)
+    return _march(ops, adjoint, u, w, forcings, problem.weight, states)
 
 
 def run_inverse(
@@ -237,12 +360,14 @@ def run_inverse_batch(
     ops: Optional[StepOperators] = None,
     compatibility_tol: float = 1e-2,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Recover K measurement series in one march over the time steps.
+    """Recover K measurement series at once: one lower-triangular solve on the modal
+    route where ``_volterra_pays``, one march over the time steps otherwise.
 
     ``measurements`` is an (M+1, K) array, one series per column.  Returns the
     recovered coefficients (M, K) and the final states U^M (n, K); column k
-    is what :func:`run_inverse` returns for series k.  The denominator is
-    shared, so a :class:`DenominatorNearZero` fails every series at once.
+    is what :func:`run_inverse` returns for series k, to rounding on the modal
+    route.  The denominator is shared, so a :class:`DenominatorNearZero` fails
+    every series at once.
     """
     w = np.asarray(measurements, dtype=float)
     if w.ndim != 2:

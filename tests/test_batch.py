@@ -1,12 +1,15 @@
-"""Properties of the batched recovery: K measurement series in one march."""
+"""Properties of the batched recovery: K measurement series at once, in one march or,
+on the modal route, in one lower-triangular solve."""
 
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import fracheat.inverse
 from fracheat import (
     DenominatorNearZero,
     ProblemData,
@@ -30,6 +33,7 @@ orders = st.floats(0.01, 0.99)
 sizes = st.integers(2, 300)
 widths = st.integers(1, 6)
 steps = st.integers(1, 4)
+long_steps = st.integers(1, 64)
 log_taus = st.floats(-3.0, 3.0)
 seeds = st.integers(0, 2**32 - 1)
 schemes = st.sampled_from(("midpoint", "interpolated"))
@@ -70,6 +74,49 @@ def test_batch_columns_match_single_runs(s, n_cells, k, m_steps, log_tau, seed, 
             u_scale = max(1.0, float(np.max(np.abs(traj.final))))
             assert np.max(np.abs(r_batch[:, j] - rec.values)) <= 1e-12 * r_scale
             assert np.max(np.abs(final_batch[:, j] - traj.final)) <= 1e-12 * u_scale
+
+
+def _relative_gap(got, ref):
+    return float(np.max(np.abs(got - ref))) / float(np.max(np.abs(ref)))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(s=orders, n_cells=sizes, k=widths, m_steps=long_steps, log_tau=log_taus, seed=seeds,
+       scheme=schemes)
+@example(s=0.99, n_cells=300, k=6, m_steps=64, log_tau=3.0, seed=0, scheme="midpoint")
+@example(s=0.99, n_cells=300, k=6, m_steps=64, log_tau=3.0, seed=0, scheme="interpolated")
+@example(s=0.01, n_cells=2, k=1, m_steps=64, log_tau=-3.0, seed=0, scheme="midpoint")
+def test_modal_batch_solve_matches_the_march(s, n_cells, k, m_steps, log_tau, seed, scheme):
+    # The modal batch solves the lower-triangular system (D - tau K) r = dw/tau + a,
+    # where one series and the other routes march; here it does so whatever the
+    # size rule would choose.  Up to 64 steps reach the kernel's long lags, which
+    # test_batch_columns_match_single_runs never does.
+    grid, _, data, modal = _setup(s, n_cells, m_steps, log_tau, scheme, "modal")
+    direct = make_step_operators(grid, op=modal.op, solver="cholesky")
+    w = data.measurements.values
+    rng = np.random.default_rng(seed)
+    series = w[:, None] * (1.0 + 0.05 * rng.uniform(-1.0, 1.0, (grid.M + 1, k)))
+    with warnings.catch_warnings(), mock.patch.object(fracheat.inverse, "_volterra_pays",
+                                                      lambda *args: True):
+        warnings.simplefilter("ignore", UserWarning)
+        r_batch, final_batch = run_inverse_batch(data, grid, series, modal)
+        r_direct, final_direct = run_inverse_batch(data, grid, series, direct)
+        marched = [run_inverse(data, grid, MeasurementSeries(series[:, j]), modal)
+                   for j in range(k)]
+    r_march = np.column_stack([rec.values for _, rec in marched])
+    final_march = np.column_stack([traj.final for traj, _ in marched])
+    assert _relative_gap(r_batch, r_march) <= 1e-12
+    assert _relative_gap(final_batch, final_march) <= 1e-12
+    # Each Cholesky step errs by up to cond(L) eps, and where tau lambda >> 1, so
+    # |g| ~ 1, nothing damps it: against a long-double march, Cholesky measured
+    # 1.3e-11 (midpoint) and 1.6e-11 (interpolated) at s = 0.99, N = 300, tau = 1e3,
+    # M = 64, and the modal route 3.9e-14 and 1.2e-13.  Over 300 random grids in
+    # these ranges the gap below reached 0.40 of its bound.
+    lam = modal.op.eigendecomposition.eigenvalues
+    cond = (1.0 + grid.tau * lam.max() / 2.0) / (1.0 + grid.tau * lam.min() / 2.0)
+    bound = 1e-12 + grid.M * cond * np.finfo(float).eps
+    assert _relative_gap(r_batch, r_direct) <= bound
+    assert _relative_gap(final_batch, final_direct) <= bound
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
@@ -155,13 +202,53 @@ def test_orthogonal_forcing_fails_batch_at_its_step(solver, from_step, monkeypat
     w0 = grid.h * float(problem.phi @ problem.weight)
     series = np.full((grid.M + 1, 4), w0)
     ops = make_step_operators(grid, solver=solver)
-    # every denominator is checked before the march: no state is ever advanced
-    steps = []
+    # every denominator is checked before the march, or before the modal batch builds
+    # its Volterra kernel: no state is ever advanced and no kernel built
+    steps, kernels = [], []
     monkeypatch.setattr(type(ops), "advance", lambda self, *args: steps.append(args))
+    monkeypatch.setattr(fracheat.inverse, "_volterra_kernel",
+                        lambda *args: kernels.append(args))
     with pytest.raises(DenominatorNearZero) as info:
         run_inverse_batch(problem, grid, series, ops)
     assert info.value.step == from_step
-    assert not steps
+    assert not steps and not kernels
+
+
+@pytest.mark.parametrize("m_steps, triangular", [(6, True), (18, True), (19, False)])
+def test_modal_batch_takes_the_triangular_form_by_its_size_rule(m_steps, triangular,
+                                                                monkeypatch):
+    # the control of the test above: a modal batch of K = 3 series on n = 15 builds
+    # the kernel and takes no step while E holds no more values than the forcing
+    # and coefficient tables, M <= n + K; a longer one marches, and so does a
+    # single series, whose every state is output
+    grid = make_grid(1, 1, 16, m_steps, 0.5)
+    _, data = build_manufactured("example1", grid)
+    ops = make_step_operators(grid, solver="modal")
+    kernels, steps = [], []
+    build, advance = fracheat.inverse._volterra_kernel, type(ops).advance
+    monkeypatch.setattr(fracheat.inverse, "_volterra_kernel",
+                        lambda *args: kernels.append(args) or build(*args))
+    run_inverse(data, grid, ops=ops)
+    assert not kernels
+    monkeypatch.setattr(type(ops), "advance",
+                        lambda self, *args: steps.append(args) or advance(self, *args))
+    run_inverse_batch(data, grid, np.column_stack([data.measurements.values] * 3), ops)
+    assert len(kernels) == int(triangular)
+    assert len(steps) == (0 if triangular else m_steps)
+
+
+@pytest.mark.parametrize("m_steps, n, series, pays", [
+    (200, 199, 60, True),    # the N = M = 200 noise ensemble: 0.42 of the march's time
+    (799, 799, 180, True),   # 0.39
+    (63, 63, 2, True),       # 0.77
+    (399, 799, 2, False),    # the triangular form took 1.25 times the march's time
+    (799, 799, 8, False),    # 1.66
+    (399, 399, 2, False),    # 1.03
+    (398, 199, 180, False),  # 0.29, but E would hold more than M (n + K) values
+])
+def test_volterra_size_rule(m_steps, n, series, pays):
+    # timed with one BLAS thread, the march and the triangular form on the same batch
+    assert fracheat.inverse._volterra_pays(m_steps, n, series) is pays
 
 
 def test_batch_rejects_a_single_series():

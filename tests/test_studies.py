@@ -142,7 +142,12 @@ class TestNoiseStudy:
         case = study.cases[0]
         assert case.completed
         clean = run_inverse_case("example1", make_grid(1, 1, 40, 40, 0.5))
-        assert case.linf_r == clean.linf_r
+        # the study's one series goes to the modal route, where the batch solves the
+        # triangular system and the single case marches: r agrees to 1e-12 of its
+        # scale, and so does its error norm, which takes the difference's rounding
+        r_scale = float(np.max(np.abs(clean.r_table[:, 1])))
+        assert np.max(np.abs(case.r_table[:, 1] - clean.r_table[:, 1])) <= 1e-12 * r_scale
+        assert abs(case.linf_r - clean.linf_r) <= 1e-12 * r_scale
 
     def test_noise_spec_window_honored(self):
         from fracheat import NoiseSpec
