@@ -68,17 +68,16 @@ _CHOLESKY_SIZE_LIMIT = 2048
 # O(n) per step and series; Cholesky pays O(n^2) per step and series.
 # Without a solver the route is modal once M * series >= _MODAL_ALPHA * n, up
 # to the size cap of eigendecompose.  Measured crossovers of M * series / n
-# (one BLAS thread, s = 0.5, N = 200 / 400 / 800, the decomposition or the
-# factor included, three runs): one forward series 0.14-0.15 / 0.07-0.09 /
-# 0.06-0.08, one inverse series 0.10-0.13 / 0.07-0.09 / 0.06-0.07, and 60
-# inverse series, whose modal batch solves the triangular system,
-# 1.05-1.14 / 0.69-0.76 / 0.64-0.68.  Timed the same way, the 60-series
-# march gave 0.98-1.13 / 0.72 / 0.66-0.73: at the crossover, M = 4 to 12,
-# the decomposition and the factor outweigh the recovery.  alpha = 1 lies
-# above every crossover but the 60-series one at N = 200, and no M falls
-# between the two there (M = 3 and 4 give 0.90 and 1.21).  It keeps a
-# single series with M < n, such as N = 16, M = 10, on the factor-once
-# route, where modal would be faster from M ~ 0.15 n.
+# (one BLAS thread, example 1, s = 0.5, T = 1, N = 200 / 400 / 800, the
+# decomposition or the factor included and the assembly not, medians of 5 at
+# M = 2, 3, 4, 6, 8, 12, 16, 24, ..., the first sign change interpolated,
+# three runs): one forward series 0.19-0.20 / 0.14-0.15 / 0.09-0.10, one
+# inverse series 0.16-0.17 / 0.11-0.12 / 0.09, and 60 inverse series, whose
+# modal batch takes the blocked Volterra solve, 0.90-0.96 / 0.43-0.59 /
+# 0.66-0.69: at that crossover, M = 3 to 9, the decomposition and the factor
+# outweigh the recovery.  alpha = 1 lies above every crossover.  It keeps a
+# single series with M < n, such as N = 16, M = 10, on the factor-once route,
+# where modal would be faster from M ~ 0.1-0.2 n.
 _MODAL_ALPHA = 1.0
 # rows taken to or from the eigenbasis per matrix product
 _BLOCK_ROWS = 512

@@ -28,7 +28,7 @@ N = 300, tau = 1e3).  No nonlinear iteration.
 
 One march serves every solver route and K measurement series at once, as
 an n x K block of states; only a batch on the modal route takes the
-triangular form below.  The denominators do not depend on the data, so
+blocked form below.  The denominators do not depend on the data, so
 every one of them, the discrete identifiability margin, is checked before
 the first step or solve; a vanishing one is reported with its step, not
 papered over.  Each step is ``StepOperators.advance``: one block solve on
@@ -42,19 +42,23 @@ a_n = h <z, G^n U^0> and K[n, j] = h <G^{n-1-j} z, S_j> for j < n,
 
     (D - tau K) r = (w^{n+1} - w^n)/tau + a,   D = diag(h <F^{n+1/2}, y>),
 
-one lower-triangular system with one right-hand side per series, solved by
-forward substitution.  In the eigenbasis G^m is the diagonal power g^m, so
-K takes one matrix product per block of powers, and
-U^M = g^M U^0 + tau sum_j g^{M-1-j} S_j r_j one product with the M x K block
-of r.  ``run_inverse_batch`` on the modal route, and so the noise study,
-solves it: at N = M = 200 and K = 60 that took 3 ms against 6.5 ms for the
-march (one BLAS thread).  Its cost grows as M^2 (n + 2K) against the
-march's M n K, so a size rule (``_volterra_pays``) keeps long runs of few
-series, and any run whose M x M kernel would outgrow the forcing and
-coefficient tables, on the march.  The march also stays for one series,
-whose output is every state, for ``recover_r_step``, and for batches on the
-Cholesky and CG routes, where U^M of K series would still cost a K-column
-solve per step.
+one lower-triangular system with one right-hand side per series.  In the
+eigenbasis G^m is the diagonal power g^m.  ``run_inverse_batch`` on the
+modal route, and so the noise study, solves it in blocks of B steps that
+carry the state U^s from one block to the next (Hairer, Lubich & Schlichte,
+SIAM J. Sci. Stat. Comput. 6, 1985): within a block, a and the B x B
+kernel are matrix products with the powers g^m, m < B, r follows by
+forward substitution, and U^(s+B) = g^B U^s + tau sum_j g^(B-1-j) S_j r_j
+is one product with the block of r.  A block costs about B n (B + 2K)
+multiply-adds, so the solve is linear in M; B = M would be the whole
+triangular system, B = 1 the march.  At N = M = 800 and K = 180 it took
+40 ms against the march's 234 ms (one BLAS thread).  Where tau lambda >> 1,
+g ~ -1 and the kernel sums terms of alternating sign, so r keeps fewer
+digits than the march's: 3.3e-13 against 1.4e-14 relative to a long-double
+march at s = 0.99, tau = 1e3, N = 2, M = 2049 (interpolated).  The march
+stays for one series, whose output is every state, for ``recover_r_step``,
+and for batches on the Cholesky and CG routes, where U^M of K series would
+still cost a K-column solve per step.
 
 Measurement utilities cover the three data provenances: exact analytic
 values, discrete pairings of a computed trajectory, and seeded noisy copies
@@ -85,22 +89,11 @@ __all__ = [
 ]
 
 
-# A modal batch solves the triangular system (_volterra_pays) when E, M x M, holds
-# no more values than the forcing and coefficient tables, M <= n + K, and when it
-# costs less than the march.  Per step, E's GEMM and the forward substitution take
-# about M (n + 2K) multiply-adds at BLAS speed, the march about n K at NumPy's
-# elementwise speed plus a fixed cost.  Fitted over N = 64 to 800, M = n/4 to 2n
-# and K = 2 to 180 (one BLAS thread): BLAS is _VOLTERRA_RATE times faster, and the
-# fixed cost is _VOLTERRA_STEP_COST of the march's multiply-adds.  Where the rule
-# takes the triangular form it ran in 0.20-0.87 of the march's time; outside, it
-# lost by up to 2.95x (n = 799, M = 2n, K = 2).
-_VOLTERRA_RATE = 25.0
-_VOLTERRA_STEP_COST = 2000.0
-# values per block of powers g^m in _volterra_kernel, and at least 16 rows: at
-# n = 199 two blocks of 32 KB, where stability_bounds' 1 << 15 values raised the
-# peak of the N = M = 200 noise study of 60 series by 0.77 MB; at n = 799, M = 800,
-# K = 60 the batch took 74 ms with 16 rows against 119 ms with 4,096 values' 5
-_KERNEL_BLOCK_VALUES = 1 << 12
+# steps per block of the modal batch's Volterra solve: its kernel is B x B and its
+# powers g^m B x n, so the solve is linear in M.  At N = M = 800 and K = 180 blocks
+# of 16 steps took 1.16 times as long as blocks of 32, and blocks of 64 0.93 times;
+# at N = M = 200 and K = 60 the three were within 3 % (one BLAS thread)
+_VOLTERRA_BLOCK = 32
 
 
 class DenominatorNearZero(ArithmeticError):
@@ -225,40 +218,6 @@ def _march(
     return _nodal_and_finite(ops, recovered, u)
 
 
-def _volterra_kernel(
-    ops: StepOperators, hz: np.ndarray, u0: np.ndarray, forcings: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The modal batch's Volterra kernel, from the powers g^m, m < M, formed by
-    repeated products a block of ``_KERNEL_BLOCK_VALUES`` at a time.
-
-    ``forcings`` are the F^_j (M, n) in the eigenbasis; with S^_j = L^-1 F^_j, returns
-    E (M, M) with E[j, m] = hz g^m S^_j wherever j + m <= M - 2, the entries K reads,
-    a (M,) with a_m = hz g^m U^0, and g^M.  Row j of ``forcings`` becomes
-    g^(M-1-j) S^_j, the weight of r_j in U^M: a block scales the rows that only
-    earlier blocks read."""
-    g = ops._diagonals[2]
-    s = ops.solve(forcings.T).T
-    m_steps, n = s.shape
-    e = np.empty((m_steps, m_steps))
-    a = np.empty(m_steps)
-    rows = max(16, _KERNEL_BLOCK_VALUES // n)
-    powers, hz_powers = np.empty((2, min(rows, m_steps), n))
-    power = np.ones(n)
-    for start in range(0, m_steps, rows):
-        stop = min(start + rows, m_steps)
-        pw, hz_pw = powers[: stop - start], hz_powers[: stop - start]
-        pw[0] = power
-        pw[1:] = g
-        np.cumprod(pw, axis=0, out=pw)
-        power = pw[-1] * g
-        np.multiply(pw, hz, out=hz_pw)
-        sources = m_steps - 1 - start
-        e[:sources, start:stop] = s[:sources] @ hz_pw.T
-        a[start:stop] = hz_pw @ u0
-        s[m_steps - stop : m_steps - start] *= pw[::-1]
-    return e, a, power
-
-
 def _solve_volterra(
     ops: StepOperators,
     adjoint: Tuple[np.ndarray, np.ndarray],
@@ -268,26 +227,54 @@ def _solve_volterra(
     weight: np.ndarray,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """What ``_march`` returns for a U^0 (n, 1) that K series share, on the modal
-    route, from (D - tau K) r = dw/tau + a with K[n, j] = E[j, n-1-j] of
-    ``_volterra_kernel``; ``forcings`` is overwritten."""
+    route: (D - tau K) r = dw/tau + a solved ``_VOLTERRA_BLOCK`` steps at a time by
+    ``_volterra_block``, which carries the state from one block to the next.
+    ``forcings`` is overwritten."""
     y, z = adjoint
     u, forcings, denominators = _prologue(ops, y, u, forcings, weight)
-    e, a, power = _volterra_kernel(ops, ops.grid.h * z, u[:, 0], forcings)
+    m_steps, n = forcings.shape
+    powers = np.empty((min(_VOLTERRA_BLOCK, m_steps), n))  # g^m, m < B
+    powers[0] = 1.0
+    powers[1:] = ops._diagonals[2]
+    np.cumprod(powers, axis=0, out=powers)
+    hz_powers = (ops.grid.h * z) * powers
+    recovered = (w[1:] - w[:-1]) / ops.tau
+    for start in range(0, m_steps, _VOLTERRA_BLOCK):
+        b = min(_VOLTERRA_BLOCK, m_steps - start)
+        steps = slice(start, start + b)
+        u = _volterra_block(ops, powers[:b], hz_powers[:b], u, forcings[steps],
+                            recovered[steps], denominators[steps])
+    return _nodal_and_finite(ops, recovered, u)
+
+
+def _volterra_block(
+    ops: StepOperators,
+    powers: np.ndarray,
+    hz_powers: np.ndarray,
+    u: np.ndarray,
+    forcings: np.ndarray,
+    recovered: np.ndarray,
+    denominators: np.ndarray,
+) -> np.ndarray:
+    """b steps of the modal Volterra solve from the eigenbasis state U^s (n, K), or
+    (n, 1) shared, to U^(s+b), which it returns.
+
+    ``powers`` and ``hz_powers`` hold g^m and h z g^m for m < b, ``forcings`` the
+    block's F^_j (b, n) and ``recovered`` its dw/tau (b, K), overwritten with r.
+    a_m = hz g^m U^s, and with S^_j = L^-1 F^_j, E[j, m] = hz g^m S^_j, so row m
+    of the block's K is E[j, m-1-j], j < m, read by forward substitution."""
     tau = ops.tau
-    recovered = (w[1:] - w[:-1]) / tau + a[:, None]
-    for n in range(recovered.shape[0]):  # forward substitution; row n of K is a view
-        recovered[n] += tau * (e[:n, n - 1 :: -1].diagonal() @ recovered[:n])
-        recovered[n] /= denominators[n]
-    final = forcings.T @ recovered
+    recovered += hz_powers @ u
+    s = ops.solve(forcings.T).T
+    e = s @ hz_powers.T
+    for m in range(recovered.shape[0]):  # row m of K is a view of E's antidiagonal
+        recovered[m] += tau * (e[:m, m - 1 :: -1].diagonal() @ recovered[:m])
+        recovered[m] /= denominators[m]
+    s *= powers[::-1]  # row j becomes g^(b-1-j) S^_j, the weight of r_j in U^(s+b)
+    final = s.T @ recovered
     final *= tau
-    final += (power * u[:, 0])[:, None]
-    return _nodal_and_finite(ops, recovered, final)
-
-
-def _volterra_pays(m_steps: int, n: int, series: int) -> bool:
-    """Whether a modal batch takes the triangular form: ``_VOLTERRA_RATE``'s rule."""
-    return m_steps <= n + series and (
-        m_steps * (n + 2 * series) <= _VOLTERRA_RATE * (n * series + _VOLTERRA_STEP_COST))
+    final += (powers[-1] * ops._diagonals[2])[:, None] * u
+    return final
 
 
 def _recover_series(
@@ -321,7 +308,7 @@ def _recover_series(
     for n, t in enumerate(grid.midpoint_times()):
         forcings[n] = problem.forcing(float(t))
     u = problem.phi[:, None].copy()
-    if states is None and ops.solver == "modal" and _volterra_pays(grid.M, ops.op.size, w.shape[1]):
+    if states is None and ops.solver == "modal":
         return _solve_volterra(ops, adjoint, u, w, forcings, problem.weight)
     if states is not None:
         states[0] = problem.phi
@@ -360,8 +347,8 @@ def run_inverse_batch(
     ops: Optional[StepOperators] = None,
     compatibility_tol: float = 1e-2,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Recover K measurement series at once: one lower-triangular solve on the modal
-    route where ``_volterra_pays``, one march over the time steps otherwise.
+    """Recover K measurement series at once: the blocked Volterra solve on the modal
+    route, one march over the time steps on the others.
 
     ``measurements`` is an (M+1, K) array, one series per column.  Returns the
     recovered coefficients (M, K) and the final states U^M (n, K); column k

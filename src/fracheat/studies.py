@@ -572,11 +572,10 @@ def noise_study(config: StudyConfig) -> NoiseStudyResult:
 
     Every (delta, seed) series, and its smoothed copy when the configured
     smoothing window exceeds 1, is recovered by one ``run_inverse_batch`` over
-    one grid, operator and factorization (or eigendecomposition): one
-    lower-triangular solve on the modal route, within its size rule, and one
-    batched march otherwise.  The recovery
-    denominator does not depend on the data, so a denominator failure fails
-    every case.  Two cases that would write the same files, such as equal
+    one grid, operator and factorization (or eigendecomposition): the blocked
+    Volterra solve on the modal route and one batched march on the others.  The
+    recovery denominator does not depend on the data, so a denominator failure
+    fails every case.  Two cases that would write the same files, such as equal
     seeds or deltas equal to ``:g``'s six digits, are rejected before any
     work.
     """

@@ -1,8 +1,9 @@
 """Properties of the batched recovery: K measurement series at once, in one march or,
-on the modal route, in one lower-triangular solve."""
+on the modal route, in one lower-triangular Volterra solve taken a block of steps at
+a time."""
 
+import tracemalloc
 import warnings
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -33,7 +34,8 @@ orders = st.floats(0.01, 0.99)
 sizes = st.integers(2, 300)
 widths = st.integers(1, 6)
 steps = st.integers(1, 4)
-long_steps = st.integers(1, 64)
+# up to 100 steps cross three blocks of the modal batch's Volterra solve
+long_steps = st.integers(1, 100)
 log_taus = st.floats(-3.0, 3.0)
 seeds = st.integers(0, 2**32 - 1)
 schemes = st.sampled_from(("midpoint", "interpolated"))
@@ -86,18 +88,28 @@ def _relative_gap(got, ref):
 @example(s=0.99, n_cells=300, k=6, m_steps=64, log_tau=3.0, seed=0, scheme="midpoint")
 @example(s=0.99, n_cells=300, k=6, m_steps=64, log_tau=3.0, seed=0, scheme="interpolated")
 @example(s=0.01, n_cells=2, k=1, m_steps=64, log_tau=-3.0, seed=0, scheme="midpoint")
+@example(s=0.5, n_cells=40, k=3, m_steps=fracheat.inverse._VOLTERRA_BLOCK - 1, log_tau=-1.0,
+         seed=0, scheme="midpoint")
+@example(s=0.5, n_cells=40, k=3, m_steps=fracheat.inverse._VOLTERRA_BLOCK, log_tau=-1.0,
+         seed=0, scheme="midpoint")
+@example(s=0.5, n_cells=40, k=3, m_steps=fracheat.inverse._VOLTERRA_BLOCK + 1, log_tau=-1.0,
+         seed=0, scheme="midpoint")
+@example(s=0.99, n_cells=2, k=2, m_steps=2049, log_tau=3.0, seed=0, scheme="interpolated")
+@example(s=0.99, n_cells=17, k=2, m_steps=256, log_tau=3.0, seed=0, scheme="interpolated")
 def test_modal_batch_solve_matches_the_march(s, n_cells, k, m_steps, log_tau, seed, scheme):
-    # The modal batch solves the lower-triangular system (D - tau K) r = dw/tau + a,
-    # where one series and the other routes march; here it does so whatever the
-    # size rule would choose.  Up to 64 steps reach the kernel's long lags, which
-    # test_batch_columns_match_single_runs never does.
+    # The modal batch solves the lower-triangular system (D - tau K) r = dw/tau + a in
+    # blocks of steps, where one series and the other routes march.  Long
+    # runs reach the kernel's long lags and the state carried across blocks, which
+    # test_batch_columns_match_single_runs never does.  Where tau lambda >> 1, g ~ -1
+    # and the kernel sums terms of alternating sign: against a long-double march the
+    # blocked solve measured 3.3e-13 at N = 2, M = 2049 and 9.3e-14 at N = 17,
+    # M = 256 (s = 0.99, tau = 1e3, interpolated), the march 1.4e-14 and 9.6e-15.
     grid, _, data, modal = _setup(s, n_cells, m_steps, log_tau, scheme, "modal")
     direct = make_step_operators(grid, op=modal.op, solver="cholesky")
     w = data.measurements.values
     rng = np.random.default_rng(seed)
     series = w[:, None] * (1.0 + 0.05 * rng.uniform(-1.0, 1.0, (grid.M + 1, k)))
-    with warnings.catch_warnings(), mock.patch.object(fracheat.inverse, "_volterra_pays",
-                                                      lambda *args: True):
+    with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
         r_batch, final_batch = run_inverse_batch(data, grid, series, modal)
         r_direct, final_direct = run_inverse_batch(data, grid, series, direct)
@@ -111,7 +123,8 @@ def test_modal_batch_solve_matches_the_march(s, n_cells, k, m_steps, log_tau, se
     # |g| ~ 1, nothing damps it: against a long-double march, Cholesky measured
     # 1.3e-11 (midpoint) and 1.6e-11 (interpolated) at s = 0.99, N = 300, tau = 1e3,
     # M = 64, and the modal route 3.9e-14 and 1.2e-13.  Over 300 random grids in
-    # these ranges the gap below reached 0.40 of its bound.
+    # these ranges, M up to 100, the gap below reached 0.36 of its bound and the gap
+    # to the march 0.037 of 1e-12.
     lam = modal.op.eigendecomposition.eigenvalues
     cond = (1.0 + grid.tau * lam.max() / 2.0) / (1.0 + grid.tau * lam.min() / 2.0)
     bound = 1e-12 + grid.M * cond * np.finfo(float).eps
@@ -202,53 +215,55 @@ def test_orthogonal_forcing_fails_batch_at_its_step(solver, from_step, monkeypat
     w0 = grid.h * float(problem.phi @ problem.weight)
     series = np.full((grid.M + 1, 4), w0)
     ops = make_step_operators(grid, solver=solver)
-    # every denominator is checked before the march, or before the modal batch builds
-    # its Volterra kernel: no state is ever advanced and no kernel built
-    steps, kernels = [], []
+    # every denominator is checked before the march, or before the modal batch solves
+    # its first block: no state is ever advanced and no block's kernel built
+    steps, blocks = [], []
     monkeypatch.setattr(type(ops), "advance", lambda self, *args: steps.append(args))
-    monkeypatch.setattr(fracheat.inverse, "_volterra_kernel",
-                        lambda *args: kernels.append(args))
+    monkeypatch.setattr(fracheat.inverse, "_volterra_block",
+                        lambda *args: blocks.append(args))
     with pytest.raises(DenominatorNearZero) as info:
         run_inverse_batch(problem, grid, series, ops)
     assert info.value.step == from_step
-    assert not steps and not kernels
+    assert not steps and not blocks
 
 
-@pytest.mark.parametrize("m_steps, triangular", [(6, True), (18, True), (19, False)])
-def test_modal_batch_takes_the_triangular_form_by_its_size_rule(m_steps, triangular,
-                                                                monkeypatch):
-    # the control of the test above: a modal batch of K = 3 series on n = 15 builds
-    # the kernel and takes no step while E holds no more values than the forcing
-    # and coefficient tables, M <= n + K; a longer one marches, and so does a
-    # single series, whose every state is output
+@pytest.mark.parametrize("m_steps", [6, 18, 19, 65])
+def test_modal_batch_solves_in_blocks_and_never_marches(m_steps, monkeypatch):
+    # the control of the test above: a modal batch of K = 3 series on n = 15 takes
+    # the blocked Volterra solve, one block per B steps, and never advances a state,
+    # however long it is; a single series, whose every state is output, marches
     grid = make_grid(1, 1, 16, m_steps, 0.5)
     _, data = build_manufactured("example1", grid)
     ops = make_step_operators(grid, solver="modal")
-    kernels, steps = [], []
-    build, advance = fracheat.inverse._volterra_kernel, type(ops).advance
-    monkeypatch.setattr(fracheat.inverse, "_volterra_kernel",
-                        lambda *args: kernels.append(args) or build(*args))
-    run_inverse(data, grid, ops=ops)
-    assert not kernels
+    blocks, steps = [], []
+    solve_block, advance = fracheat.inverse._volterra_block, type(ops).advance
+    monkeypatch.setattr(fracheat.inverse, "_volterra_block",
+                        lambda *args: blocks.append(args) or solve_block(*args))
     monkeypatch.setattr(type(ops), "advance",
                         lambda self, *args: steps.append(args) or advance(self, *args))
+    run_inverse(data, grid, ops=ops)
+    assert not blocks and len(steps) == m_steps
+    steps.clear()
     run_inverse_batch(data, grid, np.column_stack([data.measurements.values] * 3), ops)
-    assert len(kernels) == int(triangular)
-    assert len(steps) == (0 if triangular else m_steps)
+    assert len(blocks) == -(-m_steps // fracheat.inverse._VOLTERRA_BLOCK)
+    assert not steps
 
 
-@pytest.mark.parametrize("m_steps, n, series, pays", [
-    (200, 199, 60, True),    # the N = M = 200 noise ensemble: 0.42 of the march's time
-    (799, 799, 180, True),   # 0.39
-    (63, 63, 2, True),       # 0.77
-    (399, 799, 2, False),    # the triangular form took 1.25 times the march's time
-    (799, 799, 8, False),    # 1.66
-    (399, 399, 2, False),    # 1.03
-    (398, 199, 180, False),  # 0.29, but E would hold more than M (n + K) values
-])
-def test_volterra_size_rule(m_steps, n, series, pays):
-    # timed with one BLAS thread, the march and the triangular form on the same batch
-    assert fracheat.inverse._volterra_pays(m_steps, n, series) is pays
+def test_modal_batch_memory_is_linear_in_the_steps():
+    # N = 16, M = 3000, K = 2: a whole-run M x M kernel would take 72 MB, 200 times
+    # the M x n forcing table, which the recovery must hold anyway
+    grid = make_grid(1, 1, 16, 3000, 0.5)
+    _, data = build_manufactured("example1", grid)
+    ops = make_step_operators(grid, solver="modal")
+    series = np.column_stack([data.measurements.values] * 2)
+    run_inverse_batch(data, grid, series, ops)  # the eigendecomposition is cached
+    tracemalloc.start()
+    try:
+        run_inverse_batch(data, grid, series, ops)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * grid.M * grid.interior_dim * 8
 
 
 def test_batch_rejects_a_single_series():
