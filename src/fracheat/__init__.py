@@ -20,6 +20,7 @@ from .grid import (
     Grid,
     MeasurementSeries,
     ProblemData,
+    SeparatedForcing,
     Trajectory,
     make_grid,
 )
@@ -80,6 +81,7 @@ __all__ = [
     "ProblemData",
     "QuadratureConvergenceError",
     "RieszOperator",
+    "SeparatedForcing",
     "SolverError",
     "SpdFactorization",
     "SpectralDecomposition",

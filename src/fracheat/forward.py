@@ -10,7 +10,10 @@ d = 1 + tau lambda/2; A is the operator's matvec, or lambda v.  The step
 itself, ``advance``, is written once per route: L^-1 (U - tau/2 A U + tau r F),
 or g U + tau r F/d with g = (1 - tau lambda/2)/d on the modal route, where
 L^-1 R is diagonal.  So a modal step costs O(n) after one
-eigendecomposition.  The scheme satisfies an exact energy identity in the
+eigendecomposition.  Every march takes its stacked forcings from one
+helper, ``_forcing_rows``: a separated forcing sum_p phi_p(t) v_p is one
+coefficient table against its P shapes, taken to the route's coordinates
+once, so the modal route transforms P rows, not M.  The scheme satisfies an exact energy identity in the
 homogeneous case and two unconditional stability bounds with forcing; those
 are evaluated here as runtime diagnostics rather than assumed.  A spectral
 reference solution (eigenbasis + Duhamel integral in time) provides an
@@ -25,7 +28,7 @@ from typing import Callable, ClassVar, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .grid import CoefficientSeries, Grid, ProblemData, Trajectory
+from .grid import CoefficientSeries, ForcingFn, Grid, ProblemData, Trajectory, separated_rows
 from .riesz import RieszOperator, assemble
 from .solvers import (
     EIGEN_SIZE_LIMIT,
@@ -81,8 +84,9 @@ _CHOLESKY_SIZE_LIMIT = 2048
 _MODAL_ALPHA = 1.0
 # rows taken to or from the eigenbasis per matrix product
 _BLOCK_ROWS = 512
-# values per block of steps in stability_bounds: about 256 KB per (steps, n)
-# temporary whatever n is, where 512 rows would take 2.5 MB at n = 599
+# values per block of steps in stability_bounds and in a separated forcing's sum:
+# about 256 KB per (steps, n) temporary whatever n is, where 512 rows would take
+# 2.5 MB at n = 599
 _STEP_BLOCK_VALUES = 1 << 15
 
 RCoefficient = Union[Callable[[float], float], CoefficientSeries, Sequence[float], np.ndarray]
@@ -253,12 +257,52 @@ def _r_at_midpoints(r: RCoefficient, grid: Grid) -> np.ndarray:
     return values
 
 
-def _check_forcings(rows: np.ndarray) -> None:
-    """Both marches check their stacked forcings here, before the first step."""
+def _check_forcings(rows: np.ndarray, first: int = 0) -> None:
+    """Refuse stacked forcings with a non-finite entry, naming the step; row 0 is step
+    ``first``."""
     # NaN propagates through min and max, and an infinite entry is one of them
     bad = np.flatnonzero(~(np.isfinite(rows.min(axis=1)) & np.isfinite(rows.max(axis=1))))
     if bad.size:
-        raise ValueError(f"forcing has non-finite entries at step {bad[0]}")
+        raise ValueError(f"forcing has non-finite entries at step {first + bad[0]}")
+
+
+def _forcing_rows(
+    forcing: ForcingFn, to_basis: Callable[[np.ndarray], np.ndarray]
+) -> Callable[..., np.ndarray]:
+    """``fill(out, times, first=0)``, which writes the forcings at ``times`` into
+    ``out`` (len(times), n) in the coordinates ``to_basis`` takes nodal rows to, checks
+    them finite, row 0 being step ``first``, and returns ``out``.  Every march and
+    ``stability_bounds`` take their forcings from here, so a forward run and the
+    recovery on the same route march the same bits.
+
+    A separated forcing, one that carries ``shapes`` and ``coefficients``, has its P
+    shapes taken to the basis here, once; ``fill`` then sums one coefficient table
+    against them with ``separated_rows``, a block of about ``_STEP_BLOCK_VALUES``
+    values at a time, and neither calls the forcing nor transforms a row.  Any other
+    forcing is called once per time, and its rows are checked, then transformed."""
+    shapes = getattr(forcing, "shapes", None)
+    if shapes is None:
+
+        def fill(out: np.ndarray, times: np.ndarray, first: int = 0) -> np.ndarray:
+            for j, t in enumerate(times):
+                out[j] = forcing(float(t))
+            _check_forcings(out, first)
+            return to_basis(out)
+
+        return fill
+    shapes = to_basis(np.array(shapes, dtype=float))
+    coefficients = forcing.coefficients
+
+    def fill(out: np.ndarray, times: np.ndarray, first: int = 0) -> np.ndarray:
+        table = coefficients(times)
+        rows = max(1, _STEP_BLOCK_VALUES // out.shape[1])
+        for start in range(0, out.shape[0], rows):
+            block = slice(start, start + rows)
+            separated_rows(table[block], shapes, out[block])
+        _check_forcings(out, first)
+        return out
+
+    return fill
 
 
 def run_forward(
@@ -288,10 +332,7 @@ def run_forward(
     # fill memory; row n+1 holds F^{n+1/2} until U^{n+1} replaces it.
     u = ops.to_basis(problem.phi[None].copy()).T
     states = np.empty((grid.M + 1, grid.interior_dim))
-    for n, t in enumerate(grid.midpoint_times()):
-        states[n + 1] = problem.forcing(float(t))
-    _check_forcings(states[1:])
-    ops.to_basis(states[1:])
+    _forcing_rows(problem.forcing, ops.to_basis)(states[1:], grid.midpoint_times())
     rt = ops.tau * r_mid[:, None]
     for n in range(grid.M):  # the recovery's march, with r given
         u = ops.advance(u, states[n + 1], rt[n])
@@ -309,14 +350,14 @@ def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _energy_norms(op: RieszOperator, rows: np.ndarray) -> np.ndarray:
     """||u||_A^2 of every row u of ``rows`` (K, n).
 
-    With the eigendecomposition already on the operator, from one product
-    with its eigenvectors as sum_k lambda_k uhat_k^2; otherwise from one
-    block matvec.  Never decomposes A for this, nor forms it.
+    The rows are in the eigenbasis when the operator already holds its
+    eigendecomposition, and the norm is sum_k lambda_k uhat_k^2; otherwise
+    they are nodal, and it takes one block matvec.  Never decomposes A for
+    this, nor forms it.
     """
     dec = op.cached_eigendecomposition
     if dec is not None:
-        coef = rows @ dec.eigenvectors
-        return _rowdot(coef * dec.eigenvalues, coef)
+        return _rowdot(rows * dec.eigenvalues, rows)
     return _rowdot(op.apply(rows.T).T, rows)
 
 
@@ -325,15 +366,15 @@ def _dual_norms(
 ) -> np.ndarray:
     """||f||_{A^{-1}}^2 of every row f of ``rows`` (K, n).
 
-    With the eigendecomposition already on the operator, from one product
-    with its eigenvectors as sum_k fhat_k^2 / lambda_k; otherwise from one
-    block solve with ``factor``, the Cholesky factor of A, which is made from
-    the dense A when not given.  Never decomposes A for this.
+    The rows are in the eigenbasis when the operator already holds its
+    eigendecomposition, and the norm is sum_k fhat_k^2 / lambda_k; otherwise
+    they are nodal, and it takes one block solve with ``factor``, the
+    Cholesky factor of A, which is made from the dense A when not given.
+    Never decomposes A for this.
     """
     dec = op.cached_eigendecomposition
     if dec is not None:
-        coef = rows @ dec.eigenvectors
-        return _rowdot(coef / dec.eigenvalues, coef)
+        return _rowdot(rows / dec.eigenvalues, rows)
     if factor is None:
         factor = cholesky(op.dense())
     return np.maximum(_rowdot(factor.solve(rows.T).T, rows), 0.0)
@@ -363,7 +404,7 @@ class StabilityReport:
 def stability_bounds(
     trajectory: Trajectory,
     r: RCoefficient,
-    forcing: Callable[[float], np.ndarray],
+    forcing: ForcingFn,
     op: RieszOperator,
     grid: Grid,
 ) -> StabilityReport:
@@ -372,13 +413,16 @@ def stability_bounds(
     The L2 bound ||U^n|| <= ||U^0|| + sum tau |r| ||F|| and the energy bound
     ||U^n||^2 + tau sum ||U^{j+1/2}||_A^2 <= ||U^0||^2 + sum tau r^2 ||F||_{A^-1}^2
     are evaluated at every step; violations are reported through the slack
-    arrays, never raised.  The run is folded over blocks of about
-    ``_STEP_BLOCK_VALUES`` values: each block evaluates its forcings and
-    midpoint states and reduces them to per-step scalars at once, so memory
-    does not grow with M.  The norms in A and A^-1 are sums over the
-    eigenbasis when the operator already holds its eigendecomposition, and
-    no dense matrix is formed; otherwise ||.||_A takes the operator's matvec
-    and ||.||_{A^-1} the Cholesky factor of the dense A, made once per call.
+    arrays, never raised; a non-finite forcing raises ``ValueError``.  The
+    run is folded over blocks of about ``_STEP_BLOCK_VALUES`` values: each
+    block evaluates its forcings and midpoint states and reduces them to
+    per-step scalars at once, so memory does not grow with M.  When the
+    operator already holds its eigendecomposition, every forcing and
+    midpoint norm is taken in the eigenbasis, the norms in A and A^-1 are
+    sums over it, and no dense matrix is formed; a separated forcing then
+    takes only its P shapes to the eigenbasis.  Otherwise the norms are
+    nodal, ||.||_A takes the operator's matvec and ||.||_{A^-1} the Cholesky
+    factor of the dense A, made once per call.
     """
     if not trajectory.matches_grid(grid):
         raise ValueError("trajectory shape does not match the grid")
@@ -386,7 +430,11 @@ def stability_bounds(
     r_mid = _r_at_midpoints(r, grid)
     times = grid.midpoint_times()
     states = trajectory.states
-    factor = None if op.cached_eigendecomposition is not None else cholesky(op.dense())
+    dec = op.cached_eigendecomposition
+    factor = None if dec is not None else cholesky(op.dense())
+    to_basis = ((lambda rows: rows) if dec is None
+                else (lambda rows: _rows_times(rows, dec.eigenvectors)))
+    fill = _forcing_rows(forcing, to_basis)
     # per step n: ||U^n||, ||F||, <F, U^{n+1/2}>, ||U^{n+1/2}||_A^2 and ||F||_{A^-1}^2
     norms = np.empty(grid.M + 1)
     f_norm, f_dot_mid, mid_energy, dual = np.empty((4, grid.M))
@@ -394,8 +442,8 @@ def stability_bounds(
     for start in range(0, grid.M, rows):
         step = slice(start, min(start + rows, grid.M))
         u = states[step.start : step.stop + 1]
-        f = np.array([forcing(float(t)) for t in times[step]], dtype=float)
-        mid = 0.5 * (u[:-1] + u[1:])
+        f = fill(np.empty((step.stop - start, states.shape[1])), times[step], start)
+        mid = to_basis(0.5 * (u[:-1] + u[1:]))
         norms[step.start : step.stop + 1] = np.linalg.norm(u, axis=1)
         f_norm[step] = np.linalg.norm(f, axis=1)
         f_dot_mid[step] = _rowdot(f, mid)
@@ -425,7 +473,9 @@ def spectral_duhamel_oracle(
     int_0^T exp(-lambda (T - sigma)) r(sigma) <F(sigma), q> d sigma by
     composite Simpson with the exponential factor evaluated exactly.  Needs
     ``substeps >= 4 M`` so the oracle stays well ahead of the second-order
-    stepper it judges.
+    stepper it judges.  ``f_fn`` is called once per Simpson node, also when
+    it is a separated forcing: the oracle is the independent check of the
+    marches, so it shares none of their coefficient tables or basis shapes.
     """
     if substeps < 4 * grid.M:
         raise ValueError(f"substeps must be at least 4*M = {4 * grid.M}, got {substeps}")

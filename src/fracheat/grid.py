@@ -9,6 +9,7 @@ import numpy as np
 
 ForcingFn = Callable[[float], np.ndarray]
 ScalarFn = Callable[[float], float]
+TableFn = Callable[[np.ndarray], np.ndarray]
 
 
 def readonly_vector(values, length: int | None = None, name: str = "array") -> np.ndarray:
@@ -139,15 +140,49 @@ class Trajectory:
         return self.states.shape == (grid.M + 1, grid.interior_dim)
 
 
+def separated_rows(table: np.ndarray, shapes: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out <- table @ shapes for a coefficient table (M, P) and shapes (P, n).
+
+    P broadcast multiply-adds in a fixed order, not one matrix product, so a
+    row has the same bits whichever block of rows computes it."""
+    np.multiply(table[:, :1], shapes[0], out=out)
+    for p in range(1, shapes.shape[0]):
+        out += table[:, p, None] * shapes[p]
+    return out
+
+
+@dataclass(frozen=True, eq=False)
+class SeparatedForcing:
+    """A forcing F(t) = sum_p phi_p(t) v_p of P fixed shapes, callable as t -> (n,).
+
+    ``shapes`` is (P, n) and ``coefficients`` maps times (M,) to the table
+    phi_p(t_j) (M, P).  Both are instance data, which ``functools.wraps``
+    copies to a wrapper, so the marches recognise the form by these two
+    attributes and take only the P shapes to their coordinates.  F(t) is row
+    0 of ``separated_rows`` on a one-row table: the same bits as that time's
+    row of any block.
+    """
+
+    shapes: np.ndarray
+    coefficients: TableFn
+
+    def __call__(self, t: float) -> np.ndarray:
+        table = self.coefficients(np.array([t], dtype=float))
+        return separated_rows(table, self.shapes, np.empty((1, self.shapes.shape[1])))[0]
+
+
 @dataclass(frozen=True)
 class ProblemData:
     """Data of one forward/inverse problem instance on a fixed grid.
 
     ``phi`` and ``weight`` are interior nodal samples; boundary values of the
     state are identically zero and never stored.  ``forcing`` maps a time to
-    the interior nodal vector of f(t, x_i).  ``coefficient`` is the exact r(t)
-    when known (forward runs and error reporting); ``measurements`` may be
-    None for pure forward problems.
+    the interior nodal vector of f(t, x_i), in one of two forms: any callable,
+    which the marches call once per half step, or a :class:`SeparatedForcing`
+    (or a wrapper that carries its ``shapes`` and ``coefficients``), which
+    they evaluate as one coefficient table against its P shapes and never
+    call.  ``coefficient`` is the exact r(t) when known (forward runs and
+    error reporting); ``measurements`` may be None for pure forward problems.
     """
 
     phi: np.ndarray

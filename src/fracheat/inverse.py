@@ -73,7 +73,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .forward import StepOperators, _check_forcings, make_step_operators
+from .forward import StepOperators, _forcing_rows, make_step_operators
 from .grid import CoefficientSeries, Grid, MeasurementSeries, ProblemData, Trajectory
 
 __all__ = [
@@ -88,6 +88,9 @@ __all__ = [
     "smooth_measurements",
 ]
 
+
+# omega, y = L^-1 omega and z = A y in route coordinates
+Adjoint = Tuple[np.ndarray, np.ndarray, np.ndarray]
 
 # steps per block of the modal batch's Volterra solve: its kernel is B x B and its
 # powers g^m B x n, so the solve is linear in M.  At N = M = 800 and K = 180 blocks
@@ -148,34 +151,36 @@ def recover_r_step(
     ``u_n`` is one state (n,) and ``w_n``, ``w_np1`` are its two scalar
     measurements; returns r^{n+1/2} as a float and U^{n+1} as (n,)."""
     weight = np.asarray(weight, dtype=float)
-    r, u = _march(ops, _adjoint_weights(ops, weight), np.array(u_n, float)[:, None],
-                  np.array([[w_n], [w_np1]], dtype=float), np.array(f_mid, float, ndmin=2), weight)
+    adjoint = _adjoint_weights(ops, weight)
+    forcings = _forcing_rows(lambda t: f_mid, ops.to_basis)(np.empty((1, weight.size)), [0.0])
+    r, u = _march(ops, adjoint, np.array(u_n, float)[:, None],
+                  np.array([[w_n], [w_np1]], dtype=float), forcings)
     return float(r[0, 0]), u[:, 0]
 
 
-def _adjoint_weights(ops: StepOperators, weight: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """y = L^-1 omega and z = A y in route coordinates: one L-solve and one matvec."""
-    y = ops.solve(ops.to_basis(weight[None].copy())[0])
-    return y, ops.times_a(y)
+def _adjoint_weights(ops: StepOperators, weight: np.ndarray) -> Adjoint:
+    """omega, y = L^-1 omega and z = A y in route coordinates: one L-solve and one matvec."""
+    omega = ops.to_basis(weight[None].copy())[0]
+    y = ops.solve(omega.copy())
+    return omega, y, ops.times_a(y)
 
 
 def _prologue(
-    ops: StepOperators, y: np.ndarray, u: np.ndarray, forcings: np.ndarray, weight: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """What both solutions of the recovery do before any work: check the forcings,
-    take U^0 (n, K) and the forcings (M, n) to route coordinates in place, and check
-    every denominator h <F, y>.  Returns the three."""
-    _check_forcings(forcings)
+    ops: StepOperators, adjoint: Adjoint, u: np.ndarray, forcings: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """What both solutions of the recovery do before any work, given the forcings (M, n)
+    in route coordinates: take U^0 (n, K) to them in place and check every denominator
+    h <F, y>.  Returns U^0 and the denominators."""
+    omega, y, _ = adjoint
     h = ops.grid.h
-    f_pair = h * (forcings @ weight)
-    forcings = ops.to_basis(forcings)
+    f_pair = h * (forcings @ omega)
     denominators = h * (forcings @ y)
     thresholds = 1e-12 * np.maximum(1.0, np.abs(f_pair))  # scale-free "does not vanish"
     failed = np.flatnonzero(np.abs(denominators) <= thresholds)
     if failed.size:
         n = int(failed[0])
         raise DenominatorNearZero(float(denominators[n]), float(thresholds[n]), step=n)
-    return ops.to_basis(u.T).T, forcings, denominators
+    return ops.to_basis(u.T).T, denominators
 
 
 def _nodal_and_finite(
@@ -190,21 +195,19 @@ def _nodal_and_finite(
 
 def _march(
     ops: StepOperators,
-    adjoint: Tuple[np.ndarray, np.ndarray],
+    adjoint: Adjoint,
     u: np.ndarray,
     w: np.ndarray,
     forcings: np.ndarray,
-    weight: np.ndarray,
     states: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """The march: r (M, K) and U^M (n, K) of K series from U^0 = u, w (M+1, K), the
-    M forcings as rows and ``_adjoint_weights(ops, weight)``.  ``u`` is (n, K), or
-    (n, 1) for a U^0 that every series shares; it and ``forcings`` are overwritten.
-    U^n of the first series goes to ``states[n]`` when ``states`` is given."""
-    y, z = adjoint
-    u, forcings, denominators = _prologue(ops, y, u, forcings, weight)
+    M forcings as rows in route coordinates and ``_adjoint_weights``.  ``u`` is (n, K),
+    or (n, 1) for a U^0 that every series shares; it is overwritten.  U^n of the
+    first series goes to ``states[n]`` when ``states`` is given."""
+    u, denominators = _prologue(ops, adjoint, u, forcings)
     tau = ops.tau
-    hz = ops.grid.h * z  # the numerator's h <z, U^n> is hz @ U^n
+    hz = ops.grid.h * adjoint[2]  # the numerator's h <z, U^n> is hz @ U^n
     if u.shape[1] != w.shape[1]:
         u = np.repeat(u, w.shape[1], axis=1)
     recovered = np.empty((forcings.shape[0], w.shape[1]))
@@ -220,24 +223,22 @@ def _march(
 
 def _solve_volterra(
     ops: StepOperators,
-    adjoint: Tuple[np.ndarray, np.ndarray],
+    adjoint: Adjoint,
     u: np.ndarray,
     w: np.ndarray,
     forcings: np.ndarray,
-    weight: np.ndarray,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """What ``_march`` returns for a U^0 (n, 1) that K series share, on the modal
     route: (D - tau K) r = dw/tau + a solved ``_VOLTERRA_BLOCK`` steps at a time by
     ``_volterra_block``, which carries the state from one block to the next.
     ``forcings`` is overwritten."""
-    y, z = adjoint
-    u, forcings, denominators = _prologue(ops, y, u, forcings, weight)
+    u, denominators = _prologue(ops, adjoint, u, forcings)
     m_steps, n = forcings.shape
     powers = np.empty((min(_VOLTERRA_BLOCK, m_steps), n))  # g^m, m < B
     powers[0] = 1.0
     powers[1:] = ops._diagonals[2]
     np.cumprod(powers, axis=0, out=powers)
-    hz_powers = (ops.grid.h * z) * powers
+    hz_powers = (ops.grid.h * adjoint[2]) * powers
     recovered = (w[1:] - w[:-1]) / ops.tau
     for start in range(0, m_steps, _VOLTERRA_BLOCK):
         b = min(_VOLTERRA_BLOCK, m_steps - start)
@@ -305,14 +306,13 @@ def _recover_series(
     # forcings fill memory; rows 1..M of a trajectory hold them until the states replace them
     adjoint = _adjoint_weights(ops, problem.weight)
     forcings = np.empty((grid.M, grid.interior_dim)) if states is None else states[1:]
-    for n, t in enumerate(grid.midpoint_times()):
-        forcings[n] = problem.forcing(float(t))
+    _forcing_rows(problem.forcing, ops.to_basis)(forcings, grid.midpoint_times())
     u = problem.phi[:, None].copy()
     if states is None and ops.solver == "modal":
-        return _solve_volterra(ops, adjoint, u, w, forcings, problem.weight)
+        return _solve_volterra(ops, adjoint, u, w, forcings)
     if states is not None:
         states[0] = problem.phi
-    return _march(ops, adjoint, u, w, forcings, problem.weight, states)
+    return _march(ops, adjoint, u, w, forcings, states)
 
 
 def run_inverse(

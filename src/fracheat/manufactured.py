@@ -20,7 +20,7 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .grid import Grid, MeasurementSeries, ProblemData
+from .grid import Grid, MeasurementSeries, ProblemData, SeparatedForcing
 from .riesz import RieszOperator, assemble, quadrature_oracle
 
 __all__ = ["Mode", "ManufacturedProblem", "build_manufactured", "EXAMPLE_IDS"]
@@ -131,7 +131,9 @@ def build_manufactured(
 
     ``source`` selects how the operator image of each spatial shape is
     computed ('discrete' via A, 'quadrature' via the reference integral);
-    measurements are the analytic w(t) at the grid times.
+    measurements are the analytic w(t) at the grid times.  The forcing is a
+    :class:`SeparatedForcing` of P = 2 x modes shapes, g_k and its image, with
+    coefficients c_k'/r and c_k/r.
     """
     if source not in ("discrete", "quadrature"):
         raise ValueError(f"unknown source mode {source!r}")
@@ -152,15 +154,18 @@ def build_manufactured(
             u_xx=tuple(mode.shape_xx for mode in spec.modes),
         )
 
-    def forcing(t: float) -> np.ndarray:
-        out = np.zeros_like(x)
-        for mode, g, ag in zip(spec.modes, shapes, images):
-            out += mode.dcoef(t) * g + mode.coef(t) * ag
-        return out / spec.r_exact(t)
+    def coefficients(times: np.ndarray) -> np.ndarray:
+        # one row per time: c_k'/r and c_k/r of every mode, the weights of g_k and A g_k
+        table = np.empty((len(times), 2 * len(spec.modes)))
+        for row, t in zip(table, np.asarray(times, dtype=float).tolist()):
+            r = spec.r_exact(t)
+            row[:] = [c(t) / r for mode in spec.modes for c in (mode.dcoef, mode.coef)]
+        return table
 
     data = ProblemData(
         phi=spec.u_exact(0.0, x),
-        forcing=forcing,
+        forcing=SeparatedForcing(np.array([v for pair in zip(shapes, images) for v in pair]),
+                                 coefficients),
         weight=spec.omega_fn(x),
         measurements=spec.analytic_measurements(grid),
         coefficient=spec.r_exact,

@@ -359,7 +359,8 @@ class TestStabilityBounds:
         monkeypatch.setattr(fracheat.forward, "cholesky", None)
         monkeypatch.setattr(RieszOperator, "dense", _refuse_dense)
         by_modes = stability_bounds(traj, spec.r_exact, data.forcing, op, grid)
-        pairs = ((dual_factor, _dual_norms(op, forcings)),
+        # with the eigendecomposition on the operator, _dual_norms takes eigenbasis rows
+        pairs = ((dual_factor, _dual_norms(op, forcings @ op.eigendecomposition.eigenvectors)),
                  (by_factor.l2_slack, by_modes.l2_slack),
                  (by_factor.energy_slack, by_modes.energy_slack))
         for want, got in pairs:
