@@ -14,7 +14,7 @@ import functools
 import math
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Callable, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -108,8 +108,8 @@ def format_float(x: float) -> str:
 # outside (_TABLE_MIN, _TABLE_MAX), zero or not finite goes through
 # format_float instead.  The sign, the "0.000" prefix, D's digits, the point,
 # the exponent and the separator fill fixed slots of 4-byte words, unused slots
-# NUL, and bytes.translate deletes the NULs from the finished chunk.
-_VALUES_PER_CHUNK = 4096  # values per pass, across row ends: ~1 MB of temporaries at most
+# NUL, and bytes.translate deletes the NULs from each file's part of a chunk.
+_VALUES_PER_CHUNK = 4096  # values per pass, across row and file ends: ~1 MB of temporaries
 _POW_MIN, _POW_MAX = -270, 300  # the table holds 10^p for p in this range
 _K_MIN = 16 - _POW_MAX  # the least exponent k the tables hold
 _TABLE_MIN, _TABLE_MAX = 1e-280, 1e280  # |x| whose 16 - k, k off by one, the table holds
@@ -243,6 +243,65 @@ def _label_words(labels: Sequence[float]) -> np.ndarray:
     return _words(texts, -(-max(map(len, texts), default=0) // 4))
 
 
+def _write_tables(
+    paths: Sequence[Path],
+    header: Sequence[str],
+    tables: Sequence[np.ndarray],
+    own: Union[slice, List[int]],
+    labels: Sequence[Tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]],
+) -> None:
+    """Write each of a batch of same-shaped float tables to its path.
+
+    A file's cells are its table's ``own`` columns, row-major; cell p ends
+    its line if it ends its row, and for each ``(words, index)`` in ``labels``
+    the label words ``words[index(p)]`` come before it.  The cells of the
+    whole batch go through the formatting kernel ``_VALUES_PER_CHUNK`` at a
+    time, across row and file ends, so no temporary grows with a table or
+    with the batch; each file's part of a chunk takes one ``translate`` and
+    one write.
+    """
+    head = (",".join(header) + "\n").encode()
+    rows, width = tables[0].shape[0], tables[0][:0, own].shape[1]
+    size = rows * width
+    for parent in {path.parent for path in paths}:
+        parent.mkdir(parents=True, exist_ok=True)
+    if not size:
+        for path in paths:
+            path.write_bytes(head + b"\n" * rows)  # a row without cells is an empty line
+        return
+    total, fh = size * len(tables), None
+    try:
+        for start in range(0, total, _VALUES_PER_CHUNK):
+            stop = min(start + _VALUES_PER_CHUNK, total)
+            # each file the chunk reaches, with its cells a:b there, and each cell's place
+            first = start // size
+            parts = [(f, max(start - f * size, 0), min(stop - f * size, size))
+                     for f in range(first, (stop - 1) // size + 1)]
+            p = np.arange(start - first * size, stop - first * size)
+            # cells a:b lie in rows a // width to b / width rounded up
+            cells = [tables[f][a // width : -(-b // width), own].ravel()[a % width :][: b - a]
+                     for f, a, b in parts]
+            if len(parts) > 1:
+                p %= size
+                cells = [np.concatenate(cells)]
+            lines = _format_values(cells[0], True if width == 1 else p % width == width - 1)
+            if labels:
+                lines = np.concatenate([np.take(words, index(p), axis=0)
+                                        for words, index in labels] + [lines], axis=1)
+            end = 0
+            for f, a, b in parts:
+                text = lines[end : end + b - a].tobytes().translate(None, b"\0")
+                end += b - a
+                if not a:
+                    if fh is not None:
+                        fh.close()
+                    fh, text = open(paths[f], "wb"), head + text
+                fh.write(text)
+    finally:
+        if fh is not None:
+            fh.close()
+
+
 def write_csv(
     path: Path,
     header: Sequence[str],
@@ -256,45 +315,32 @@ def write_csv(
     whose values are written as floats with the same bytes.  Given
     ``index = (times, nodes)``, ``rows`` is a 2-D array of values instead,
     and ``rows[k, i]`` is written as the row ``times[k], nodes[i], rows[k, i]``,
-    again with the same bytes; each label is formatted once.  An array's
-    values go through the NumPy formatting kernel ``_VALUES_PER_CHUNK`` at a
-    time over its flat row-major range, so a chunk may start or end inside a
-    row, and no temporary grows with the table.
+    again with the same bytes; each label is formatted once.  An array goes
+    through :func:`_write_tables`, whose label columns carry the index.
     """
     path = Path(path)
-    if index is not None or isinstance(rows, np.ndarray):
-        rows = np.asarray(rows, dtype=float)
-    if index is not None:
-        lengths = tuple(len(labels) for labels in index)
-        if lengths != rows.shape:
-            raise ValueError(f"labels of lengths {lengths} do not index values of shape "
-                             f"{rows.shape}")
-    elif isinstance(rows, np.ndarray) and rows.ndim != 2:
-        raise ValueError(f"expected a 2-D array of rows, got shape {rows.shape}")
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "wb") as fh:
-        fh.write((",".join(header) + "\n").encode())
-        if not isinstance(rows, np.ndarray):
+    if index is None and not isinstance(rows, np.ndarray):
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with open(path, "wb") as fh:
+            fh.write((",".join(header) + "\n").encode())
             for row in rows:
                 fh.write((",".join(format_float(v) if isinstance(v, float) else str(v)
                                    for v in row) + "\n").encode())
-            return path
-        width = rows.shape[1]
-        if index is not None:
-            times, nodes = (_label_words(labels) for labels in index)
-        elif not width:
-            fh.write(b"\n" * len(rows))  # a row without cells is an empty line
-        for start in range(0, rows.size, _VALUES_PER_CHUNK):
-            values = rows.flat[start : start + _VALUES_PER_CHUNK]
-            flat = np.arange(start, start + values.size)
-            if index is None:
-                lines = _format_values(values, flat % width == width - 1)
-            else:
-                level, node = np.divmod(flat, width)
-                lines = np.concatenate((np.take(times, level, axis=0),
-                                        np.take(nodes, node, axis=0),
-                                        _format_values(values, True)), axis=1)
-            fh.write(lines.tobytes().translate(None, b"\0"))
+        return path
+    rows = np.asarray(rows, dtype=float)
+    labels: list = []
+    if index is not None:
+        lengths = tuple(len(column) for column in index)
+        if lengths != rows.shape:
+            raise ValueError(f"labels of lengths {lengths} do not index values of shape "
+                             f"{rows.shape}")
+        nodes = lengths[1]
+        labels = [(_label_words(index[0]), lambda p: p // nodes),
+                  (_label_words(index[1]), lambda p: p % nodes)]
+        rows = rows.reshape(-1, 1)  # one value a line
+    elif rows.ndim != 2:
+        raise ValueError(f"expected a 2-D array of rows, got shape {rows.shape}")
+    _write_tables([path], header, [rows], slice(None), labels)
     return path
 
 
@@ -539,6 +585,8 @@ class NoiseCase:
 @dataclass(frozen=True)
 class NoiseStudyResult:
     cases: Tuple[NoiseCase, ...]
+    # every case's tables hold one evaluation of the coordinates and exact values
+    shared_columns = ("t_mid", "r_exact", "x", "u_exact")
 
     def mean_linf_r(self) -> dict:
         """Mean raw coefficient error per noise level, over completed seeds."""
@@ -614,27 +662,54 @@ def noise_study(config: StudyConfig) -> NoiseStudyResult:
         recovered = np.full((grid.M, len(series)), np.nan)
         final = np.full((grid.interior_dim, len(series)), np.nan)
 
-    # the smoothed copies need only their r error
     stride = 2 if smooth else 1
-    r_tables, u_tables = _exact_tables(grid, spec, recovered, final[:, ::stride])
+    r_tables, u_tables = _exact_tables(grid, spec, recovered[:, ::stride], final[:, ::stride])
+    # the smoothed copies need only their largest r error, not a table each
+    smoothed = (np.abs(recovered[:, 1::2].T - r_tables[0, :, 2]).max(axis=1).tolist() if smooth
+                else [None] * len(keys))
     cases: List[NoiseCase] = []
     for k, (delta, seed) in enumerate(keys):
-        r_table = r_tables[stride * k]
-        linf_r, l2_r = _error_norms(r_table, grid.tau)
+        linf_r, l2_r = _error_norms(r_tables[k], grid.tau)
         cases.append(NoiseCase(
             delta=delta, seed=seed, completed=not failure, linf_r=linf_r, l2_r=l2_r,
-            linf_r_smoothed=_error_norms(r_tables[stride * k + 1], grid.tau)[0] if smooth else None,
-            r_table=r_table, u_table=u_tables[k], failure=failure,
+            linf_r_smoothed=smoothed[k],
+            r_table=r_tables[k], u_table=u_tables[k], failure=failure,
         ))
     return NoiseStudyResult(cases=tuple(cases))
 
 
 def emit_outputs(result, outdir) -> List[Path]:
-    """Write the CSV files a study result lists in ``csv_files``; returns their paths."""
+    """Write the CSV files a study result lists in ``csv_files``; returns their paths.
+
+    A result may name the columns it fills from one evaluation for every file
+    of a header, in ``shared_columns``.  The array files of such a header are
+    written as one batch: the shared columns become label words, formatted
+    once from the first file, and the files' own columns are formatted
+    together (see :func:`_write_tables`).  Every other file goes through
+    :func:`write_csv` alone, with the same bytes.
+    """
     if not hasattr(result, "csv_files"):
         raise TypeError(f"no CSV writer for result of type {type(result).__name__}")
-    return [write_csv(Path(outdir) / name, header, rows)
-            for name, header, rows in result.csv_files()]
+    files = result.csv_files()
+    paths = [Path(outdir) / name for name, _, _ in files]
+    shared = set(getattr(result, "shared_columns", ()))
+    batches: dict = {}
+    for path, (_, header, rows) in zip(paths, files):
+        if isinstance(rows, np.ndarray) and shared & set(header):
+            batches.setdefault(tuple(header), []).append((path, rows))
+        else:
+            write_csv(path, header, rows)
+    for header, batch in batches.items():
+        first = batch[0][1]
+        columns = [j for j, name in enumerate(header) if name in shared]
+        own = [j + 1 for j in columns]  # the cells after each shared column's label words
+        if (own != [j for j in range(first.shape[1]) if j not in columns]
+                or any(rows.shape != first.shape for _, rows in batch)):
+            raise ValueError(f"the {', '.join(header)} files must share a shape, and each "
+                             f"shared column must lead one of a file's own")
+        _write_tables([path for path, _ in batch], header, [rows for _, rows in batch], own,
+                      [(_label_words(first[:, columns].ravel()), lambda p: p)])
+    return paths
 
 
 # config key -> type of its value, or of each item of a comma list; the rest are strings

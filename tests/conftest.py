@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import reject
 
-from fracheat import SolverError, assemble, build_manufactured, make_grid
+from fracheat import ProblemData, SolverError, assemble, build_manufactured, make_grid
 
 
 def smooth_bump(x):
@@ -20,6 +20,30 @@ def smooth_bump(x):
     with np.errstate(divide="ignore", over="ignore"):
         out[inside] = np.exp(1.0 - 1.0 / (1.0 - z[inside] ** 2))
     return out
+
+
+def orthogonal_problem(grid, from_step):
+    """Odd forcing against an even weight from step ``from_step`` on: both
+    pairings vanish exactly by the reflection symmetry of the operator, so the
+    recovery denominator is zero there."""
+    x = grid.interior_x()
+    switch = grid.midpoint_times()[from_step]
+    return ProblemData(
+        phi=np.sin(np.pi * x),
+        forcing=lambda t: np.sin((1.0 if t < switch else 2.0) * np.pi * x),
+        weight=np.sin(np.pi * x),
+    )
+
+
+def orthogonal_from_start(build):
+    """``build_manufactured`` with the forcing of ``orthogonal_problem`` from step 0."""
+
+    def orthogonal(ident, grid, **kwargs):
+        spec, data = build(ident, grid, **kwargs)
+        return spec, ProblemData(phi=data.phi, forcing=orthogonal_problem(grid, 0).forcing,
+                                 weight=data.weight, measurements=data.measurements)
+
+    return orthogonal
 
 
 @contextlib.contextmanager

@@ -28,7 +28,7 @@ from fracheat import (
     stability_bounds,
 )
 from fracheat.grid import MeasurementSeries
-from conftest import within_cg_floor
+from conftest import orthogonal_from_start, orthogonal_problem, within_cg_floor
 
 orders = st.floats(0.01, 0.99)
 sizes = st.integers(2, 300)
@@ -195,23 +195,11 @@ def test_cg_recovery_keeps_its_digits(s, n_cells, t_final, bound):
     assert np.max(np.abs(rec.values - r_true)) <= bound
 
 
-def _orthogonal_problem(grid, from_step):
-    # odd forcing against an even weight from step ``from_step`` on: both
-    # pairings vanish exactly by the reflection symmetry of the operator
-    x = grid.interior_x()
-    switch = grid.midpoint_times()[from_step]
-    return ProblemData(
-        phi=np.sin(np.pi * x),
-        forcing=lambda t: np.sin((1.0 if t < switch else 2.0) * np.pi * x),
-        weight=np.sin(np.pi * x),
-    )
-
-
 @pytest.mark.parametrize("solver", ["cholesky", "cg", "modal"])
 @pytest.mark.parametrize("from_step", [0, 3])
 def test_orthogonal_forcing_fails_batch_at_its_step(solver, from_step, monkeypatch):
     grid = make_grid(1, 1, 16, 6, 0.5)
-    problem = _orthogonal_problem(grid, from_step)
+    problem = orthogonal_problem(grid, from_step)
     w0 = grid.h * float(problem.phi @ problem.weight)
     series = np.full((grid.M + 1, 4), w0)
     ops = make_step_operators(grid, solver=solver)
@@ -369,18 +357,8 @@ def test_modal_forward_keeps_its_digits_on_a_stiff_grid(scheme):
 def test_noise_study_denominator_failure_fails_every_case(tmp_path, monkeypatch):
     import fracheat.studies
 
-    original = fracheat.studies.build_manufactured
-
-    def orthogonal(ident, grid, **kwargs):
-        spec, data = original(ident, grid, **kwargs)
-        return spec, ProblemData(
-            phi=data.phi,
-            forcing=_orthogonal_problem(grid, 0).forcing,
-            weight=data.weight,
-            measurements=data.measurements,
-        )
-
-    monkeypatch.setattr(fracheat.studies, "build_manufactured", orthogonal)
+    monkeypatch.setattr(fracheat.studies, "build_manufactured",
+                        orthogonal_from_start(fracheat.studies.build_manufactured))
     cfg = StudyConfig(example="example1", s=0.5, n_values=(16,), m_values=(16,),
                       deltas=(0.01, 0.03, 0.05), seeds=tuple(range(10)), smooth_window=5)
     study = noise_study(cfg)

@@ -20,7 +20,14 @@ from fracheat import (
     run_inverse_case,
 )
 from fracheat.grid import make_grid
-from fracheat.studies import ConvergenceRow, _format_values, format_float, write_csv
+from fracheat.studies import (
+    _VALUES_PER_CHUNK,
+    ConvergenceRow,
+    _format_values,
+    format_float,
+    write_csv,
+)
+from conftest import orthogonal_from_start
 
 # reference error levels of this configuration (h = 1/800, s = 0.5),
 # used as a published-values oracle for the rate fitter
@@ -504,6 +511,86 @@ class TestCsvFormat:
             path = write_csv(tmp_path / "t.csv", ("t", "x", "u"), np.zeros((levels, nodes)),
                              index=([0.5] * levels, [0.25] * nodes))
             assert path.read_bytes() == b"t,x,u\n"
+
+
+@st.composite
+def _noise_configs(draw):
+    """A small noise study of 1 to 40 cases, with smoothing on or off."""
+    deltas = draw(st.lists(st.sampled_from([0.0, 0.01, 0.03, 0.05, 0.2]), min_size=1,
+                           max_size=4, unique=True))
+    seeds = draw(st.lists(st.integers(0, 99), min_size=1, max_size=10, unique=True))
+    m = draw(st.integers(3, 12))
+    return StudyConfig(example=draw(st.sampled_from(["example1", "example2"])),
+                       n_values=(draw(st.integers(3, 12)),), m_values=(m,), deltas=tuple(deltas),
+                       seeds=tuple(seeds), smooth_window=draw(st.sampled_from([1, 3])))
+
+
+class TestNoiseBatchWrite:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(config=_noise_configs(), failed=st.booleans(), chunk=st.sampled_from([5, 7, 130, 4096]))
+    @example(config=StudyConfig(n_values=(12,), m_values=(12,), deltas=(0.0, 0.01, 0.03, 0.05),
+                                seeds=tuple(range(10)), smooth_window=3), failed=False, chunk=7)
+    @example(config=StudyConfig(n_values=(5,), m_values=(4,), deltas=(0.01, 0.05), seeds=(3,)),
+             failed=True, chunk=5)
+    def test_noise_files_match_files_written_alone(self, tmp_path_factory, config, failed,
+                                                   chunk):
+        """The batch writes the bytes each file's array path writes, in csv_files order."""
+        import fracheat.studies
+
+        build = fracheat.studies.build_manufactured
+        with mock.patch.object(fracheat.studies, "build_manufactured",
+                               orthogonal_from_start(build) if failed else build), \
+                warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            study = noise_study(config)
+        assert study.all_completed is not failed
+        out = tmp_path_factory.mktemp("noise")
+        with mock.patch.object(fracheat.studies, "_VALUES_PER_CHUNK", chunk):
+            paths = emit_outputs(study, out / "batch")
+        files = study.csv_files()
+        assert paths == [out / "batch" / name for name, _, _ in files]
+        for path, (name, header, rows) in zip(paths, files):
+            alone = write_csv(out / "alone" / name, header, rows)
+            assert path.read_bytes() == alone.read_bytes(), name
+
+    def test_noise_emit_memory_does_not_grow_with_the_cases(self, tmp_path):
+        """120 cases peak less than two kernel chunks' temporaries above 4 (N = M = 64)."""
+
+        def peak(run):
+            tracemalloc.start()
+            try:
+                run()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        values = np.random.default_rng(2).standard_normal(_VALUES_PER_CHUNK)
+        _format_values(values, True)  # build the kernel's tables outside the trace
+        chunk = peak(lambda: _format_values(values, True))
+        peaks = {}
+        for seeds in (1, 30):
+            config = StudyConfig(n_values=(64,), m_values=(64,), seeds=tuple(range(seeds)),
+                                 deltas=(0.01, 0.02, 0.03, 0.04), smooth_window=5)
+            study = noise_study(config)
+            peaks[len(study.cases)] = peak(lambda: emit_outputs(study, tmp_path / str(seeds)))
+        # a chunk's label words, lines and bytes take less than its kernel temporaries;
+        # all 120 cases' cells formatted at once take over three chunks' worth
+        assert peaks[120] - peaks[4] < 2 * chunk
+
+    def test_misdeclared_shared_columns_are_rejected(self, tmp_path):
+        class Result:
+            shared_columns = ("b",)
+
+            def __init__(self, tables):
+                self.tables = tables
+
+            def csv_files(self):
+                return [(f"{k}.csv", ("a", "b"), t) for k, t in enumerate(self.tables)]
+
+        with pytest.raises(ValueError, match="own"):
+            emit_outputs(Result([np.zeros((3, 2))] * 2), tmp_path)
+        with pytest.raises(ValueError, match="shape"):
+            emit_outputs(Result([np.zeros((3, 2)), np.zeros((4, 2))]), tmp_path)
 
 
 class TestLoadConfig:
