@@ -231,9 +231,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "operator-dump": ("write the dense stiffness matrix to CSV", _cmd_operator_dump,
                           ["--l", *_OPERATOR_FLAGS]),
     }
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # the first word naming a command is the one argparse runs, as the top level
+    # takes no option with a value: only its parser gets flags, and the others
+    # exist for the command list of --help
+    invoked = next((word for word in argv if word in commands), None)
     for name, (help_text, fn, flags) in commands.items():
         p = sub.add_parser(name, help=help_text)
-        for flag in flags:
+        for flag in flags if name == invoked else ():
             field, kwargs = _FLAGS[flag]
             p.add_argument(flag, dest=field, **kwargs)
         p.set_defaults(fn=fn)

@@ -49,7 +49,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -257,7 +257,6 @@ class QuadratureConvergenceError(RuntimeError):
 
 ArrayFn = Callable[[np.ndarray], np.ndarray]
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
 # quadrature_oracle's starting count of far-field panels per side, the relative
 # agreement of two successive counts that ends its doubling, and how often it
 # may double the count to reach that agreement
@@ -268,13 +267,24 @@ _QUADRATURE_DOUBLINGS = 4
 _FAR_BLOCK_POINTS = 1 << 17
 
 
+@cache
+def _gauss_legendre() -> Tuple[np.ndarray, np.ndarray]:
+    """The 12-point Gauss-Legendre nodes and weights on [-1, 1].
+
+    Computed on first use: only the quadrature oracle reads them, and
+    ``numpy.polynomial`` stays off the import path.
+    """
+    return np.polynomial.legendre.leggauss(12)
+
+
 def _gauss_sum(values: np.ndarray) -> np.ndarray:
     """Gauss-Legendre weighted sum over the last axis, whose length is a multiple of 12.
 
     Each row is an elementwise product summed along the row, so a node's
     value does not depend on the other rows of its block.
     """
-    weights = np.tile(_GL_WEIGHTS, values.shape[-1] // _GL_NODES.size)
+    nodes, weights = _gauss_legendre()
+    weights = np.tile(weights, values.shape[-1] // nodes.size)
     return (values * weights).sum(axis=-1)
 
 
@@ -282,7 +292,7 @@ def _gauss_panel(fn, a: float, b: float) -> np.ndarray:
     """12-point Gauss rule on [a, b] for each row of the (n, 12) values of ``fn``."""
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
-    return half * _gauss_sum(fn(mid + half * _GL_NODES))
+    return half * _gauss_sum(fn(mid + half * _gauss_legendre()[0]))
 
 
 def _near_field(u, xs: np.ndarray, h: float, s: float, u_xx: Optional[Callable]) -> np.ndarray:
@@ -343,7 +353,7 @@ def _far_field(us, uxs, xs: np.ndarray, h: float, s: float, l: float, panels: in
     block's log grid and kernel.
     """
     # each point's place in its side's [log h, log reach], as a fraction
-    frac = ((np.arange(panels)[:, None] + 0.5 * (1.0 + _GL_NODES)) / panels).ravel()
+    frac = ((np.arange(panels)[:, None] + 0.5 * (1.0 + _gauss_legendre()[0])) / panels).ravel()
     lo = math.log(h)
     total = np.zeros((len(us), xs.size))
     block = max(1, _FAR_BLOCK_POINTS // frac.size)

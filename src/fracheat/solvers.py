@@ -231,11 +231,17 @@ def eigendecompose(mat: np.ndarray) -> SpectralDecomposition:
 
     lam = np.concatenate((lam_e, lam_o))
     order = np.argsort(lam, kind="stable")
-    top = np.hstack((v_e[:h], v_o))[:, order] / np.sqrt(2.0)
+    # each half's columns go, scaled in place, straight to their sorted places in Q
+    place = np.empty(n, dtype=np.intp)
+    place[order] = np.arange(n)
+    even, odd = place[: n - h], place[n - h :]
+    v_e[:h] /= np.sqrt(2.0)
+    v_o /= np.sqrt(2.0)
     q = np.empty((n, n))
-    q[:h] = top
-    q[h : n - h] = np.hstack((v_e[h:], np.zeros((n - 2 * h, h))))[:, order]  # odd n only
-    q[n - h :] = top[::-1] * np.repeat((1.0, -1.0), (n - h, h))[order]
+    q[:h, even], q[:h, odd] = v_e[:h], v_o
+    q[h : n - h, even], q[h : n - h, odd] = v_e[h:], 0.0  # odd n only
+    np.negative(v_o, out=v_o)
+    q[n - h :, even], q[n - h :, odd] = v_e[:h][::-1], v_o[::-1]
     return SpectralDecomposition(eigenvalues=lam[order], eigenvectors=q)
 
 

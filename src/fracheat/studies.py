@@ -14,7 +14,7 @@ import functools
 import math
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Callable, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -107,18 +107,21 @@ def format_float(x: float) -> str:
 # rounds as CPython's exact dtoa does.  A value that near a rounding midpoint,
 # outside (_TABLE_MIN, _TABLE_MAX), zero or not finite goes through
 # format_float instead.  The sign, the "0.000" prefix, D's digits, the point,
-# the exponent and the separator fill fixed slots of 4-byte words, unused slots
-# NUL, and bytes.translate deletes the NULs from each file's part of a chunk.
+# the exponent and the separator fill slots of 4-byte words, unused bytes NUL,
+# and bytes.translate deletes the NULs from each file's part of a chunk.
 _VALUES_PER_CHUNK = 4096  # values per pass, across row and file ends: ~1 MB of temporaries
 _POW_MIN, _POW_MAX = -270, 300  # the table holds 10^p for p in this range
 _K_MIN = 16 - _POW_MAX  # the least exponent k the tables hold
 _TABLE_MIN, _TABLE_MAX = 1e-280, 1e280  # |x| whose 16 - k, k off by one, the table holds
 _MIDPOINT_MARGIN = 1e-6
 _SPLIT = 134217729.0  # 2^27 + 1, Dekker's splitting constant
-_GROUP_SCALES = (10**16, 10**12, 10**8, 10**4, 1)  # D as five 4-digit groups
-# a value's slots, in words: the sign, a "0.000" prefix and the integer digits;
-# the point and the fraction digits; the exponent and the separator.  Digit j of
-# D sits at byte 3 + j of the integer and of the fraction words.
+# a value's slots at their widest, in words: the sign, a "0.000" prefix and the
+# integer digits; the point and the fraction digits; the exponent and the
+# separator.  Digit j of D sits at byte 3 + j of the integer and of the
+# fraction words.  A chunk's integer slot keeps only the words its widest
+# prefix or integer part reaches, and its exponent slot only the separator's
+# word when every value is fixed-form; a chunk with a format_float fallback
+# keeps the integer slot whole.
 _INT, _FRAC, _EXP, _FIELD = 0, 5, 10, 12
 
 
@@ -129,8 +132,7 @@ def _words(texts: Sequence[str], width: int) -> np.ndarray:
 
 
 class _FormatTables(NamedTuple):
-    pow_hi: np.ndarray  # 10^p = pow_hi + pow_lo to 2^-106, p from _POW_MIN
-    pow_lo: np.ndarray
+    pows: np.ndarray  # hi, lo, hi's Dekker halves: 10^p = hi + lo to 2^-106, row p - _POW_MIN
     quads: np.ndarray  # the four digits of 0..9999, one word each
     lead: np.ndarray  # "\0\0.d" for the leading digit d: the point the fraction mask keeps
     ends: np.ndarray  # 1 - trailing zeros of 1..9999, -16 for 0: plus 4c, where group c's
@@ -163,7 +165,7 @@ def _format_tables() -> _FormatTables:
     keep_frac = ((digit >= i[..., None]) & (digit < n[..., None])
                  | (digit == -1) & (0 < i[..., None]) & (i[..., None] < n[..., None]))
     return _FormatTables(
-        pow_hi, pow_lo, quads.view(np.uint32)[:, 0],
+        np.column_stack((pow_hi, pow_lo, *_split(pow_hi))), quads.view(np.uint32)[:, 0],
         _words([f"\0\0.{d}" for d in range(10)], 1)[:, 0],
         np.where(q == 0, -16, 1 - trailing),
         (255 * ((0 <= digit) & (digit < i))).astype(np.uint8).view(np.uint32),
@@ -184,20 +186,41 @@ def _split(a: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 
 def _scaled(ax: np.ndarray, k: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Integer part and fraction of ax·10^(16-k), from an error-free product."""
-    tables = _format_tables()
-    hi, lo = tables.pow_hi[16 - k - _POW_MIN], tables.pow_lo[16 - k - _POW_MIN]
+    hi, lo, bh, bl = np.take(_format_tables().pows, 16 - _POW_MIN - k, axis=0).T
     p = ax * hi
-    (ah, al), (bh, bl) = _split(ax), _split(hi)
+    ah, al = _split(ax)
     rest = (((ah * bh - p) + ah * bl + al * bh) + al * bl) + ax * lo
     carry = np.floor(rest)
     # p is whole from 2^53 up; below, the integer part is under 10^16 either way
     return p.astype(np.int64) + carry.astype(np.int64), rest - carry
 
 
-def _format_values(x: np.ndarray, newline: Union[bool, np.ndarray]) -> np.ndarray:
-    """format_float of each x and a separator, NUL-padded into rows of _FIELD words.
+def _digit_groups(d: np.ndarray) -> np.ndarray:
+    """The five 4-digit groups of each 17-digit D, (5, len(d)), the first its leading digit.
+
+    One split gives D // 10^8 < 10^9 and D % 10^8, and each half is cut into
+    its groups by floor division and subtraction, which take NumPy less
+    time than the remainder.
+    """
+    high = d // 10**8
+    groups = np.empty((5, d.size), np.intp)
+    groups[2], groups[4] = high, d - high * 10**8  # the halves, each cut into groups below
+    del high
+    groups[0] = groups[2] // 10**8
+    groups[2] -= groups[0] * 10**8
+    groups[1::2] = groups[2::2] // 10**4
+    groups[2::2] -= groups[1::2] * 10**4
+    return groups
+
+
+def _format_values(x: np.ndarray, newline: Union[bool, np.ndarray], labels: int = 0,
+                   buffer: Optional[np.ndarray] = None) -> np.ndarray:
+    """format_float of each x and a separator, NUL-padded into rows of 4-byte words.
 
     The separator is the newline where ``newline`` is true, the comma elsewhere.
+    Each row starts with ``labels`` words left for the caller to fill, and the
+    rows are a view of the flat ``buffer`` when one is given; the value slots
+    are as narrow as the values allow, at most _FIELD words.
     """
     tables = _format_tables()
     ax = np.abs(x)
@@ -214,33 +237,80 @@ def _format_values(x: np.ndarray, newline: Union[bool, np.ndarray]) -> np.ndarra
     fallback = np.flatnonzero(~table | (np.abs(frac - 0.5) < _MIDPOINT_MARGIN)
                               | (d < 10**16) | (d >= 10**17))
     d += frac > 0.5
+    del ax, table, frac, off
     carry = d == 10**17  # 99...9.5 rounds up to the next power of ten
     d[carry] = 10**16
     k += carry
     d[fallback], k[fallback] = 10**16, 0
-    groups = np.stack([d // scale % 10000 for scale in _GROUP_SCALES])
-    digits = np.take(tables.quads, groups.T)
+    groups = _digit_groups(d)
+    del d, carry
+    digits = tables.quads[groups.T]
     digits[:, 0] = np.take(tables.lead, groups[0])
-    nd = (np.take(tables.ends, groups) + np.arange(0, 20, 4)[:, None]).max(axis=0)
+    # D's significant digits: 17 unless its last digit is 0
+    nd = np.full(x.size, 17)
+    short = np.flatnonzero(np.take(tables.ends, groups[4]) < 1)
+    nd[short] = (np.take(tables.ends, groups[:, short])
+                 + np.arange(0, 20, 4)[:, None]).max(axis=0)
+    del groups, short
     fixed = (k >= -4) & (k < 17)
     ni = np.where(fixed, np.maximum(k + 1, 0), 1)  # digits before the point
     zeros = np.where(fixed & (k < 0), -k, 0)  # before D, the one before the point included
     ni[fallback] = nd[fallback] = zeros[fallback] = 0
-    out = np.empty((x.size, _FIELD), np.uint32)
-    out[:, _INT:_FRAC] = (digits & np.take(tables.keep_int, ni, axis=0)
-                          | np.take(tables.prefix, 2 * zeros + np.signbit(x), axis=0))
-    out[:, _FRAC:_EXP] = digits & np.take(tables.keep_frac, 18 * ni + np.maximum(nd, ni), axis=0)
-    out[:, _EXP:] = np.take(tables.exponent, 2 * (k - _K_MIN) + newline, axis=0)
+    prefix = 2 * zeros + np.signbit(x)
+    # the integer slot ends with D's integer digits, at byte 3 + ni, or with the
+    # prefix, whose sign, zeros and point take 1 + z + sign bytes
+    n_int = (_FRAC - _INT if fallback.size
+             else -(-max(3 + int(ni.max()), 1 + int((prefix - zeros).max())) // 4))
+    n_exp = 1 if fixed.all() else _FIELD - _EXP
+    del fixed, zeros
+    width = labels + n_int + (_EXP - _FRAC) + n_exp
+    out = (np.empty(x.size * width, np.uint32) if buffer is None
+           else buffer[: x.size * width]).reshape(x.size, width)
+    ints = out[:, labels : labels + n_int]
+    np.bitwise_and(digits[:, :n_int], np.take(tables.keep_int[:, :n_int], ni, axis=0), out=ints)
+    ints |= np.take(tables.prefix[:, :n_int], prefix, axis=0)
+    del prefix
+    np.bitwise_and(digits, np.take(tables.keep_frac, 18 * ni + np.maximum(nd, ni), axis=0),
+                   out=out[:, labels + n_int : width - n_exp])
+    del digits, ni, nd
+    out[:, width - n_exp :] = np.take(tables.exponent[:, :n_exp],
+                                      2 * (k - _K_MIN) + newline, axis=0)
     if fallback.size:
-        out[fallback, _INT:_EXP] = _words([format_float(v) for v in x[fallback].tolist()],
-                                          _EXP - _INT)
+        out[fallback, labels : labels + _EXP - _INT] = _words(
+            [format_float(v) for v in x[fallback].tolist()], _EXP - _INT)
     return out
 
 
 def _label_words(labels: Sequence[float]) -> np.ndarray:
-    """format_float of each label and a comma, NUL-padded into rows of 4-byte words."""
-    texts = [format_float(v) + "," for v in np.asarray(labels, dtype=float).tolist()]
-    return _words(texts, -(-max(map(len, texts), default=0) // 4))
+    """format_float of each label and a comma, NUL-padded to a whole number of 4-byte words."""
+    texts = [(format_float(v) + ",").encode() for v in np.asarray(labels, dtype=float).tolist()]
+    return np.array(texts, dtype=f"S{-(-max(map(len, texts), default=0) // 4) * 4}")
+
+
+def _fill_labels(rows: np.ndarray, words: np.ndarray, repeat: int, start: int) -> None:
+    """Set each ``rows[i]`` to ``words[((start + i) // repeat) % len(words)]``.
+
+    Whole runs of one label, up to the end of ``words``, take one broadcast
+    copy; the rows past one period of ``repeat * len(words)`` repeat the first
+    period, again in one copy, so a chunk takes a few copies whatever its size.
+    """
+    n, period = rows.size, repeat * words.size
+    first, i = min(n, period), 0
+    while i < first:
+        label, into = divmod(start + i, repeat)
+        j = label % words.size
+        runs = 0 if into else min((first - i) // repeat, words.size - j)
+        if runs:
+            rows[i : i + runs * repeat].reshape(runs, repeat)[:] = words[j : j + runs, None]
+            i += runs * repeat
+        else:  # a run the chunk cuts
+            step = min(first - i, repeat - into)
+            rows[i : i + step] = words[j]
+            i += step
+    if n > period:
+        whole = n // period * period
+        rows[:whole].reshape(-1, period)[1:] = rows[:period]
+        rows[whole:] = rows[: n - whole]
 
 
 def _write_tables(
@@ -248,17 +318,18 @@ def _write_tables(
     header: Sequence[str],
     tables: Sequence[np.ndarray],
     own: Union[slice, List[int]],
-    labels: Sequence[Tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]],
+    labels: Sequence[Tuple[np.ndarray, int]],
 ) -> None:
     """Write each of a batch of same-shaped float tables to its path.
 
     A file's cells are its table's ``own`` columns, row-major; cell p ends
-    its line if it ends its row, and for each ``(words, index)`` in ``labels``
-    the label words ``words[index(p)]`` come before it.  The cells of the
-    whole batch go through the formatting kernel ``_VALUES_PER_CHUNK`` at a
-    time, across row and file ends, so no temporary grows with a table or
-    with the batch; each file's part of a chunk takes one ``translate`` and
-    one write.
+    its line if it ends its row, and for each ``(words, repeat)`` in
+    ``labels`` the label words ``words[(p // repeat) % len(words)]`` come
+    before it.  The cells of the whole batch go through the formatting kernel
+    ``_VALUES_PER_CHUNK`` at a time, across row and file ends, into one row
+    buffer that every chunk reuses, so no temporary grows with a table or
+    with the batch; the label words are copied in by runs, and each file's
+    part of a chunk takes one ``translate`` and one write.
     """
     head = (",".join(header) + "\n").encode()
     rows, width = tables[0].shape[0], tables[0][:0, own].shape[1]
@@ -270,33 +341,37 @@ def _write_tables(
             path.write_bytes(head + b"\n" * rows)  # a row without cells is an empty line
         return
     total, fh = size * len(tables), None
+    label_width = sum(words.itemsize // 4 for words, _ in labels)
+    buffer = np.empty(min(total, _VALUES_PER_CHUNK) * (label_width + _FIELD), np.uint32)
     try:
         for start in range(0, total, _VALUES_PER_CHUNK):
             stop = min(start + _VALUES_PER_CHUNK, total)
-            # each file the chunk reaches, with its cells a:b there, and each cell's place
-            first = start // size
+            # each file the chunk reaches, with its cells a:b there
             parts = [(f, max(start - f * size, 0), min(stop - f * size, size))
-                     for f in range(first, (stop - 1) // size + 1)]
-            p = np.arange(start - first * size, stop - first * size)
+                     for f in range(start // size, (stop - 1) // size + 1)]
             # cells a:b lie in rows a // width to b / width rounded up
             cells = [tables[f][a // width : -(-b // width), own].ravel()[a % width :][: b - a]
                      for f, a, b in parts]
-            if len(parts) > 1:
-                p %= size
-                cells = [np.concatenate(cells)]
-            lines = _format_values(cells[0], True if width == 1 else p % width == width - 1)
-            if labels:
-                lines = np.concatenate([np.take(words, index(p), axis=0)
-                                        for words, index in labels] + [lines], axis=1)
+            # files hold whole rows, so a cell's batch index tells where it falls in its row
+            newline = True if width == 1 else np.arange(start, stop) % width == width - 1
+            lines = _format_values(cells[0] if len(parts) == 1 else np.concatenate(cells),
+                                   newline, label_width, buffer)
             end = 0
             for f, a, b in parts:
-                text = lines[end : end + b - a].tobytes().translate(None, b"\0")
+                part, column = lines[end : end + b - a], 0
+                for words, repeat in labels:
+                    span = words.itemsize // 4
+                    _fill_labels(part[:, column : column + span].view(words.dtype)[:, 0],
+                                 words, repeat, a)
+                    column += span
+                text = part.tobytes().translate(None, b"\0")
                 end += b - a
                 if not a:
                     if fh is not None:
                         fh.close()
                     fh, text = open(paths[f], "wb"), head + text
                 fh.write(text)
+                del text  # before the next part's bytes are made
     finally:
         if fh is not None:
             fh.close()
@@ -334,9 +409,7 @@ def write_csv(
         if lengths != rows.shape:
             raise ValueError(f"labels of lengths {lengths} do not index values of shape "
                              f"{rows.shape}")
-        nodes = lengths[1]
-        labels = [(_label_words(index[0]), lambda p: p // nodes),
-                  (_label_words(index[1]), lambda p: p % nodes)]
+        labels = [(_label_words(index[0]), lengths[1]), (_label_words(index[1]), 1)]
         rows = rows.reshape(-1, 1)  # one value a line
     elif rows.ndim != 2:
         raise ValueError(f"expected a 2-D array of rows, got shape {rows.shape}")
@@ -708,7 +781,7 @@ def emit_outputs(result, outdir) -> List[Path]:
             raise ValueError(f"the {', '.join(header)} files must share a shape, and each "
                              f"shared column must lead one of a file's own")
         _write_tables([path for path, _ in batch], header, [rows for _, rows in batch], own,
-                      [(_label_words(first[:, columns].ravel()), lambda p: p)])
+                      [(_label_words(first[:, columns].ravel()), 1)])
     return paths
 
 

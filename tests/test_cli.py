@@ -1,4 +1,5 @@
 import argparse
+import re
 from dataclasses import fields, replace
 
 import numpy as np
@@ -418,3 +419,20 @@ def test_each_command_parses_every_flag_it_keeps(tmp_path, monkeypatch, command)
     assert main(argv) == 0
     assert configs == [replace(load_config(cfg),
                                **{field: expected for _, field, expected in cases.values()})]
+
+
+def test_help_lists_every_command_and_each_command_its_flags(capsys):
+    """Only the invoked command's parser gets flags; --help shows each alike."""
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert all(command in out for command in _KEPT_FLAGS)
+    for command, kept in _KEPT_FLAGS.items():
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        # a flag and then its metavar: "--s S" and not the "--s" of "--solver"
+        shown = {flag for flag in (*_ALL_FLAGS, "--config") if re.search(rf"{flag}\s", out)}
+        assert shown == {*kept, "--config"}, command

@@ -1,4 +1,7 @@
-"""SciPy stays off the import path: only a Cholesky solve loads it.
+"""SciPy and numpy.polynomial stay off the import path.
+
+Only a Cholesky solve loads SciPy, and only the quadrature oracle's
+Gauss-Legendre nodes load numpy.polynomial.
 
 Each check runs in a fresh interpreter, since this test process has SciPy
 loaded already.
@@ -29,15 +32,16 @@ _STAGES = (
 _SCRIPT = """
 import json, sys
 
-def scipy_modules():
-    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+def modules(package):
+    return sorted(m for m in sys.modules if m == package or m.startswith(package + "."))
 
 import fracheat
-seen = {"import": scipy_modules()}
+seen = {"import": {"scipy": modules("scipy"), "polynomial": modules("numpy.polynomial")}}
 from fracheat.cli import main
 for name, argv in json.loads(sys.argv[1]):
     code = main(argv + ["--out", sys.argv[2] + "/" + name])
-    seen[name] = {"code": code, "scipy": scipy_modules()}
+    seen[name] = {"code": code, "scipy": modules("scipy"),
+                  "polynomial": modules("numpy.polynomial")}
 print(json.dumps(seen))
 """
 
@@ -56,12 +60,23 @@ def loaded(tmp_path_factory):
 
 
 def test_import_loads_no_scipy(loaded):
-    assert loaded["import"] == []
+    assert loaded["import"]["scipy"] == []
 
 
 @pytest.mark.parametrize("stage", ["forward_modal", "noise_modal", "inverse_cg", "oracle_check"])
 def test_commands_off_the_cholesky_route_load_no_scipy(loaded, stage):
-    assert loaded[stage] == {"code": 0, "scipy": []}
+    assert loaded[stage]["code"] == 0
+    assert loaded[stage]["scipy"] == []
+
+
+@pytest.mark.parametrize("stage", ["import", "noise_modal", "inverse_cg"])
+def test_commands_without_the_quadrature_oracle_load_no_numpy_polynomial(loaded, stage):
+    assert loaded[stage]["polynomial"] == []
+
+
+def test_oracle_check_loads_numpy_polynomial(loaded):
+    # the probe sees the module the Gauss-Legendre nodes bring in, so its empty lists count
+    assert "numpy.polynomial.legendre" in loaded["oracle_check"]["polynomial"]
 
 
 def test_cholesky_route_loads_scipy_linalg(loaded):

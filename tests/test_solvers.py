@@ -229,6 +229,30 @@ class TestEigendecompose:
         assert np.all(np.linalg.norm(a @ q - q * lam, axis=0) <= 1e-10 * lam)
         assert np.max(np.abs(q.T @ q - np.eye(dec.size))) <= 1e-12
 
+    @pytest.mark.parametrize("n_cells", [2, 3, 4, 5, 8, 17, 600, 601])
+    @pytest.mark.parametrize("scheme", ["midpoint", "interpolated"])
+    def test_q_has_the_bits_of_the_stacked_assembly(self, n_cells, scheme):
+        """Q filled in place equals, bit for bit, Q stacked from sorted copies of the halves."""
+        a = assemble(make_grid(1, 1, n_cells, 1, 0.3), scheme=scheme).dense()
+        n, h = a.shape[0], a.shape[0] // 2
+        folded = a[:h, ::-1][:, :h]
+        even = a[: n - h, : n - h].copy()
+        even[:h, :h] += folded
+        even[:h, h:] *= np.sqrt(2.0)
+        even[h:, :h] *= np.sqrt(2.0)
+        lam_e, v_e = fracheat.solvers._validated_eigh(even)
+        lam_o, v_o = fracheat.solvers._validated_eigh(a[:h, :h] - folded)
+        lam = np.concatenate((lam_e, lam_o))
+        order = np.argsort(lam, kind="stable")
+        top = np.hstack((v_e[:h], v_o))[:, order] / np.sqrt(2.0)
+        q = np.empty((n, n))
+        q[:h] = top
+        q[h : n - h] = np.hstack((v_e[h:], np.zeros((n - 2 * h, h))))[:, order]
+        q[n - h :] = top[::-1] * np.repeat((1.0, -1.0), (n - h, h))[order]
+        dec = eigendecompose(a)
+        assert dec.eigenvalues.tobytes() == lam[order].tobytes()
+        assert dec.eigenvectors.tobytes() == q.tobytes()
+
     def test_rejects_a_matrix_that_is_not_centrosymmetric(self):
         a = assemble(make_grid(1, 1, 16, 1, 0.5)).dense()
         a[0, 0] *= 1.0 + 1e-15  # symmetric still, but diag is no palindrome

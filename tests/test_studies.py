@@ -363,6 +363,41 @@ def _kernel_lines(values):
     return out.tobytes().translate(None, b"\0").decode().split("\n")[:-1]
 
 
+# |x| in each band fills the kernel's slots alike: fixed-form below 1 (a "0.000"
+# prefix), fixed-form from 1 (integer digits) and exponent-form (an "e±XX" slot);
+# each band's values are drawn below a bound drawn per chunk, so that chunks of
+# one band differ in their widest prefix or integer part too
+_BANDS = {
+    "fraction": (lambda e: st.floats(10.0**-e, 1.0, exclude_max=True), st.integers(1, 4),
+                 lambda a: 1e-4 <= a < 1.0),
+    "integer": (lambda e: st.floats(1.0, 10.0**e, exclude_max=True), st.integers(1, 17),
+                lambda a: 1.0 <= a < 1e17),
+    "exponent": (lambda e: st.floats(1e-279, 1e-4, exclude_max=True) | st.floats(1e17, 1e279),
+                 st.just(0), lambda a: a < 1e-4 or a >= 1e17),
+}
+# values the kernel hands to format_float: signed zeros, nan, infinities, midpoints
+_FALLBACKS = st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf]) | _near_midpoints()
+
+
+@st.composite
+def _banded_chunks(draw):
+    """1 to 4 chunks of one length, each of one band's values, some mixed with fallbacks.
+
+    Values take either sign and 1 to 17 significant digits, so D often ends in zeros.
+    """
+    size, chunks = draw(st.integers(1, 24)), []
+    for _ in range(draw(st.integers(1, 4))):
+        floats, bounds, within = _BANDS[draw(st.sampled_from(sorted(_BANDS)))]
+        values = st.builds(lambda x, digits, negative: (-1.0 if negative else 1.0)
+                           * float(f"{x:.{digits}g}"),
+                           floats(draw(bounds)), st.integers(1, 17), st.booleans())
+        values = values.filter(lambda x: within(abs(x)))
+        if draw(st.booleans()):
+            values = values | _FALLBACKS
+        chunks.append(draw(st.lists(values, min_size=size, max_size=size)))
+    return chunks
+
+
 class TestCsvFormat:
     def test_float_full_precision(self):
         x = 1.0 / 3.0
@@ -423,18 +458,22 @@ class TestCsvFormat:
         assert peak < 4e6
 
     @settings(max_examples=80, deadline=None, derandomize=True)
-    @given(case=_labelled_trajectories())
-    @example(case=([0.0, -0.0], [-0.0], np.array([[math.nan], [5e-324]])))  # N = 2
+    @given(case=_labelled_trajectories(), chunk=st.sampled_from([1, 2, 3, 5, 7, 4096]))
+    @example(case=([0.0, -0.0], [-0.0], np.array([[math.nan], [5e-324]])), chunk=4096)  # N = 2
     @example(case=([1e308, -math.inf], [0.0, -0.0, 1e308],
-                   np.array([[-5e-324, math.inf, -0.0], [1e308, 0.0, -1e308]])))
-    def test_labelled_rows_match_cell_rows(self, tmp_path_factory, case):
+                   np.array([[-5e-324, math.inf, -0.0], [1e308, 0.0, -1e308]])), chunk=4096)
+    def test_labelled_rows_match_cell_rows(self, tmp_path_factory, case, chunk):
+        """Chunks cut label runs anywhere, and repeat label periods shorter than themselves."""
+        import fracheat.studies
+
         times, nodes, values = case
         out = tmp_path_factory.mktemp("labelled")
         header = ("t", "x", "u")
         rows = [(t, x, float(values[k, i])) for k, t in enumerate(times)
                 for i, x in enumerate(nodes)]
         cells = write_csv(out / "cells.csv", header, rows)
-        labelled = write_csv(out / "labelled.csv", header, values, index=(times, nodes))
+        with mock.patch.object(fracheat.studies, "_VALUES_PER_CHUNK", chunk):
+            labelled = write_csv(out / "labelled.csv", header, values, index=(times, nodes))
         assert labelled.read_bytes() == cells.read_bytes()
         for bad_values, index in ((values, (times + [0.0], nodes)), (values, (times, nodes[1:])),
                                   (values.ravel(), (times, nodes))):
@@ -450,6 +489,49 @@ class TestCsvFormat:
                      -math.inf, math.nan])
     def test_kernel_matches_format_float(self, values):
         assert _kernel_lines(values) == [format_float(v) for v in values]
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(chunks=_banded_chunks())
+    @example(chunks=[[0.5, -0.25, 1e-4], [3.0, -1e16, 1e-5], [1e20, 7.0, math.nan]])
+    @example(chunks=[[-0.005, 0.5], [0.005, -0.05], [-0.0005, 0.5]])  # prefixes of 5, 4, 6 bytes
+    def test_chunks_of_each_slot_width_match_format_float(self, tmp_path_factory, chunks):
+        """Chunks whose slots take different widths sit side by side in one file."""
+        import fracheat.studies
+
+        for chunk in chunks:
+            assert _kernel_lines(chunk) == [format_float(v) for v in chunk]
+        values = np.array(chunks)  # a level a chunk
+        times, nodes = np.arange(len(chunks)) / 3.0, np.arange(1, values.shape[1] + 1) / 7.0
+        out = tmp_path_factory.mktemp("banded")
+        cells = write_csv(out / "cells.csv", ("t", "x", "u"),
+                          [(t, x, u) for t, row in zip(times.tolist(), values.tolist())
+                           for x, u in zip(nodes.tolist(), row)])
+        with mock.patch.object(fracheat.studies, "_VALUES_PER_CHUNK", values.shape[1]):
+            labelled = write_csv(out / "labelled.csv", ("t", "x", "u"), values,
+                                 index=(times, nodes))
+        assert labelled.read_bytes() == cells.read_bytes()
+
+    def test_labelled_write_memory_is_bounded(self, tmp_path):
+        """A labelled write peaks at one row buffer beside the kernel's temporaries.
+
+        120,000 values in [0, 1) under one-word labels: the row buffer takes
+        0.23 MB and a chunk's bytes, before and after translate, 0.37 MB; the
+        kernel frees each temporary after its pass, so the peak stays below
+        0.8 MB (it was 1.35 MB when every chunk allocated its rows and kept
+        the previous chunk's bytes).
+        """
+        levels, nodes = 400, 300
+        states = np.random.default_rng(6).random((levels, nodes))
+        index = (np.arange(levels, dtype=float), np.arange(nodes, dtype=float))
+        # the kernel's tables are built outside the trace
+        write_csv(tmp_path / "t.csv", ("t", "x", "u"), states[:1], index=(index[0][:1], index[1]))
+        tracemalloc.start()
+        try:
+            write_csv(tmp_path / "t.csv", ("t", "x", "u"), states, index=index)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.8e6
 
     def test_labelled_chunks_mix_fallback_values(self, tmp_path, monkeypatch):
         import fracheat.studies
