@@ -193,12 +193,16 @@ class _ModalStepOperators(StepOperators):
         return u
 
 
-def _rows_times(rows: np.ndarray, mat: np.ndarray) -> np.ndarray:
-    """rows <- rows @ mat in place for a square ``mat``, a block of rows at a time."""
+def _rows_times(rows: np.ndarray, mat: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """rows <- rows @ mat in place for a square ``mat``, a block of rows at a time, or
+    out <- rows @ mat with no temporary when ``out`` is given."""
     for start in range(0, rows.shape[0], _BLOCK_ROWS):
-        block = rows[start : start + _BLOCK_ROWS]
-        block[...] = block @ mat
-    return rows
+        block = slice(start, start + _BLOCK_ROWS)
+        if out is None:
+            rows[block] = rows[block] @ mat
+        else:
+            np.matmul(rows[block], mat, out=out[block])
+    return rows if out is None else out
 
 
 def make_step_operators(
@@ -271,9 +275,9 @@ def _forcing_rows(
 ) -> Callable[..., np.ndarray]:
     """``fill(out, times, first=0)``, which writes the forcings at ``times`` into
     ``out`` (len(times), n) in the coordinates ``to_basis`` takes nodal rows to, checks
-    them finite, row 0 being step ``first``, and returns ``out``.  Every march and
-    ``stability_bounds`` take their forcings from here, so a forward run and the
-    recovery on the same route march the same bits.
+    them finite, row 0 being step ``first``, and returns ``out``.  Every march takes
+    its forcings from here, so a forward run and the recovery on the same route march
+    the same bits; ``stability_bounds`` takes a plain callable's rows from here.
 
     A separated forcing, one that carries ``shapes`` and ``coefficients``, has its P
     shapes taken to the basis here, once; ``fill`` then sums one coefficient table
@@ -314,7 +318,9 @@ def run_forward(
     """March the direct problem from U^0 = phi with a known coefficient r.
 
     ``r`` defaults to the problem's exact coefficient; it is evaluated at the
-    half-step times, where the scheme defines it.
+    half-step times, where the scheme defines it.  On the modal route the
+    trajectory keeps the eigenbasis coordinates it marched, with their
+    decomposition, beside the nodal states (``Trajectory.eigenbasis``).
     """
     if r is None:
         r = problem.coefficient
@@ -331,15 +337,20 @@ def run_forward(
     # U^0 goes to the basis first, so an eigendecomposition peaks before the forcings
     # fill memory; row n+1 holds F^{n+1/2} until U^{n+1} replaces it.
     u = ops.to_basis(problem.phi[None].copy()).T
-    states = np.empty((grid.M + 1, grid.interior_dim))
-    _forcing_rows(problem.forcing, ops.to_basis)(states[1:], grid.midpoint_times())
+    marched = np.empty((grid.M + 1, grid.interior_dim))
+    marched[0] = u[:, 0]
+    _forcing_rows(problem.forcing, ops.to_basis)(marched[1:], grid.midpoint_times())
     rt = ops.tau * r_mid[:, None]
     for n in range(grid.M):  # the recovery's march, with r given
-        u = ops.advance(u, states[n + 1], rt[n])
-        states[n + 1] = u[:, 0]
-    ops.from_basis(states[1:])
+        u = ops.advance(u, marched[n + 1], rt[n])
+        marched[n + 1] = u[:, 0]
+    if ops.solver != "modal":  # route coordinates are nodal
+        return Trajectory.adopt(marched)
+    dec = ops.op.eigendecomposition
+    states = np.empty_like(marched)
     states[0] = problem.phi
-    return Trajectory(states=states)
+    _rows_times(marched[1:], dec.eigenvectors.T, out=states[1:])
+    return Trajectory.adopt(states, (dec, marched))
 
 
 def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -401,6 +412,39 @@ class StabilityReport:
         return bool(np.all(self.l2_slack >= -tol) and np.all(self.energy_slack >= -tol))
 
 
+def _separated_forms(
+    forcing: ForcingFn,
+    times: np.ndarray,
+    to_basis: Callable[[np.ndarray], np.ndarray],
+    dec: Optional[SpectralDecomposition],
+    factor: Optional[SpdFactorization],
+) -> Optional[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    """For a forcing with ``shapes`` V (P, n) and ``coefficients``, the table phi (M, P)
+    at ``times``, V in the coordinates ``to_basis`` takes nodal rows to, and ||F|| and
+    ||F||_{A^-1}^2 at every time; None for any other forcing.  A non-finite table row,
+    or a non-finite shape, raises as ``_check_forcings`` does.
+
+    Both norms are P x P forms, built once: ||F||^2 = phi^T G phi with G = V V^T, and
+    ||F||_{A^-1}^2 = phi^T H phi with H = V A^-1 V^T, which takes Lambda^-1 in the
+    eigenbasis (``dec``) and otherwise P solves with the Cholesky factor of A
+    (``factor``).  No row is formed.  A form rounds at eps times the square of the sum
+    of the P terms, so where they nearly cancel, ||F|| carries an absolute error up
+    to sqrt(eps) times that sum, where the row would carry eps times it."""
+    shapes = getattr(forcing, "shapes", None)
+    if shapes is None:
+        return None
+    shapes = np.array(shapes, dtype=float)
+    table = forcing.coefficients(times)
+    # 0 * inf is NaN, so a non-finite shape spoils every row
+    _check_forcings(table if np.all(np.isfinite(shapes)) else np.full_like(table, np.nan))
+    in_basis = to_basis(shapes.copy())
+    gram = shapes @ shapes.T
+    dual = (shapes @ factor.solve(shapes.T) if dec is None
+            else (in_basis / dec.eigenvalues) @ in_basis.T)
+    f_norm = np.sqrt(np.maximum(_rowdot(table @ gram, table), 0.0))
+    return table, in_basis, f_norm, np.maximum(_rowdot(table @ dual, table), 0.0)
+
+
 def stability_bounds(
     trajectory: Trajectory,
     r: RCoefficient,
@@ -415,40 +459,57 @@ def stability_bounds(
     are evaluated at every step; violations are reported through the slack
     arrays, never raised; a non-finite forcing raises ``ValueError``.  The
     run is folded over blocks of about ``_STEP_BLOCK_VALUES`` values: each
-    block evaluates its forcings and midpoint states and reduces them to
-    per-step scalars at once, so memory does not grow with M.  When the
-    operator already holds its eigendecomposition, every forcing and
-    midpoint norm is taken in the eigenbasis, the norms in A and A^-1 are
-    sums over it, and no dense matrix is formed; a separated forcing then
-    takes only its P shapes to the eigenbasis.  Otherwise the norms are
-    nodal, ||.||_A takes the operator's matvec and ||.||_{A^-1} the Cholesky
-    factor of the dense A, made once per call.
+    block reduces its midpoint states, and forcings, to per-step scalars at
+    once, so memory does not grow with M.
+
+    Coordinates and cost.  When the operator already holds its
+    eigendecomposition, every norm is taken in the eigenbasis, the norms in
+    A and A^-1 are sums over it, and no dense matrix is formed; when the
+    trajectory also keeps the coordinates a modal ``run_forward`` marched in
+    that same decomposition, the states are read from them and a step costs
+    O(n), with no product by Q.  Otherwise the states are taken to the
+    eigenbasis, or stay nodal, where ||.||_A takes the operator's matvec and
+    ||.||_{A^-1} the Cholesky factor of the dense A, made once per call.  A
+    separated forcing's norms are P x P forms in its coefficient table (see
+    ``_separated_forms``), and <F, U^{n+1/2}> the midpoints' products with
+    its P shapes, so no forcing row is formed; any other forcing is called
+    once per step.  Keeping the coordinates costs a modal trajectory a
+    second (M+1, n) array.
     """
     if not trajectory.matches_grid(grid):
         raise ValueError("trajectory shape does not match the grid")
     tau = grid.tau
     r_mid = _r_at_midpoints(r, grid)
     times = grid.midpoint_times()
-    states = trajectory.states
     dec = op.cached_eigendecomposition
     factor = None if dec is not None else cholesky(op.dense())
     to_basis = ((lambda rows: rows) if dec is None
                 else (lambda rows: _rows_times(rows, dec.eigenvectors)))
-    fill = _forcing_rows(forcing, to_basis)
+    states, mid_basis = trajectory.states, to_basis
+    if trajectory.eigenbasis is not None and trajectory.eigenbasis[0] is dec:
+        states, mid_basis = trajectory.eigenbasis[1], (lambda rows: rows)
     # per step n: ||U^n||, ||F||, <F, U^{n+1/2}>, ||U^{n+1/2}||_A^2 and ||F||_{A^-1}^2
     norms = np.empty(grid.M + 1)
     f_norm, f_dot_mid, mid_energy, dual = np.empty((4, grid.M))
+    forms = _separated_forms(forcing, times, to_basis, dec, factor)
+    if forms is None:
+        fill = _forcing_rows(forcing, to_basis)
+    else:
+        table, shapes, f_norm[:], dual[:] = forms
     rows = max(1, _STEP_BLOCK_VALUES // states.shape[1])
     for start in range(0, grid.M, rows):
         step = slice(start, min(start + rows, grid.M))
         u = states[step.start : step.stop + 1]
-        f = fill(np.empty((step.stop - start, states.shape[1])), times[step], start)
-        mid = to_basis(0.5 * (u[:-1] + u[1:]))
+        mid = mid_basis(0.5 * (u[:-1] + u[1:]))
         norms[step.start : step.stop + 1] = np.linalg.norm(u, axis=1)
-        f_norm[step] = np.linalg.norm(f, axis=1)
-        f_dot_mid[step] = _rowdot(f, mid)
         mid_energy[step] = _energy_norms(op, mid)
-        dual[step] = _dual_norms(op, f, factor)
+        if forms is None:
+            f = fill(np.empty(mid.shape), times[step], start)
+            f_norm[step] = np.linalg.norm(f, axis=1)
+            f_dot_mid[step] = _rowdot(f, mid)
+            dual[step] = _dual_norms(op, f, factor)
+        else:
+            f_dot_mid[step] = _rowdot(table[step], mid @ shapes.T)
 
     identity = (norms[1:] ** 2 - norms[:-1] ** 2) / tau + 2.0 * mid_energy - 2.0 * r_mid * f_dot_mid
     l2_bound = norms[0] + np.cumsum(tau * np.abs(r_mid) * f_norm)

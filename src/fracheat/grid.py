@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Tuple
 
 import numpy as np
+
+from .solvers import SpectralDecomposition
 
 ForcingFn = Callable[[float], np.ndarray]
 ScalarFn = Callable[[float], float]
@@ -116,18 +118,48 @@ class CoefficientSeries:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Interior nodal states U^0 .. U^M stacked as a (M+1, N-1) array."""
+    """Interior nodal states U^0 .. U^M stacked as a (M+1, N-1) array.
+
+    ``eigenbasis`` is None, or the pair (decomposition, coordinates) of a run
+    marched in the eigenbasis of A = Q diag(lambda) Q^T: the
+    ``SpectralDecomposition`` that held Q and the states' coordinates U Q,
+    the same shape as ``states``.  Diagnostics read the coordinates instead
+    of taking every state back to the eigenbasis.
+    """
 
     states: np.ndarray
+    eigenbasis: Optional[Tuple[SpectralDecomposition, np.ndarray]] = None
 
     def __post_init__(self) -> None:
-        arr = np.array(self.states, dtype=float)
-        if arr.ndim != 2:
-            raise ValueError(f"states: expected a 2-D array, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("states: non-finite entries")
-        arr.setflags(write=False)
-        object.__setattr__(self, "states", arr)
+        coordinates = None if self.eigenbasis is None else np.array(self.eigenbasis[1], dtype=float)
+        self._freeze(np.array(self.states, dtype=float), coordinates)
+
+    @classmethod
+    def adopt(cls, states: np.ndarray, eigenbasis=None) -> Trajectory:
+        """A trajectory of float64 arrays its caller hands over and no longer writes:
+        checked and frozen in place, without the copies the constructor makes."""
+        trajectory = object.__new__(cls)
+        object.__setattr__(trajectory, "eigenbasis", eigenbasis)
+        trajectory._freeze(states, None if eigenbasis is None else eigenbasis[1])
+        return trajectory
+
+    def _freeze(self, states: np.ndarray, coordinates: Optional[np.ndarray]) -> None:
+        if states.ndim != 2:
+            raise ValueError(f"states: expected a 2-D array, got shape {states.shape}")
+        if coordinates is not None and coordinates.shape != states.shape:
+            raise ValueError(f"eigenbasis coordinates: expected shape {states.shape}, "
+                             f"got {coordinates.shape}")
+        for name, arr in (("states", states), ("eigenbasis coordinates", coordinates)):
+            if arr is None:
+                continue
+            # NaN propagates through min and max, and an infinite entry is one of
+            # them: no boolean array the size of the run
+            if arr.size and not (np.isfinite(arr.min()) and np.isfinite(arr.max())):
+                raise ValueError(f"{name}: non-finite entries")
+            arr.setflags(write=False)
+        object.__setattr__(self, "states", states)
+        if coordinates is not None:
+            object.__setattr__(self, "eigenbasis", (self.eigenbasis[0], coordinates))
 
     def __len__(self) -> int:
         return self.states.shape[0]

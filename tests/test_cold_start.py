@@ -1,7 +1,7 @@
-"""SciPy and numpy.polynomial stay off the import path.
+"""SciPy, numpy.ma and numpy.polynomial stay off the import path.
 
-Only a Cholesky solve loads SciPy, and only the quadrature oracle's
-Gauss-Legendre nodes load numpy.polynomial.
+Only a Cholesky solve loads SciPy, and SciPy brings in numpy.ma and
+numpy.polynomial; no command off the Cholesky route loads either of them.
 
 Each check runs in a fresh interpreter, since this test process has SciPy
 loaded already.
@@ -35,13 +35,15 @@ import json, sys
 def modules(package):
     return sorted(m for m in sys.modules if m == package or m.startswith(package + "."))
 
+def record(**extra):
+    return dict(extra, scipy=modules("scipy"), ma=modules("numpy.ma"),
+                polynomial=modules("numpy.polynomial"))
+
 import fracheat
-seen = {"import": {"scipy": modules("scipy"), "polynomial": modules("numpy.polynomial")}}
+seen = {"import": record()}
 from fracheat.cli import main
 for name, argv in json.loads(sys.argv[1]):
-    code = main(argv + ["--out", sys.argv[2] + "/" + name])
-    seen[name] = {"code": code, "scipy": modules("scipy"),
-                  "polynomial": modules("numpy.polynomial")}
+    seen[name] = record(code=main(argv + ["--out", sys.argv[2] + "/" + name]))
 print(json.dumps(seen))
 """
 
@@ -69,17 +71,22 @@ def test_commands_off_the_cholesky_route_load_no_scipy(loaded, stage):
     assert loaded[stage]["scipy"] == []
 
 
-@pytest.mark.parametrize("stage", ["import", "noise_modal", "inverse_cg"])
-def test_commands_without_the_quadrature_oracle_load_no_numpy_polynomial(loaded, stage):
+_OFF_CHOLESKY = ["import", "forward_modal", "noise_modal", "inverse_cg", "oracle_check"]
+
+
+@pytest.mark.parametrize("stage", _OFF_CHOLESKY)
+def test_commands_off_the_cholesky_route_load_no_numpy_ma(loaded, stage):
+    assert loaded[stage]["ma"] == []
+
+
+@pytest.mark.parametrize("stage", _OFF_CHOLESKY)
+def test_commands_off_the_cholesky_route_load_no_numpy_polynomial(loaded, stage):
     assert loaded[stage]["polynomial"] == []
 
 
-def test_oracle_check_loads_numpy_polynomial(loaded):
-    # the probe sees the module the Gauss-Legendre nodes bring in, so its empty lists count
-    assert "numpy.polynomial.legendre" in loaded["oracle_check"]["polynomial"]
-
-
 def test_cholesky_route_loads_scipy_linalg(loaded):
-    # the probe sees a module SciPy brings in, so its empty lists above count
+    # the probe sees the modules SciPy brings in, so the empty lists above count
     assert loaded["inverse_cholesky"]["code"] == 0
     assert "scipy.linalg" in loaded["inverse_cholesky"]["scipy"]
+    assert "numpy.ma" in loaded["inverse_cholesky"]["ma"]
+    assert "numpy.polynomial" in loaded["inverse_cholesky"]["polynomial"]

@@ -297,6 +297,54 @@ class TestStabilityBounds:
         assert np.all(rep.energy_slack >= 0.0)
         assert np.max(np.abs(rep.identity_residuals)) <= 1e-9
 
+    def test_kept_coordinates_need_the_operator_s_own_decomposition(self, monkeypatch):
+        # a modal run keeps its eigenbasis coordinates, which stability_bounds reads
+        # in place of the states, taking only the P = 4 shapes to the eigenbasis
+        grid = make_grid(1, 1, 40, 40, 0.5)
+        op = assemble(grid)
+        spec, data = build_manufactured("example1", grid, op=op)
+        traj = run_forward(data, grid, ops=make_step_operators(grid, op=op, solver="modal"))
+        dec, coordinates = traj.eigenbasis
+        assert dec is op.cached_eigendecomposition
+        # the nodal states are the in-place block products of the coordinates, bit for bit
+        assert np.array_equal(traj.states[1:], fracheat.forward._rows_times(
+            coordinates[1:].copy(), dec.eigenvectors.T))
+        transformed, rows_times = [], fracheat.forward._rows_times
+        monkeypatch.setattr(fracheat.forward, "_rows_times",
+                            lambda rows, *a, **k: transformed.append(len(rows)) or
+                            rows_times(rows, *a, **k))
+        stability_bounds(traj, spec.r_exact, data.forcing, op, grid)
+        assert transformed == [4]
+        # on another operator, decomposed or not, or after this one's decomposition
+        # was rebuilt, the report is that of the nodal states alone, bit for bit
+        nodal = Trajectory(states=traj.states)
+        others = [assemble(grid), assemble(make_grid(1, 1, 40, 40, 0.7)),
+                  assemble(grid, "interpolated")]
+        for other in others[1:]:
+            other.eigendecomposition
+        del vars(op)["eigendecomposition"]
+        op.eigendecomposition
+        for other in others + [op]:
+            got = stability_bounds(traj, spec.r_exact, data.forcing, other, grid)
+            want = stability_bounds(nodal, spec.r_exact, data.forcing, other, grid)
+            for name in ("identity_residuals", "l2_slack", "energy_slack"):
+                assert np.array_equal(getattr(got, name), getattr(want, name))
+
+    @pytest.mark.parametrize("s, n_cells, m_steps, t_final", [
+        (0.3, 64, 64, 1.0), (0.99, 200, 20, 100.0), (0.01, 2, 3, 1e-3), (0.5, 17, 40, 1.0)])
+    def test_modal_identity_residuals_from_kept_coordinates(self, s, n_cells, m_steps, t_final):
+        # with r = 0 each mode's step g = (1 - tau lambda/2)/(1 + tau lambda/2) keeps the
+        # energy identity exactly, so what the coordinates leave of it is rounding
+        grid = make_grid(1, t_final, n_cells, m_steps, s)
+        op = assemble(grid)
+        _, data = build_manufactured("example1", grid, op=op)
+        r = np.zeros(grid.M)
+        traj = run_forward(data, grid, r=r, ops=make_step_operators(grid, op=op, solver="modal"))
+        assert traj.eigenbasis is not None
+        report = stability_bounds(traj, r, data.forcing, op, grid)
+        energy = np.einsum("kn,kn->k", traj.states, traj.states)[:-1]
+        assert np.all(np.abs(report.identity_residuals) <= 1e-12 * energy / grid.tau)
+
     def test_growth_bound_scales_linearly_with_forcing(self):
         grid = make_grid(1, 1, 24, 12, 0.5)
         op = assemble(grid)

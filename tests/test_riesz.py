@@ -13,7 +13,7 @@ from fracheat import (
     normalization_constant,
     quadrature_oracle,
 )
-from fracheat.riesz import _fft_length
+from fracheat.riesz import _fft_length, _gauss_legendre, _median
 from conftest import smooth_bump
 
 
@@ -281,6 +281,21 @@ def test_fft_length_is_the_next_5_smooth_number():
     want = np.minimum.accumulate(marked[::-1])[::-1][:top]
     got = np.array([_fft_length(m) for m in range(1, top + 1)])
     assert np.array_equal(got, want)
+
+
+def test_gauss_legendre_literals_are_leggauss_bit_for_bit():
+    for got, want in zip(_gauss_legendre(), np.polynomial.legendre.leggauss(12)):
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 16, 1499, 3071, 3072])
+@pytest.mark.parametrize("scheme", ["midpoint", "interpolated"])
+def test_preconditioner_shift_is_np_median_bit_for_bit(n, scheme):
+    # the order statistics of the diagonal, a random draw and its ties with itself
+    diag = assemble(make_grid(1, 1, n + 1, 1, 0.3), scheme).diag
+    drawn = np.random.default_rng(n).standard_normal(n)
+    for values in (diag, drawn, np.repeat(drawn[: (n + 1) // 2], 2)[:n]):
+        assert np.float64(_median(values)).tobytes() == np.median(values).tobytes()
 
 
 def _l2h_defect(u, grid, u_xx=None):

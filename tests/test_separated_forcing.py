@@ -67,16 +67,22 @@ def test_separated_forcing_matches_the_plain_callable(s, n_cells, m_steps, log_t
         assert np.array_equal(rows, np.array([data.forcing(float(t)) for t in times]))
         with within_cg_floor(), warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # example 2's w(0) is not h<phi, omega>
-            got = run_forward(data, grid, ops=ops).states
+            kept = run_forward(data, grid, ops=ops)
+            got = kept.states
             ref = run_forward(plain, grid, ops=ops).states
             try:
                 r_got, final_got = run_inverse_batch(data, grid, series, ops)
                 r_ref, final_ref = run_inverse_batch(plain, grid, series, ops)
             except DenominatorNearZero:
                 reject()
+        # the plain callable's rows on the nodal states, against the P x P forms on
+        # the same states and on the trajectory as run_forward returns it, which keeps
+        # its eigenbasis coordinates on the modal route
         traj = Trajectory(states=got)
-        report = stability_bounds(traj, data.coefficient, data.forcing, op, grid)
+        reports = [stability_bounds(t, data.coefficient, data.forcing, op, grid)
+                   for t in (traj, kept)]
         reference = stability_bounds(traj, data.coefficient, plain.forcing, op, grid)
+    assert (kept.eigenbasis is not None) == (solver == "modal")
     if solver == "modal":
         assert _relative_gap(got, ref) <= 1e-12
     else:
@@ -87,8 +93,9 @@ def test_separated_forcing_matches_the_plain_callable(s, n_cells, m_steps, log_t
     dissipated = np.cumsum(grid.tau * np.einsum("kn,kn->k", mid @ op.dense(), mid))
     l2_scale = float(np.max(np.abs(reference.l2_slack) + norms[1:]))
     energy_scale = float(np.max(np.abs(reference.energy_slack) + norms[1:] ** 2 + dissipated))
-    assert _relative_gap(report.l2_slack, reference.l2_slack, l2_scale) <= 1e-12
-    assert _relative_gap(report.energy_slack, reference.energy_slack, energy_scale) <= 1e-12
+    for report in reports:
+        assert _relative_gap(report.l2_slack, reference.l2_slack, l2_scale) <= 1e-12
+        assert _relative_gap(report.energy_slack, reference.energy_slack, energy_scale) <= 1e-12
     # Each side rounds the sum of P terms its own way, and the recovery divides by the
     # sum's pairing h <F, y>, y = L^-1 omega.  Where the terms cancel in it, as near
     # example 2's vanishing weighted integral, r inherits their relative rounding
