@@ -131,35 +131,40 @@ class Trajectory:
     eigenbasis: Optional[Tuple[SpectralDecomposition, np.ndarray]] = None
 
     def __post_init__(self) -> None:
-        coordinates = None if self.eigenbasis is None else np.array(self.eigenbasis[1], dtype=float)
-        self._freeze(np.array(self.states, dtype=float), coordinates)
+        object.__setattr__(self, "states", np.array(self.states, dtype=float))
+        if self.eigenbasis is not None:
+            decomposition, coordinates = self.eigenbasis
+            object.__setattr__(self, "eigenbasis",
+                               (decomposition, np.array(coordinates, dtype=float)))
+        self._freeze()
 
     @classmethod
-    def adopt(cls, states: np.ndarray, eigenbasis=None) -> Trajectory:
+    def adopt(
+        cls, states: np.ndarray,
+        eigenbasis: Optional[Tuple[SpectralDecomposition, np.ndarray]] = None,
+    ) -> Trajectory:
         """A trajectory of float64 arrays its caller hands over and no longer writes:
         checked and frozen in place, without the copies the constructor makes."""
         trajectory = object.__new__(cls)
+        object.__setattr__(trajectory, "states", states)
         object.__setattr__(trajectory, "eigenbasis", eigenbasis)
-        trajectory._freeze(states, None if eigenbasis is None else eigenbasis[1])
+        trajectory._freeze()
         return trajectory
 
-    def _freeze(self, states: np.ndarray, coordinates: Optional[np.ndarray]) -> None:
-        if states.ndim != 2:
-            raise ValueError(f"states: expected a 2-D array, got shape {states.shape}")
-        if coordinates is not None and coordinates.shape != states.shape:
-            raise ValueError(f"eigenbasis coordinates: expected shape {states.shape}, "
-                             f"got {coordinates.shape}")
-        for name, arr in (("states", states), ("eigenbasis coordinates", coordinates)):
-            if arr is None:
-                continue
+    def _freeze(self) -> None:
+        if self.states.ndim != 2:
+            raise ValueError(f"states: expected a 2-D array, got shape {self.states.shape}")
+        arrays = {"states": self.states}
+        if self.eigenbasis is not None:
+            arrays["eigenbasis coordinates"] = self.eigenbasis[1]
+        for name, arr in arrays.items():
+            if arr.shape != self.states.shape:
+                raise ValueError(f"{name}: expected shape {self.states.shape}, got {arr.shape}")
             # NaN propagates through min and max, and an infinite entry is one of
             # them: no boolean array the size of the run
             if arr.size and not (np.isfinite(arr.min()) and np.isfinite(arr.max())):
                 raise ValueError(f"{name}: non-finite entries")
             arr.setflags(write=False)
-        object.__setattr__(self, "states", states)
-        if coordinates is not None:
-            object.__setattr__(self, "eigenbasis", (self.eigenbasis[0], coordinates))
 
     def __len__(self) -> int:
         return self.states.shape[0]
