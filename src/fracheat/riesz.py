@@ -196,7 +196,7 @@ class RieszOperator:
 
 def _median(values: np.ndarray) -> float:
     """The median as ``np.median`` gives it, bit for bit, from the middle order
-    statistics: ``np.median`` checks for NaN through ``numpy.ma``, a 10-15 ms import."""
+    statistics: ``np.median`` imports ``numpy.ma`` for its NaN check."""
     k = values.size // 2
     if values.size % 2:
         return float(np.partition(values, k)[k])
