@@ -15,7 +15,11 @@ helper, ``_forcing_rows``: a separated forcing sum_p phi_p(t) v_p is one
 coefficient table against its P shapes, taken to the route's coordinates
 once, so the modal route transforms P rows, not M.  The scheme satisfies an exact energy identity in the
 homogeneous case and two unconditional stability bounds with forcing; those
-are evaluated here as runtime diagnostics rather than assumed.  A spectral
+are evaluated here as runtime diagnostics rather than assumed.  The
+diagnostics take their coordinates and their norms in A and A^-1 from a
+route view, a ``StepOperators`` with ``times_a`` and ``solve_a``: lambda v
+and v/lambda in the eigenbasis, or the matvec and one Cholesky factor of the
+dense A per call on the nodal view.  A spectral
 reference solution (eigenbasis + Duhamel integral in time) provides an
 independent high-order oracle for temporal convergence measurements.
 """
@@ -99,7 +103,9 @@ class StepOperators:
     tau is the grid's step.  Every operation acts in the route's own
     coordinates: the identity, or the eigenbasis of A on the modal route.
     Each route is a subclass that names itself in ``solver`` and defines
-    ``solve(b)``, L^-1 b for b (n,) or (n, K), which it may overwrite.
+    ``solve(b)``, L^-1 b for b (n,) or (n, K), which it may overwrite.  The
+    base class itself, without an L-solve, is the nodal view ``stability_bounds``
+    takes its norms from.
     """
 
     grid: Grid
@@ -119,8 +125,17 @@ class StepOperators:
         return rows
 
     def times_a(self, v: np.ndarray) -> np.ndarray:
-        """A v for one vector (n,)."""
-        return self.op.apply(v)
+        """A v for one vector (n,), or for every row of stacked rows (K, n)."""
+        return self.op.apply(v.T).T
+
+    def solve_a(self, rows: np.ndarray) -> np.ndarray:
+        """A^-1 v for one vector (n,), or for every row of stacked rows (K, n)."""
+        return self._a_factor.solve(rows.T).T
+
+    @cached_property
+    def _a_factor(self) -> SpdFactorization:
+        """The Cholesky factor of the dense A, made on first use."""
+        return cholesky(self.op.dense())
 
     def advance(self, u: np.ndarray, f: np.ndarray, rt: np.ndarray) -> np.ndarray:
         """The Crank-Nicolson step L^-1 (R U + f rt^T) of K series, for a block U (n, K),
@@ -184,6 +199,9 @@ class _ModalStepOperators(StepOperators):
 
     def times_a(self, v: np.ndarray) -> np.ndarray:
         return self.op.eigendecomposition.eigenvalues * v
+
+    def solve_a(self, rows: np.ndarray) -> np.ndarray:
+        return rows / self.op.eigendecomposition.eigenvalues
 
     def advance(self, u: np.ndarray, f: np.ndarray, rt: np.ndarray) -> np.ndarray:
         # diagonal, so L^-1 (R U + f rt^T) = g U + (f/d) rt^T: two passes over U
@@ -358,39 +376,6 @@ def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("...n,...n->...", a, b)
 
 
-def _energy_norms(op: RieszOperator, rows: np.ndarray) -> np.ndarray:
-    """||u||_A^2 of every row u of ``rows`` (K, n).
-
-    The rows are in the eigenbasis when the operator already holds its
-    eigendecomposition, and the norm is sum_k lambda_k uhat_k^2; otherwise
-    they are nodal, and it takes one block matvec.  Never decomposes A for
-    this, nor forms it.
-    """
-    dec = op.cached_eigendecomposition
-    if dec is not None:
-        return _rowdot(rows * dec.eigenvalues, rows)
-    return _rowdot(op.apply(rows.T).T, rows)
-
-
-def _dual_norms(
-    op: RieszOperator, rows: np.ndarray, factor: Optional[SpdFactorization] = None
-) -> np.ndarray:
-    """||f||_{A^{-1}}^2 of every row f of ``rows`` (K, n).
-
-    The rows are in the eigenbasis when the operator already holds its
-    eigendecomposition, and the norm is sum_k fhat_k^2 / lambda_k; otherwise
-    they are nodal, and it takes one block solve with ``factor``, the
-    Cholesky factor of A, which is made from the dense A when not given.
-    Never decomposes A for this.
-    """
-    dec = op.cached_eigendecomposition
-    if dec is not None:
-        return _rowdot(rows / dec.eigenvalues, rows)
-    if factor is None:
-        factor = cholesky(op.dense())
-    return np.maximum(_rowdot(factor.solve(rows.T).T, rows), 0.0)
-
-
 @dataclass(frozen=True)
 class StabilityReport:
     """Measured slack of the unconditional stability bounds along one run.
@@ -413,23 +398,18 @@ class StabilityReport:
 
 
 def _separated_forms(
-    forcing: ForcingFn,
-    times: np.ndarray,
-    to_basis: Callable[[np.ndarray], np.ndarray],
-    dec: Optional[SpectralDecomposition],
-    factor: Optional[SpdFactorization],
+    forcing: ForcingFn, times: np.ndarray, ops: StepOperators
 ) -> Optional[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
     """For a forcing with ``shapes`` V (P, n) and ``coefficients``, the table phi (M, P)
-    at ``times``, V in the coordinates ``to_basis`` takes nodal rows to, and ||F|| and
-    ||F||_{A^-1}^2 at every time; None for any other forcing.  A non-finite table row,
-    or a non-finite shape, raises as ``_check_forcings`` does.
+    at ``times``, V in the route coordinates of ``ops``, and ||F|| and ||F||_{A^-1}^2
+    at every time; None for any other forcing.  A non-finite table row, or a
+    non-finite shape, raises as ``_check_forcings`` does.
 
     Both norms are P x P forms, built once: ||F||^2 = phi^T G phi with G = V V^T, and
-    ||F||_{A^-1}^2 = phi^T H phi with H = V A^-1 V^T, which takes Lambda^-1 in the
-    eigenbasis (``dec``) and otherwise P solves with the Cholesky factor of A
-    (``factor``).  No row is formed.  A form rounds at eps times the square of the sum
-    of the P terms, so where they nearly cancel, ||F|| carries an absolute error up
-    to sqrt(eps) times that sum, where the row would carry eps times it."""
+    ||F||_{A^-1}^2 = phi^T H phi with H = V A^-1 V^T, whose P rows A^-1 v_p are one
+    ``ops.solve_a``.  No row is formed.  A form rounds at eps times the square of the
+    sum of the P terms, so where they nearly cancel, ||F|| carries an absolute error
+    up to sqrt(eps) times that sum, where the row would carry eps times it."""
     shapes = getattr(forcing, "shapes", None)
     if shapes is None:
         return None
@@ -437,10 +417,9 @@ def _separated_forms(
     table = forcing.coefficients(times)
     # 0 * inf is NaN, so a non-finite shape spoils every row
     _check_forcings(table if np.all(np.isfinite(shapes)) else np.full_like(table, np.nan))
-    in_basis = to_basis(shapes.copy())
+    in_basis = ops.to_basis(shapes.copy())
     gram = shapes @ shapes.T
-    dual = (shapes @ factor.solve(shapes.T) if dec is None
-            else (in_basis / dec.eigenvalues) @ in_basis.T)
+    dual = ops.solve_a(in_basis) @ in_basis.T
     f_norm = np.sqrt(np.maximum(_rowdot(table @ gram, table), 0.0))
     return table, in_basis, f_norm, np.maximum(_rowdot(table @ dual, table), 0.0)
 
@@ -462,19 +441,19 @@ def stability_bounds(
     block reduces its midpoint states, and forcings, to per-step scalars at
     once, so memory does not grow with M.
 
-    Coordinates and cost.  When the operator already holds its
-    eigendecomposition, every norm is taken in the eigenbasis, the norms in
-    A and A^-1 are sums over it, and no dense matrix is formed; when the
-    trajectory also keeps the coordinates a modal ``run_forward`` marched in
-    that same decomposition, the states are read from them and a step costs
-    O(n), with no product by Q.  Otherwise the states are taken to the
-    eigenbasis, or stay nodal, where ||.||_A takes the operator's matvec and
-    ||.||_{A^-1} the Cholesky factor of the dense A, made once per call.  A
-    separated forcing's norms are P x P forms in its coefficient table (see
-    ``_separated_forms``), and <F, U^{n+1/2}> the midpoints' products with
-    its P shapes, so no forcing row is formed; any other forcing is called
-    once per step.  Keeping the coordinates costs a modal trajectory a
-    second (M+1, n) array.
+    Coordinates and cost.  Every change of basis, ||.||_A and ||.||_{A^-1}
+    comes from one route view of ``op``, a ``StepOperators``: the modal one
+    when the operator already holds its eigendecomposition, where the norms
+    are sums over the eigenbasis and no dense matrix is formed, and the nodal
+    one otherwise, where ||.||_A takes the operator's matvec and ||.||_{A^-1}
+    one Cholesky factor of the dense A, made once per call on first use.
+    When the trajectory keeps the coordinates a modal ``run_forward`` marched
+    in the operator's own decomposition, the states are read from them and a
+    step costs O(n), with no product by Q.  A separated forcing's norms are
+    P x P forms in its coefficient table (see ``_separated_forms``), and
+    <F, U^{n+1/2}> the midpoints' products with its P shapes, so no forcing
+    row is formed; any other forcing is called once per step.  Keeping the
+    coordinates costs a modal trajectory a second (M+1, n) array.
     """
     if not trajectory.matches_grid(grid):
         raise ValueError("trajectory shape does not match the grid")
@@ -482,32 +461,31 @@ def stability_bounds(
     r_mid = _r_at_midpoints(r, grid)
     times = grid.midpoint_times()
     dec = op.cached_eigendecomposition
-    factor = None if dec is not None else cholesky(op.dense())
-    to_basis = ((lambda rows: rows) if dec is None
-                else (lambda rows: _rows_times(rows, dec.eigenvectors)))
-    states, mid_basis = trajectory.states, to_basis
-    if trajectory.eigenbasis is not None and trajectory.eigenbasis[0] is dec:
-        states, mid_basis = trajectory.eigenbasis[1], (lambda rows: rows)
+    ops = StepOperators(grid, op) if dec is None else _ModalStepOperators(grid, op)
+    kept = trajectory.eigenbasis is not None and trajectory.eigenbasis[0] is dec
+    states = trajectory.eigenbasis[1] if kept else trajectory.states
     # per step n: ||U^n||, ||F||, <F, U^{n+1/2}>, ||U^{n+1/2}||_A^2 and ||F||_{A^-1}^2
     norms = np.empty(grid.M + 1)
     f_norm, f_dot_mid, mid_energy, dual = np.empty((4, grid.M))
-    forms = _separated_forms(forcing, times, to_basis, dec, factor)
+    forms = _separated_forms(forcing, times, ops)
     if forms is None:
-        fill = _forcing_rows(forcing, to_basis)
+        fill = _forcing_rows(forcing, ops.to_basis)
     else:
         table, shapes, f_norm[:], dual[:] = forms
     rows = max(1, _STEP_BLOCK_VALUES // states.shape[1])
     for start in range(0, grid.M, rows):
         step = slice(start, min(start + rows, grid.M))
         u = states[step.start : step.stop + 1]
-        mid = mid_basis(0.5 * (u[:-1] + u[1:]))
+        mid = 0.5 * (u[:-1] + u[1:])
+        if not kept:
+            mid = ops.to_basis(mid)
         norms[step.start : step.stop + 1] = np.linalg.norm(u, axis=1)
-        mid_energy[step] = _energy_norms(op, mid)
+        mid_energy[step] = _rowdot(ops.times_a(mid), mid)
         if forms is None:
             f = fill(np.empty(mid.shape), times[step], start)
             f_norm[step] = np.linalg.norm(f, axis=1)
             f_dot_mid[step] = _rowdot(f, mid)
-            dual[step] = _dual_norms(op, f, factor)
+            dual[step] = np.maximum(_rowdot(ops.solve_a(f), f), 0.0)
         else:
             f_dot_mid[step] = _rowdot(table[step], mid @ shapes.T)
 

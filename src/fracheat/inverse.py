@@ -337,7 +337,7 @@ def run_inverse(
     recovered, _ = _recover_series(
         problem, grid, measurements.values[:, None], ops, compatibility_tol, states
     )
-    return Trajectory(states=states), CoefficientSeries(values=recovered[:, 0])
+    return Trajectory.adopt(states), CoefficientSeries(values=recovered[:, 0])
 
 
 def run_inverse_batch(

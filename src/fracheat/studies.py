@@ -785,24 +785,19 @@ def emit_outputs(result, outdir) -> List[Path]:
     return paths
 
 
-# config key -> type of its value, or of each item of a comma list; the rest are strings
-_KEY_TYPES = {"s": float, "l": float, "t_final": float, "tol": float, "smooth_window": int,
-              "n_values": int, "m_values": int, "seeds": int, "deltas": float}
-_LIST_KEYS = {"n_values", "m_values", "deltas", "seeds"}
-
-
-def _parse_value(key: str, value: str):
-    """Convert one config value; a malformed number raises ValueError."""
-    convert = _KEY_TYPES.get(key, str)
-    if key in _LIST_KEYS:
-        return tuple(convert(p) for p in value.split(",") if p.strip())
-    return convert(value)
+def _parse_value(default, value: str):
+    """Convert one config value to the type of its field's default: a tuple default
+    reads a comma list of its first item's type, a None default a string; a malformed
+    number raises ValueError."""
+    if isinstance(default, tuple):
+        return tuple(type(default[0])(p) for p in value.split(",") if p.strip())
+    return value if default is None else type(default)(value)
 
 
 def load_config(path) -> StudyConfig:
     """Parse a flat ``key = value`` UTF-8 config file; unknown or repeated keys are rejected."""
     path = Path(path)
-    known = {f.name for f in fields(StudyConfig)}
+    defaults = {f.name: f.default for f in fields(StudyConfig)}
     values: dict = {}
     key_lines: dict = {}
     for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
@@ -813,13 +808,13 @@ def load_config(path) -> StudyConfig:
             raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, _, value = line.partition("=")
         key = key.strip()
-        if key not in known:
+        if key not in defaults:
             raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
         if key in key_lines:
             raise ValueError(f"{path}:{lineno}: key {key!r} already set on line {key_lines[key]}")
         key_lines[key] = lineno
         try:
-            values[key] = _parse_value(key, value.strip())
+            values[key] = _parse_value(defaults[key], value.strip())
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: {exc}") from None
     return StudyConfig(**values)

@@ -21,7 +21,7 @@ from fracheat import (
     spectral_duhamel_oracle,
     stability_bounds,
 )
-from fracheat.forward import SOLVERS, StabilityReport, _dual_norms
+from fracheat.forward import SOLVERS, StabilityReport, StepOperators
 from fracheat.grid import Trajectory
 from conftest import within_cg_floor
 
@@ -388,35 +388,51 @@ class TestStabilityBounds:
 
     @pytest.mark.parametrize("s, n_cells, m_steps", [(0.3, 64, 64), (0.99, 300, 20),
                                                       (0.01, 200, 5), (0.5, 2, 1)])
-    def test_eigenbasis_dual_norms_match_cholesky(self, s, n_cells, m_steps, monkeypatch):
+    def test_route_views_match_the_dense_a(self, s, n_cells, m_steps, monkeypatch):
+        # stability_bounds takes its basis and its norms in A and A^-1 from a route
+        # view: the nodal StepOperators, or the modal one when A is decomposed
         grid = make_grid(1, 1, n_cells, m_steps, s)
         op = assemble(grid)
         spec, data = build_manufactured("example1", grid, source="discrete", op=op)
         traj = run_forward(data, grid, ops=make_step_operators(grid, op=op, solver="cholesky"))
-        forcings = np.array([data.forcing(float(t)) for t in grid.midpoint_times()])
+        forcings = (data.forcing, lambda t: data.forcing(t))  # separated, then plain
+        rows = np.array([data.forcing(float(t)) for t in grid.midpoint_times()])
+        a = op.dense()
+        wants = (rows @ a, np.linalg.solve(a, rows.T).T)
+
+        def check(view, coordinates):
+            for want, apply in zip(wants, (view.times_a, view.solve_a)):
+                stacked = view.from_basis(apply(coordinates(rows.copy())))
+                single = view.from_basis(apply(coordinates(rows[:1].copy())[0])[None])
+                for got in (stacked, single):
+                    assert np.max(np.abs(got - want[: len(got)])) <= 1e-12 * np.max(np.abs(want))
+
         dense, formed = RieszOperator.dense, []
         with monkeypatch.context() as m:
             m.setattr(RieszOperator, "dense", lambda self: formed.append(self) or dense(self))
-            by_factor = stability_bounds(traj, spec.r_exact, data.forcing, op, grid)
-        # once, for the Cholesky factor of A; the A-norms take the matvec
-        assert len(formed) == 1
-        dual_factor = _dual_norms(op, forcings)
-        assert op.cached_eigendecomposition is None  # the Cholesky branch decomposes nothing
+            by_factor = []
+            for forcing in forcings:
+                formed.clear()
+                by_factor.append(stability_bounds(traj, spec.r_exact, forcing, op, grid))
+                # once, for the Cholesky factor of A; ||.||_A takes the matvec
+                assert formed == [op]
+            check(StepOperators(grid, op), lambda x: x)
+        assert op.cached_eigendecomposition is None  # the nodal view decomposes nothing
         op.eigendecomposition
-        # the eigenbasis branch factors nothing and forms no dense A
+        # the eigenbasis view factors nothing and forms no dense A
         monkeypatch.setattr(fracheat.forward, "cholesky", None)
         monkeypatch.setattr(RieszOperator, "dense", _refuse_dense)
-        by_modes = stability_bounds(traj, spec.r_exact, data.forcing, op, grid)
-        # with the eigendecomposition on the operator, _dual_norms takes eigenbasis rows
-        pairs = ((dual_factor, _dual_norms(op, forcings @ op.eigendecomposition.eigenvectors)),
-                 (by_factor.l2_slack, by_modes.l2_slack),
-                 (by_factor.energy_slack, by_modes.energy_slack))
-        for want, got in pairs:
-            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
-        # the matvec and eigenbasis A-norms of the midpoint states
-        identity_scale = float(np.max(np.sum(traj.states**2, axis=1))) / grid.tau
-        gap = np.max(np.abs(by_modes.identity_residuals - by_factor.identity_residuals))
-        assert gap <= 1e-12 * identity_scale
+        modal = fracheat.forward._ModalStepOperators(grid, op)
+        check(modal, modal.to_basis)
+        for forcing, want in zip(forcings, by_factor):
+            got = stability_bounds(traj, spec.r_exact, forcing, op, grid)
+            for name in ("l2_slack", "energy_slack"):
+                gap = np.max(np.abs(getattr(got, name) - getattr(want, name)))
+                assert gap <= 1e-12 * np.max(np.abs(getattr(want, name)))
+            # the matvec and eigenbasis A-norms of the midpoint states
+            identity_scale = float(np.max(np.sum(traj.states**2, axis=1))) / grid.tau
+            gap = np.max(np.abs(got.identity_residuals - want.identity_residuals))
+            assert gap <= 1e-12 * identity_scale
 
 
 def _stability_loop(trajectory, r_mid, forcing, op, grid):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -245,6 +246,25 @@ class TestRunInverse:
         ops = make_step_operators(grid, op=op, solver=solver)
         traj, rec = run_inverse(data, grid, ops=ops)
         assert np.array_equal(run_forward(data, grid, r=rec, ops=ops).states, traj.states)
+
+    @pytest.mark.parametrize("solver", SOLVERS)
+    def test_memory_is_bounded_by_the_states(self, solver):
+        # the trajectory adopts the (M+1, n) states the recovery wrote, with no copy:
+        # one copy took the peak to 2.04 times the states on every route
+        grid = make_grid(1, 1, 64, 4000, 0.5)
+        op = assemble(grid)
+        _, data = build_manufactured("example1", grid, op=op)
+        short = make_grid(1, 1, 64, 2, 0.5)  # imports SciPy and decomposes A on the modal route
+        run_inverse(build_manufactured("example1", short, op=op)[1], short,
+                    ops=make_step_operators(short, op=op, solver=solver))
+        ops = make_step_operators(grid, op=op, solver=solver)
+        tracemalloc.start()
+        try:
+            trajectory, _ = run_inverse(data, grid, ops=ops)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * trajectory.states.nbytes
 
     def test_scale_equivariance(self):
         # scaling f, w, phi jointly leaves the recovered coefficients unchanged

@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 import warnings
+from dataclasses import fields
 from unittest import mock
 
 import numpy as np
@@ -709,6 +710,17 @@ class TestLoadConfig:
         assert cfg.source == "quadrature"
         assert cfg.smooth_window == 5
         assert cfg.out == "results"
+
+    @pytest.mark.parametrize("field", [f for f in fields(StudyConfig) if f.default is not None],
+                             ids=lambda f: f.name)
+    def test_every_default_reads_back_from_its_text(self, tmp_path, field):
+        # each key's type comes from its field's default: a tuple is a comma list
+        default = field.default
+        text = ", ".join(map(str, default)) if isinstance(default, tuple) else str(default)
+        path = tmp_path / "default.cfg"
+        path.write_text(f"{field.name} = {text}\n", encoding="utf-8")
+        value = getattr(load_config(path), field.name)
+        assert value == default and type(value) is type(default)
 
     def test_unknown_solver_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"
