@@ -10,7 +10,11 @@ d = 1 + tau lambda/2; A is the operator's matvec, or lambda v.  The step
 itself, ``advance``, is written once per route: L^-1 (U - tau/2 A U + tau r F),
 or g U + tau r F/d with g = (1 - tau lambda/2)/d on the modal route, where
 L^-1 R is diagonal.  So a modal step costs O(n) after one
-eigendecomposition.  Every march takes its stacked forcings from one
+eigendecomposition.  No caller tests the route's name: ``decay`` is g where
+L^-1 R is diagonal and None elsewhere, which is what the recovery's blocked
+solve asks, and ``trajectory`` ends a forward march, adopting nodal states as
+they are or forming U = Q c from eigenbasis coordinates and keeping those
+beside them.  Every march takes its stacked forcings from one
 helper, ``_forcing_rows``: a separated forcing sum_p phi_p(t) v_p is one
 coefficient table against its P shapes, taken to the route's coordinates
 once, so the modal route transforms P rows, not M.  The scheme satisfies an exact energy identity in the
@@ -21,7 +25,8 @@ route view, a ``StepOperators`` with ``times_a`` and ``solve_a``: lambda v
 and v/lambda in the eigenbasis, or the matvec and one Cholesky factor of the
 dense A per call on the nodal view.  A spectral
 reference solution (eigenbasis + Duhamel integral in time) provides an
-independent high-order oracle for temporal convergence measurements.
+independent high-order oracle for temporal convergence measurements; it
+reads the operator's cached eigendecomposition, the one a modal march uses.
 """
 
 from __future__ import annotations
@@ -37,7 +42,6 @@ from .riesz import RieszOperator, assemble
 from .solvers import (
     EIGEN_SIZE_LIMIT,
     SpdFactorization,
-    SpectralDecomposition,
     cg_solve,
     cholesky,
 )
@@ -105,12 +109,15 @@ class StepOperators:
     Each route is a subclass that names itself in ``solver`` and defines
     ``solve(b)``, L^-1 b for b (n,) or (n, K), which it may overwrite.  The
     base class itself, without an L-solve, is the nodal view ``stability_bounds``
-    takes its norms from.
+    takes its norms from.  ``decay`` is the diagonal of L^-1 R in route
+    coordinates where that matrix is diagonal, the modal route's
+    g = (1 - tau lambda/2)/(1 + tau lambda/2), and None on the other routes.
     """
 
     grid: Grid
     op: RieszOperator
     solver: ClassVar[str]
+    decay: ClassVar[Optional[np.ndarray]] = None
 
     @property
     def tau(self) -> float:
@@ -142,6 +149,11 @@ class StepOperators:
         one forcing f (n,) and rt (K,), the coefficients times tau; it may overwrite U.
         R U is U - tau/2 A U with one block matvec, then one block solve."""
         return self.solve(u - (self.tau / 2.0) * self.op.apply(u) + np.multiply.outer(f, rt))
+
+    def trajectory(self, phi: np.ndarray, marched: np.ndarray) -> Trajectory:
+        """End a forward march from U^0 = phi whose states ``marched`` (M+1, n), in
+        route coordinates, the caller hands over: nodal ones are adopted as they are."""
+        return Trajectory.adopt(marched)
 
 
 @dataclass(frozen=True)
@@ -203,12 +215,25 @@ class _ModalStepOperators(StepOperators):
     def solve_a(self, rows: np.ndarray) -> np.ndarray:
         return rows / self.op.eigendecomposition.eigenvalues
 
+    @property
+    def decay(self) -> np.ndarray:
+        return self._diagonals[2]
+
     def advance(self, u: np.ndarray, f: np.ndarray, rt: np.ndarray) -> np.ndarray:
         # diagonal, so L^-1 (R U + f rt^T) = g U + (f/d) rt^T: two passes over U
         _, d, g = self._diagonals
         u *= g[:, None]
         u += np.multiply.outer(f / d, rt)
         return u
+
+    def trajectory(self, phi: np.ndarray, marched: np.ndarray) -> Trajectory:
+        """The nodal states U^n = Q c^n, written straight into their array, beside the
+        eigenbasis coordinates ``marched`` and the decomposition they belong to; U^0 is
+        ``phi`` itself, not its round trip through Q."""
+        states = np.empty_like(marched)
+        states[0] = phi
+        _rows_times(marched[1:], self._diagonals[0].T, out=states[1:])
+        return Trajectory.adopt(states, (self.op.eigendecomposition, marched))
 
 
 def _rows_times(rows: np.ndarray, mat: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
@@ -261,12 +286,16 @@ def make_step_operators(
 
 def cn_step(ops: StepOperators, u_n: np.ndarray, r_mid: float, f_mid: np.ndarray) -> np.ndarray:
     """One Crank-Nicolson update L U^{n+1} = R U^n + tau r^{n+1/2} F^{n+1/2}: the step
-    of ``run_forward`` and of the recovery, ``ops.advance`` in the route's coordinates."""
+    of ``run_forward`` and of the recovery, ``ops.advance`` in the route's coordinates.
+    A non-finite coefficient, state or forcing raises ``ValueError`` on every route."""
     if not np.isfinite(r_mid):
         raise ValueError("midpoint coefficient is not finite")
+    u = np.array(u_n, float, ndmin=2)
+    if not np.all(np.isfinite(u)):
+        raise ValueError("state has non-finite entries")
     # one row at a time, as the marches take U^0 and each forcing to the basis
-    u = ops.to_basis(np.array(u_n, float, ndmin=2))
-    f = ops.to_basis(np.array(f_mid, float, ndmin=2))[0]
+    u = ops.to_basis(u)
+    f = _forcing_rows(lambda t: f_mid, ops.to_basis)(np.empty(u.shape), [0.0])[0]
     return ops.from_basis(ops.advance(u.T, f, np.array([ops.tau * r_mid])).T)[0]
 
 
@@ -336,9 +365,10 @@ def run_forward(
     """March the direct problem from U^0 = phi with a known coefficient r.
 
     ``r`` defaults to the problem's exact coefficient; it is evaluated at the
-    half-step times, where the scheme defines it.  On the modal route the
-    trajectory keeps the eigenbasis coordinates it marched, with their
-    decomposition, beside the nodal states (``Trajectory.eigenbasis``).
+    half-step times, where the scheme defines it.  ``ops.trajectory`` ends
+    the march: on the modal route the trajectory keeps the eigenbasis
+    coordinates it marched, with their decomposition, beside the nodal states
+    (``Trajectory.eigenbasis``).
     """
     if r is None:
         r = problem.coefficient
@@ -362,13 +392,7 @@ def run_forward(
     for n in range(grid.M):  # the recovery's march, with r given
         u = ops.advance(u, marched[n + 1], rt[n])
         marched[n + 1] = u[:, 0]
-    if ops.solver != "modal":  # route coordinates are nodal
-        return Trajectory.adopt(marched)
-    dec = ops.op.eigendecomposition
-    states = np.empty_like(marched)
-    states[0] = problem.phi
-    _rows_times(marched[1:], dec.eigenvectors.T, out=states[1:])
-    return Trajectory.adopt(states, (dec, marched))
+    return ops.trajectory(problem.phi, marched)
 
 
 def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -499,26 +523,30 @@ def stability_bounds(
 
 
 def spectral_duhamel_oracle(
-    decomp: SpectralDecomposition,
+    op: RieszOperator,
     phi: np.ndarray,
     r_fn: Callable[[float], float],
     f_fn: Callable[[float], np.ndarray],
     grid: Grid,
     substeps: int,
 ) -> np.ndarray:
-    """Reference state at T: exact in space for A, high-order in time.
+    """Reference state at T: exact in space for A = ``op``, high-order in time.
 
     Expands in the eigenbasis of A and evaluates each modal Duhamel integral
     int_0^T exp(-lambda (T - sigma)) r(sigma) <F(sigma), q> d sigma by
     composite Simpson with the exponential factor evaluated exactly.  Needs
     ``substeps >= 4 M`` so the oracle stays well ahead of the second-order
-    stepper it judges.  ``f_fn`` is called once per Simpson node, also when
-    it is a separated forcing: the oracle is the independent check of the
-    marches, so it shares none of their coefficient tables or basis shapes.
+    stepper it judges.  The eigenbasis is the operator's cached
+    ``eigendecomposition``, built here on first use, so a modal march over the
+    same operator and the oracle share one decomposition.  What the oracle
+    checks is the time integration, not the basis: ``f_fn`` is called once per
+    Simpson node, also when it is a separated forcing, so it shares none of
+    the marches' coefficient tables or basis shapes.
     """
     if substeps < 4 * grid.M:
         raise ValueError(f"substeps must be at least 4*M = {4 * grid.M}, got {substeps}")
     m = substeps if substeps % 2 == 0 else substeps + 1
+    decomp = op.eigendecomposition
     lam = decomp.eigenvalues
     q = decomp.eigenvectors
     t_final = grid.T

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Tuple
 
 import numpy as np
@@ -10,6 +10,7 @@ import numpy as np
 from .solvers import SpectralDecomposition
 
 ForcingFn = Callable[[float], np.ndarray]
+Eigenbasis = Tuple[SpectralDecomposition, np.ndarray]  # (decomposition, coordinates)
 ScalarFn = Callable[[float], float]
 TableFn = Callable[[np.ndarray], np.ndarray]
 
@@ -123,28 +124,24 @@ class Trajectory:
     ``eigenbasis`` is None, or the pair (decomposition, coordinates) of a run
     marched in the eigenbasis of A = Q diag(lambda) Q^T: the
     ``SpectralDecomposition`` that held Q and the states' coordinates U Q,
-    the same shape as ``states``.  Diagnostics read the coordinates instead
-    of taking every state back to the eigenbasis.
+    the same shape as ``states``.  Only :meth:`adopt` sets it, for the march
+    that computed both arrays; the constructor copies ``states`` alone.
+    Diagnostics read the coordinates instead of taking every state back to the
+    eigenbasis.
     """
 
     states: np.ndarray
-    eigenbasis: Optional[Tuple[SpectralDecomposition, np.ndarray]] = None
+    eigenbasis: Optional[Eigenbasis] = field(default=None, init=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "states", np.array(self.states, dtype=float))
-        if self.eigenbasis is not None:
-            decomposition, coordinates = self.eigenbasis
-            object.__setattr__(self, "eigenbasis",
-                               (decomposition, np.array(coordinates, dtype=float)))
         self._freeze()
 
     @classmethod
-    def adopt(
-        cls, states: np.ndarray,
-        eigenbasis: Optional[Tuple[SpectralDecomposition, np.ndarray]] = None,
-    ) -> Trajectory:
+    def adopt(cls, states: np.ndarray, eigenbasis: Optional[Eigenbasis] = None) -> Trajectory:
         """A trajectory of float64 arrays its caller hands over and no longer writes:
-        checked and frozen in place, without the copies the constructor makes."""
+        checked and frozen in place, without the copy the constructor makes, and with
+        the march's eigenbasis coordinates when it kept them."""
         trajectory = object.__new__(cls)
         object.__setattr__(trajectory, "states", states)
         object.__setattr__(trajectory, "eigenbasis", eigenbasis)

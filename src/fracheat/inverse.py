@@ -27,7 +27,8 @@ leading digits when tau lambda_1 >> 1 (three digits of r at s = 0.99,
 N = 300, tau = 1e3).  No nonlinear iteration.
 
 One march serves every solver route and K measurement series at once, as
-an n x K block of states; only a batch on the modal route takes the
+an n x K block of states; only a batch on a route whose L^-1 R is diagonal
+in its coordinates, ``StepOperators.decay`` (the modal route), takes the
 blocked form below.  The denominators do not depend on the data, so
 every one of them, the discrete identifiability margin, is checked before
 the first step or solve; a vanishing one is reported with its step, not
@@ -228,15 +229,15 @@ def _solve_volterra(
     w: np.ndarray,
     forcings: np.ndarray,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """What ``_march`` returns for a U^0 (n, 1) that K series share, on the modal
-    route: (D - tau K) r = dw/tau + a solved ``_VOLTERRA_BLOCK`` steps at a time by
-    ``_volterra_block``, which carries the state from one block to the next.
-    ``forcings`` is overwritten."""
+    """What ``_march`` returns for a U^0 (n, 1) that K series share, where L^-1 R is
+    the diagonal ``ops.decay``: (D - tau K) r = dw/tau + a solved ``_VOLTERRA_BLOCK``
+    steps at a time by ``_volterra_block``, which carries the state from one block
+    to the next.  ``forcings`` is overwritten."""
     u, denominators = _prologue(ops, adjoint, u, forcings)
     m_steps, n = forcings.shape
     powers = np.empty((min(_VOLTERRA_BLOCK, m_steps), n))  # g^m, m < B
     powers[0] = 1.0
-    powers[1:] = ops._diagonals[2]
+    powers[1:] = ops.decay
     np.cumprod(powers, axis=0, out=powers)
     hz_powers = (ops.grid.h * adjoint[2]) * powers
     recovered = (w[1:] - w[:-1]) / ops.tau
@@ -274,7 +275,7 @@ def _volterra_block(
     s *= powers[::-1]  # row j becomes g^(b-1-j) S^_j, the weight of r_j in U^(s+b)
     final = s.T @ recovered
     final *= tau
-    final += (powers[-1] * ops._diagonals[2])[:, None] * u
+    final += (powers[-1] * ops.decay)[:, None] * u
     return final
 
 
@@ -308,7 +309,7 @@ def _recover_series(
     forcings = np.empty((grid.M, grid.interior_dim)) if states is None else states[1:]
     _forcing_rows(problem.forcing, ops.to_basis)(forcings, grid.midpoint_times())
     u = problem.phi[:, None].copy()
-    if states is None and ops.solver == "modal":
+    if states is None and ops.decay is not None:
         return _solve_volterra(ops, adjoint, u, w, forcings)
     if states is not None:
         states[0] = problem.phi

@@ -237,6 +237,22 @@ def test_modal_batch_solves_in_blocks_and_never_marches(m_steps, monkeypatch):
     assert not steps
 
 
+@pytest.mark.parametrize("solver", ["cholesky", "cg"])
+def test_nodal_batch_marches(solver, monkeypatch):
+    # off the modal route L^-1 R is not diagonal (``decay`` is None), so a batch
+    # marches, one block step per time step, and builds no Volterra block
+    grid = make_grid(1, 1, 16, 6, 0.5)
+    _, data = build_manufactured("example1", grid)
+    ops = make_step_operators(grid, solver=solver)
+    blocks, steps = [], []
+    advance = type(ops).advance
+    monkeypatch.setattr(fracheat.inverse, "_volterra_block", lambda *args: blocks.append(args))
+    monkeypatch.setattr(type(ops), "advance",
+                        lambda self, *args: steps.append(args) or advance(self, *args))
+    run_inverse_batch(data, grid, np.column_stack([data.measurements.values] * 3), ops)
+    assert not blocks and len(steps) == grid.M
+
+
 def test_modal_batch_memory_is_linear_in_the_steps():
     # N = 16, M = 3000, K = 2: a whole-run M x M kernel would take 72 MB, 200 times
     # the M x n forcing table, which the recovery must hold anyway

@@ -52,6 +52,19 @@ class TestCnStep:
             u1 = cn_step(ops, q, 0.0, z)
             assert np.max(np.abs(u1 - g * q)) <= 1e-10
 
+    @pytest.mark.parametrize("solver", SOLVERS)
+    def test_refuses_non_finite_state_and_forcing(self, grid16, solver):
+        # the marches' ValueError on every route, not a NaN state or CG's divergence
+        ops = make_step_operators(grid16, solver=solver)
+        good = np.ones(15)
+        for bad in (np.nan, np.inf, -np.inf):
+            broken = good.copy()
+            broken[4] = bad
+            with pytest.raises(ValueError, match="^forcing has non-finite entries at step 0$"):
+                cn_step(ops, good, 1.0, broken)
+            with pytest.raises(ValueError, match="^state has non-finite entries$"):
+                cn_step(ops, broken, 1.0, good)
+
     def test_homogeneous_energy_identity(self, grid16, op16):
         # one step on a one-step grid of grid16's tau, its identity read with r = 0
         grid = make_grid(1, grid16.tau, 16, 1, 0.5)
@@ -272,6 +285,33 @@ class TestRouteRule:
         assert "eigendecomposition" not in vars(ops.op)
         ops.solve(np.ones(grid.interior_dim))
         assert "eigendecomposition" in vars(ops.op)
+
+
+class TestRouteInterface:
+    """What the marches ask a route instead of its name: ``decay``, and ``trajectory``
+    at the end of a forward march."""
+
+    @pytest.mark.parametrize("solver", ["cholesky", "cg"])
+    def test_nodal_routes_adopt_the_march(self, grid16, solver):
+        ops = make_step_operators(grid16, solver=solver)
+        assert ops.decay is None
+        marched = np.ones((grid16.M + 1, 15))
+        traj = ops.trajectory(np.zeros(15), marched)
+        assert traj.states is marched and traj.eigenbasis is None
+        assert not marched.flags.writeable
+
+    def test_modal_route_keeps_its_coordinates(self, grid16):
+        ops = make_step_operators(grid16, solver="modal")
+        dec = ops.op.eigendecomposition
+        half = grid16.tau * dec.eigenvalues / 2.0
+        assert np.array_equal(ops.decay, (1.0 - half) / (1.0 + half))
+        rng = np.random.default_rng(3)
+        phi, marched = rng.standard_normal(15), rng.standard_normal((grid16.M + 1, 15))
+        want = marched[1:] @ dec.eigenvectors.T
+        traj = ops.trajectory(phi, marched)
+        assert traj.eigenbasis[0] is dec and traj.eigenbasis[1] is marched
+        assert np.array_equal(traj.states[0], phi)
+        assert np.array_equal(traj.states[1:], want)
 
 
 class TestStabilityBounds:
@@ -519,35 +559,47 @@ def test_stability_bounds_match_per_step_loop(s, n_cells, m_steps, log_tau, seed
 
 
 class TestSpectralDuhamelOracle:
-    def test_pure_decay(self, grid16, op16):
-        dec = eigendecompose(op16.dense())
+    def test_pure_decay(self, grid16):
+        op = assemble(grid16)
         phi = np.sin(np.pi * grid16.interior_x())
-        out = spectral_duhamel_oracle(dec, phi, lambda t: 0.0, _zero_forcing(15),
+        out = spectral_duhamel_oracle(op, phi, lambda t: 0.0, _zero_forcing(15),
                                       grid16, substeps=4 * grid16.M)
-        lam, q = dec.eigenvalues, dec.eigenvectors
+        lam, q = op.eigendecomposition.eigenvalues, op.eigendecomposition.eigenvectors
         expected = q @ ((q.T @ phi) * np.exp(-lam * grid16.T))
         np.testing.assert_allclose(out, expected, atol=1e-12)
 
-    def test_single_mode_unit_decay(self, op16):
-        dec = eigendecompose(op16.dense())
+    def test_single_mode_unit_decay(self, grid16):
+        op = assemble(grid16)
+        dec = op.eigendecomposition
         lam1, q1 = dec.eigenvalues[0], dec.eigenvectors[:, 0]
         grid = make_grid(1.0, 1.0 / lam1, 16, 4, 0.5)  # T such that lam1 T = 1
-        out = spectral_duhamel_oracle(dec, q1, lambda t: 0.0, _zero_forcing(15),
+        out = spectral_duhamel_oracle(op, q1, lambda t: 0.0, _zero_forcing(15),
                                       grid, substeps=16)
         np.testing.assert_allclose(out, np.exp(-1.0) * q1, atol=1e-12)
 
     def test_rejects_too_few_substeps(self, grid16, op16):
-        dec = eigendecompose(op16.dense())
         with pytest.raises(ValueError):
-            spectral_duhamel_oracle(dec, np.zeros(15), lambda t: 1.0,
+            spectral_duhamel_oracle(op16, np.zeros(15), lambda t: 1.0,
                                     _zero_forcing(15), grid16, substeps=grid16.M)
+
+    def test_shares_the_decomposition_of_a_modal_run(self, grid16, monkeypatch):
+        built, original = [], fracheat.solvers.eigendecompose
+        for module in (fracheat.solvers, fracheat.riesz):
+            monkeypatch.setattr(module, "eigendecompose",
+                                lambda mat: built.append(mat.shape) or original(mat))
+        op = assemble(grid16)
+        spec, data = build_manufactured("example1", grid16, op=op)
+        run_forward(data, grid16, ops=make_step_operators(grid16, op=op, solver="modal"))
+        assert built == [(15, 15)]  # the modal run's own, so the counter sees it
+        spectral_duhamel_oracle(op, data.phi, spec.r_exact, data.forcing, grid16,
+                                substeps=4 * grid16.M)
+        assert built == [(15, 15)]
 
     def test_cn_gap_shrinks_fourfold_per_halving(self):
         grid_ref = make_grid(1, 1, 16, 40, 0.5)
         op = assemble(grid_ref)
-        dec = eigendecompose(op.dense())
         spec, data = build_manufactured("example1", grid_ref, source="discrete", op=op)
-        oracle = spectral_duhamel_oracle(dec, data.phi, spec.r_exact, data.forcing,
+        oracle = spectral_duhamel_oracle(op, data.phi, spec.r_exact, data.forcing,
                                          grid_ref, substeps=4 * 40 * 4)
         gaps = []
         for m in (10, 20, 40):
