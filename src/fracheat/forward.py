@@ -21,9 +21,10 @@ once, so the modal route transforms P rows, not M.  The scheme satisfies an exac
 homogeneous case and two unconditional stability bounds with forcing; those
 are evaluated here as runtime diagnostics rather than assumed.  The
 diagnostics take their coordinates and their norms in A and A^-1 from a
-route view, a ``StepOperators`` with ``times_a`` and ``solve_a``: lambda v
-and v/lambda in the eigenbasis, or the matvec and one Cholesky factor of the
-dense A per call on the nodal view.  A spectral
+route view, a ``StepOperators`` with ``times_a`` and ``solve_a``: the route a
+modal trajectory kept, lambda v and v/lambda in its eigenbasis, or for any
+other trajectory the nodal view, the matvec and one Cholesky factor of the
+dense A per call, whatever the operator has cached.  A spectral
 reference solution (eigenbasis + Duhamel integral in time) provides an
 independent high-order oracle for temporal convergence measurements; it
 reads the operator's cached eigendecomposition, the one a modal march uses.
@@ -187,17 +188,19 @@ class _CgStepOperators(StepOperators):
 
 class _ModalStepOperators(StepOperators):
     """The eigenbasis of A = Q diag(lambda) Q^T, built on first use and cached on the
-    operator, where L and R are diagonal: ``_diagonals`` is (Q, d, g) with
-    d = 1 + tau lambda/2, the diagonal of L, and g = (1 - tau lambda/2)/d, that of L^-1 R."""
+    operator, where L and R are diagonal: ``_diagonals`` is (Q, lambda, d, g) with
+    d = 1 + tau lambda/2, the diagonal of L, and g = (1 - tau lambda/2)/d, that of L^-1 R.
+    Every operation reads Q and lambda from there, so a trajectory that keeps this
+    route stays consistent with it even if the operator's decomposition is rebuilt."""
 
     solver = "modal"
 
     @cached_property
-    def _diagonals(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _diagonals(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         dec = self.op.eigendecomposition
         half = (self.tau / 2.0) * dec.eigenvalues
         d = 1.0 + half
-        return dec.eigenvectors, d, (1.0 - half) / d
+        return dec.eigenvectors, dec.eigenvalues, d, (1.0 - half) / d
 
     def to_basis(self, rows: np.ndarray) -> np.ndarray:
         return _rows_times(rows, self._diagonals[0])
@@ -206,34 +209,34 @@ class _ModalStepOperators(StepOperators):
         return _rows_times(rows, self._diagonals[0].T)
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        d = self._diagonals[1]
+        d = self._diagonals[2]
         return np.divide(b, d if b.ndim == 1 else d[:, None], out=b)
 
     def times_a(self, v: np.ndarray) -> np.ndarray:
-        return self.op.eigendecomposition.eigenvalues * v
+        return self._diagonals[1] * v
 
     def solve_a(self, rows: np.ndarray) -> np.ndarray:
-        return rows / self.op.eigendecomposition.eigenvalues
+        return rows / self._diagonals[1]
 
     @property
     def decay(self) -> np.ndarray:
-        return self._diagonals[2]
+        return self._diagonals[3]
 
     def advance(self, u: np.ndarray, f: np.ndarray, rt: np.ndarray) -> np.ndarray:
         # diagonal, so L^-1 (R U + f rt^T) = g U + (f/d) rt^T: two passes over U
-        _, d, g = self._diagonals
+        _, _, d, g = self._diagonals
         u *= g[:, None]
         u += np.multiply.outer(f / d, rt)
         return u
 
     def trajectory(self, phi: np.ndarray, marched: np.ndarray) -> Trajectory:
         """The nodal states U^n = Q c^n, written straight into their array, beside the
-        eigenbasis coordinates ``marched`` and the decomposition they belong to; U^0 is
+        eigenbasis coordinates ``marched`` and this route, which they belong to; U^0 is
         ``phi`` itself, not its round trip through Q."""
         states = np.empty_like(marched)
         states[0] = phi
         _rows_times(marched[1:], self._diagonals[0].T, out=states[1:])
-        return Trajectory.adopt(states, (self.op.eigendecomposition, marched))
+        return Trajectory.adopt(states, (self, marched))
 
 
 def _rows_times(rows: np.ndarray, mat: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
@@ -367,8 +370,8 @@ def run_forward(
     ``r`` defaults to the problem's exact coefficient; it is evaluated at the
     half-step times, where the scheme defines it.  ``ops.trajectory`` ends
     the march: on the modal route the trajectory keeps the eigenbasis
-    coordinates it marched, with their decomposition, beside the nodal states
-    (``Trajectory.eigenbasis``).
+    coordinates it marched, with the route that marched them, beside the nodal
+    states (``Trajectory.route``).
     """
     if r is None:
         r = problem.coefficient
@@ -466,14 +469,14 @@ def stability_bounds(
     once, so memory does not grow with M.
 
     Coordinates and cost.  Every change of basis, ||.||_A and ||.||_{A^-1}
-    comes from one route view of ``op``, a ``StepOperators``: the modal one
-    when the operator already holds its eigendecomposition, where the norms
-    are sums over the eigenbasis and no dense matrix is formed, and the nodal
-    one otherwise, where ||.||_A takes the operator's matvec and ||.||_{A^-1}
-    one Cholesky factor of the dense A, made once per call on first use.
-    When the trajectory keeps the coordinates a modal ``run_forward`` marched
-    in the operator's own decomposition, the states are read from them and a
-    step costs O(n), with no product by Q.  A separated forcing's norms are
+    comes from one route view, a ``StepOperators``.  A trajectory that keeps
+    the modal route ``run_forward`` marched it on over ``op`` itself
+    (``Trajectory.route``) takes that route: the states are read from its
+    coordinates, the norms are sums over its eigenbasis, a step costs O(n) with
+    no product by Q, and no dense matrix is formed.  Any other trajectory takes
+    the nodal view of ``op``, whatever the operator has cached: ||.||_A takes
+    its matvec and ||.||_{A^-1} one Cholesky factor of the dense A, made once
+    per call on first use.  A separated forcing's norms are
     P x P forms in its coefficient table (see ``_separated_forms``), and
     <F, U^{n+1/2}> the midpoints' products with its P shapes, so no forcing
     row is formed; any other forcing is called once per step.  Keeping the
@@ -484,10 +487,11 @@ def stability_bounds(
     tau = grid.tau
     r_mid = _r_at_midpoints(r, grid)
     times = grid.midpoint_times()
-    dec = op.cached_eigendecomposition
-    ops = StepOperators(grid, op) if dec is None else _ModalStepOperators(grid, op)
-    kept = trajectory.eigenbasis is not None and trajectory.eigenbasis[0] is dec
-    states = trajectory.eigenbasis[1] if kept else trajectory.states
+    route = trajectory.route
+    if route is not None and route[0].op is op:
+        ops, states = route
+    else:
+        ops, states = StepOperators(grid, op), trajectory.states
     # per step n: ||U^n||, ||F||, <F, U^{n+1/2}>, ||U^{n+1/2}||_A^2 and ||F||_{A^-1}^2
     norms = np.empty(grid.M + 1)
     f_norm, f_dot_mid, mid_energy, dual = np.empty((4, grid.M))
@@ -501,8 +505,6 @@ def stability_bounds(
         step = slice(start, min(start + rows, grid.M))
         u = states[step.start : step.stop + 1]
         mid = 0.5 * (u[:-1] + u[1:])
-        if not kept:
-            mid = ops.to_basis(mid)
         norms[step.start : step.stop + 1] = np.linalg.norm(u, axis=1)
         mid_energy[step] = _rowdot(ops.times_a(mid), mid)
         if forms is None:

@@ -1,4 +1,5 @@
-"""Mesh and container types shared by the assembly, stepping, and recovery code."""
+"""Mesh and container types shared by the assembly, stepping, and recovery code;
+data only, so it imports none of the solver routes that ``forward.py`` defines."""
 
 from __future__ import annotations
 
@@ -7,10 +8,7 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .solvers import SpectralDecomposition
-
 ForcingFn = Callable[[float], np.ndarray]
-Eigenbasis = Tuple[SpectralDecomposition, np.ndarray]  # (decomposition, coordinates)
 ScalarFn = Callable[[float], float]
 TableFn = Callable[[np.ndarray], np.ndarray]
 
@@ -121,30 +119,30 @@ class CoefficientSeries:
 class Trajectory:
     """Interior nodal states U^0 .. U^M stacked as a (M+1, N-1) array.
 
-    ``eigenbasis`` is None, or the pair (decomposition, coordinates) of a run
-    marched in the eigenbasis of A = Q diag(lambda) Q^T: the
-    ``SpectralDecomposition`` that held Q and the states' coordinates U Q,
-    the same shape as ``states``.  Only :meth:`adopt` sets it, for the march
-    that computed both arrays; the constructor copies ``states`` alone.
-    Diagnostics read the coordinates instead of taking every state back to the
-    eigenbasis.
+    ``route`` is None, or the pair (ops, coordinates) of a run marched in the
+    eigenbasis of A = Q diag(lambda) Q^T: the modal ``StepOperators`` that
+    marched it, which holds its own lambda and Q, and the states' coordinates
+    U Q, the same shape as ``states``.  Only :meth:`adopt` sets it, for the
+    march that computed both arrays; the constructor copies ``states`` alone.
+    The stability diagnostics take that route as their view and read the
+    coordinates instead of taking every state back to the eigenbasis.
     """
 
     states: np.ndarray
-    eigenbasis: Optional[Eigenbasis] = field(default=None, init=False)
+    route: Optional[Tuple[object, np.ndarray]] = field(default=None, init=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "states", np.array(self.states, dtype=float))
         self._freeze()
 
     @classmethod
-    def adopt(cls, states: np.ndarray, eigenbasis: Optional[Eigenbasis] = None) -> Trajectory:
+    def adopt(cls, states: np.ndarray, route: Optional[tuple] = None) -> Trajectory:
         """A trajectory of float64 arrays its caller hands over and no longer writes:
         checked and frozen in place, without the copy the constructor makes, and with
-        the march's eigenbasis coordinates when it kept them."""
+        the march's route and coordinates when it kept them."""
         trajectory = object.__new__(cls)
         object.__setattr__(trajectory, "states", states)
-        object.__setattr__(trajectory, "eigenbasis", eigenbasis)
+        object.__setattr__(trajectory, "route", route)
         trajectory._freeze()
         return trajectory
 
@@ -152,8 +150,8 @@ class Trajectory:
         if self.states.ndim != 2:
             raise ValueError(f"states: expected a 2-D array, got shape {self.states.shape}")
         arrays = {"states": self.states}
-        if self.eigenbasis is not None:
-            arrays["eigenbasis coordinates"] = self.eigenbasis[1]
+        if self.route is not None:
+            arrays["route coordinates"] = self.route[1]
         for name, arr in arrays.items():
             if arr.shape != self.states.shape:
                 raise ValueError(f"{name}: expected shape {self.states.shape}, got {arr.shape}")

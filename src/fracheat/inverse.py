@@ -150,7 +150,9 @@ def recover_r_step(
     """One step of the recovery, the M = 1 march: closed-form r^{n+1/2}, then U^{n+1}.
 
     ``u_n`` is one state (n,) and ``w_n``, ``w_np1`` are its two scalar
-    measurements; returns r^{n+1/2} as a float and U^{n+1} as (n,)."""
+    measurements; returns r^{n+1/2} as a float and U^{n+1} as (n,).  No fracheat
+    module calls it; it stays because ``perfbench/tracing.py`` wraps it by name
+    and refuses to install without it."""
     weight = np.asarray(weight, dtype=float)
     adjoint = _adjoint_weights(ops, weight)
     forcings = _forcing_rows(lambda t: f_mid, ops.to_basis)(np.empty((1, weight.size)), [0.0])

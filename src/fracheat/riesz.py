@@ -147,11 +147,6 @@ class RieszOperator:
         two ``eigh`` of size about n/2, on A's even and odd halves."""
         return eigendecompose(self.dense())
 
-    @property
-    def cached_eigendecomposition(self) -> Optional[SpectralDecomposition]:
-        """The eigendecomposition if a modal solve has built it, else None; never builds it."""
-        return self.__dict__.get("eigendecomposition")
-
     def circulant_preconditioner(self, c: float) -> Callable[[np.ndarray], np.ndarray]:
         """r -> P^{-1} r = E^T C_m^{-1} E r, from the Strang circulant C_m of I + c A.
 

@@ -106,13 +106,9 @@ def cg_solve(
     """Conjugate gradients on an SPD operator given as a matvec closure.
 
     ``precond`` applies an SPD approximate inverse r -> M^{-1} r.  Success
-    means the recursively updated relative residual is at most ``tol``.  If
-    it gets there two or more updates after the last evaluated b - Ax (the
-    start or a restart), the true relative residual ||b - Ax|| / ||b|| is
-    evaluated once, and if it misses ``tol`` the iteration restarts from it.
-    If a single update after an evaluated b - Ax gets there, x is returned
-    unchecked, and its true relative residual may exceed ``tol`` by a small
-    factor: 2.0-2.2e-12 has been measured at ``tol`` 1e-12.
+    means the true relative residual ||b - Ax|| / ||b|| is at most ``tol``:
+    once the recursively updated residual gets there, the true one is
+    evaluated, and if it misses ``tol`` the iteration restarts from it.
     :class:`SolverError` carries the true residual when
     ``_CG_ITERS_PER_UNKNOWN`` iterations per unknown pass, or when more than
     ``_CG_STALLED_RESTARTS`` restarts fail to lower it below its lowest value:
@@ -131,9 +127,6 @@ def cg_solve(
     x = np.zeros_like(b)
     r = b.copy()
     p = None  # None: (re)start along the preconditioned residual
-    # r is at most one update away from an evaluated b - Ax; that update only
-    # adds rounding of the size any evaluation of b - Ax carries.
-    fresh = True
     lowest_res = float("inf")  # lowest true residual at a failed check
     stalled = 0  # restarts that ended no lower than lowest_res
     for _ in range(maxit):
@@ -151,8 +144,6 @@ def cg_solve(
         if not np.isfinite(res):
             raise SolverError("cg diverged: non-finite residual", residual=res)
         if res <= tol:
-            if fresh:
-                return x
             r = b - apply_op(x)
             res = float(np.linalg.norm(r)) / norm_b
             if res <= tol:
@@ -163,9 +154,7 @@ def cg_solve(
                     raise SolverError(f"cg: true residual {res:.3e} stalls above tolerance "
                                       f"{tol:.1e}", residual=res)
             lowest_res = min(lowest_res, res)
-            p, fresh = None, True
-            continue
-        fresh = False
+            p = None
     res = float(np.linalg.norm(b - apply_op(x))) / norm_b
     raise SolverError(f"cg: tolerance {tol:.1e} not reached in {maxit} iterations "
                       f"(residual {res:.3e})", residual=res)

@@ -297,7 +297,7 @@ class TestRouteInterface:
         assert ops.decay is None
         marched = np.ones((grid16.M + 1, 15))
         traj = ops.trajectory(np.zeros(15), marched)
-        assert traj.states is marched and traj.eigenbasis is None
+        assert traj.states is marched and traj.route is None
         assert not marched.flags.writeable
 
     def test_modal_route_keeps_its_coordinates(self, grid16):
@@ -309,7 +309,7 @@ class TestRouteInterface:
         phi, marched = rng.standard_normal(15), rng.standard_normal((grid16.M + 1, 15))
         want = marched[1:] @ dec.eigenvectors.T
         traj = ops.trajectory(phi, marched)
-        assert traj.eigenbasis[0] is dec and traj.eigenbasis[1] is marched
+        assert traj.route[0] is ops and traj.route[1] is marched
         assert np.array_equal(traj.states[0], phi)
         assert np.array_equal(traj.states[1:], want)
 
@@ -338,37 +338,57 @@ class TestStabilityBounds:
         assert np.max(np.abs(rep.identity_residuals)) <= 1e-9
 
     def test_kept_coordinates_need_the_operator_s_own_decomposition(self, monkeypatch):
-        # a modal run keeps its eigenbasis coordinates, which stability_bounds reads
-        # in place of the states, taking only the P = 4 shapes to the eigenbasis
+        # a modal run keeps its route and eigenbasis coordinates, which stability_bounds
+        # reads in place of the states, taking only the P = 4 shapes to the eigenbasis
         grid = make_grid(1, 1, 40, 40, 0.5)
         op = assemble(grid)
         spec, data = build_manufactured("example1", grid, op=op)
-        traj = run_forward(data, grid, ops=make_step_operators(grid, op=op, solver="modal"))
-        dec, coordinates = traj.eigenbasis
-        assert dec is op.cached_eigendecomposition
+        ops = make_step_operators(grid, op=op, solver="modal")
+        traj = run_forward(data, grid, ops=ops)
+        route, coordinates = traj.route
+        assert route is ops and "eigendecomposition" in vars(op)
         # the nodal states are the in-place block products of the coordinates, bit for bit
         assert np.array_equal(traj.states[1:], fracheat.forward._rows_times(
-            coordinates[1:].copy(), dec.eigenvectors.T))
+            coordinates[1:].copy(), op.eigendecomposition.eigenvectors.T))
         transformed, rows_times = [], fracheat.forward._rows_times
         monkeypatch.setattr(fracheat.forward, "_rows_times",
                             lambda rows, *a, **k: transformed.append(len(rows)) or
                             rows_times(rows, *a, **k))
-        stability_bounds(traj, spec.r_exact, data.forcing, op, grid)
+        kept = stability_bounds(traj, spec.r_exact, data.forcing, op, grid)
         assert transformed == [4]
-        # on another operator, decomposed or not, or after this one's decomposition
-        # was rebuilt, the report is that of the nodal states alone, bit for bit
+        # on another operator, decomposed or not, the report is that of the nodal
+        # states alone, bit for bit
         nodal = Trajectory(states=traj.states)
         others = [assemble(grid), assemble(make_grid(1, 1, 40, 40, 0.7)),
                   assemble(grid, "interpolated")]
         for other in others[1:]:
             other.eigendecomposition
-        del vars(op)["eigendecomposition"]
-        op.eigendecomposition
-        for other in others + [op]:
+        for other in others:
             got = stability_bounds(traj, spec.r_exact, data.forcing, other, grid)
             want = stability_bounds(nodal, spec.r_exact, data.forcing, other, grid)
             for name in ("identity_residuals", "l2_slack", "energy_slack"):
                 assert np.array_equal(getattr(got, name), getattr(want, name))
+        # on this operator after its decomposition was rebuilt, the route's own
+        # lambda and Q still give the route's report, bit for bit
+        del vars(op)["eigendecomposition"]
+        op.eigendecomposition
+        got = stability_bounds(traj, spec.r_exact, data.forcing, op, grid)
+        for name in ("identity_residuals", "l2_slack", "energy_slack"):
+            assert np.array_equal(getattr(got, name), getattr(kept, name))
+
+    def test_report_ignores_what_the_operator_caches(self):
+        # a Cholesky run's report takes the nodal view whether or not anything has
+        # decomposed its operator since, bit for bit
+        grid = make_grid(1, 1, 64, 64, 0.5)
+        op = assemble(grid)
+        spec, data = build_manufactured("example1", grid, op=op)
+        traj = run_forward(data, grid, ops=make_step_operators(grid, op=op, solver="cholesky"))
+        assert traj.route is None and "eigendecomposition" not in vars(op)
+        before = stability_bounds(traj, spec.r_exact, data.forcing, op, grid)
+        op.eigendecomposition
+        after = stability_bounds(traj, spec.r_exact, data.forcing, op, grid)
+        for name in ("identity_residuals", "l2_slack", "energy_slack"):
+            assert np.array_equal(getattr(after, name), getattr(before, name))
 
     @pytest.mark.parametrize("s, n_cells, m_steps, t_final", [
         (0.3, 64, 64, 1.0), (0.99, 200, 20, 100.0), (0.01, 2, 3, 1e-3), (0.5, 17, 40, 1.0)])
@@ -380,7 +400,7 @@ class TestStabilityBounds:
         _, data = build_manufactured("example1", grid, op=op)
         r = np.zeros(grid.M)
         traj = run_forward(data, grid, r=r, ops=make_step_operators(grid, op=op, solver="modal"))
-        assert traj.eigenbasis is not None
+        assert traj.route is not None
         report = stability_bounds(traj, r, data.forcing, op, grid)
         energy = np.einsum("kn,kn->k", traj.states, traj.states)[:-1]
         assert np.all(np.abs(report.identity_residuals) <= 1e-12 * energy / grid.tau)
@@ -430,7 +450,7 @@ class TestStabilityBounds:
                                                       (0.01, 200, 5), (0.5, 2, 1)])
     def test_route_views_match_the_dense_a(self, s, n_cells, m_steps, monkeypatch):
         # stability_bounds takes its basis and its norms in A and A^-1 from a route
-        # view: the nodal StepOperators, or the modal one when A is decomposed
+        # view: the nodal StepOperators, or the modal route a trajectory kept
         grid = make_grid(1, 1, n_cells, m_steps, s)
         op = assemble(grid)
         spec, data = build_manufactured("example1", grid, source="discrete", op=op)
@@ -457,20 +477,23 @@ class TestStabilityBounds:
                 # once, for the Cholesky factor of A; ||.||_A takes the matvec
                 assert formed == [op]
             check(StepOperators(grid, op), lambda x: x)
-        assert op.cached_eigendecomposition is None  # the nodal view decomposes nothing
-        op.eigendecomposition
-        # the eigenbasis view factors nothing and forms no dense A
+        assert "eigendecomposition" not in vars(op)  # the nodal view decomposes nothing
+        # a modal run of the same states keeps its route: against the nodal view of
+        # those states, the eigenbasis view factors nothing and forms no dense A
+        modal = make_step_operators(grid, op=op, solver="modal")
+        kept = run_forward(data, grid, ops=modal)
+        by_factor = [stability_bounds(Trajectory(states=kept.states), spec.r_exact, forcing,
+                                      op, grid) for forcing in forcings]
         monkeypatch.setattr(fracheat.forward, "cholesky", None)
         monkeypatch.setattr(RieszOperator, "dense", _refuse_dense)
-        modal = fracheat.forward._ModalStepOperators(grid, op)
         check(modal, modal.to_basis)
         for forcing, want in zip(forcings, by_factor):
-            got = stability_bounds(traj, spec.r_exact, forcing, op, grid)
+            got = stability_bounds(kept, spec.r_exact, forcing, op, grid)
             for name in ("l2_slack", "energy_slack"):
                 gap = np.max(np.abs(getattr(got, name) - getattr(want, name)))
                 assert gap <= 1e-12 * np.max(np.abs(getattr(want, name)))
             # the matvec and eigenbasis A-norms of the midpoint states
-            identity_scale = float(np.max(np.sum(traj.states**2, axis=1))) / grid.tau
+            identity_scale = float(np.max(np.sum(kept.states**2, axis=1))) / grid.tau
             gap = np.max(np.abs(got.identity_residuals - want.identity_residuals))
             assert gap <= 1e-12 * identity_scale
 
@@ -524,9 +547,10 @@ def test_stability_bounds_match_per_step_loop(s, n_cells, m_steps, log_tau, seed
                                               block_steps):
     # a CN run with random data on one route; ``noise`` perturbs the states
     # afterwards, so that some trajectories break the bounds and holds() is
-    # tested both ways.  The modal route leaves the eigendecomposition on the
-    # operator, so stability_bounds takes its eigenbasis branch there, and
-    # blocks of ``block_steps`` steps split the run unevenly where M is no multiple
+    # tested both ways.  Unperturbed, a modal run's own trajectory keeps its route,
+    # so stability_bounds takes the eigenbasis view there and the nodal view
+    # elsewhere, and blocks of ``block_steps`` steps split the run unevenly where M
+    # is no multiple
     tau = 10.0**log_tau
     grid = make_grid(1, tau * m_steps, n_cells, m_steps, s)
     op = assemble(grid)
@@ -538,13 +562,15 @@ def test_stability_bounds_match_per_step_loop(s, n_cells, m_steps, log_tau, seed
                        weight=np.ones(n))
     with within_cg_floor():
         ops = make_step_operators(grid, op=op, solver=solver)
-        states = run_forward(data, grid, r=r_mid, ops=ops).states.copy()
+        run = run_forward(data, grid, r=r_mid, ops=ops)
+    states = run.states.copy()
     states[1:] += noise * rng.standard_normal((m_steps, n))
-    traj = Trajectory(states=states)
+    traj = run if solver == "modal" and noise == 0.0 else Trajectory(states=states)
 
     with mock.patch.object(fracheat.forward, "_STEP_BLOCK_VALUES", block_steps * n):
         report = stability_bounds(traj, r_mid, data.forcing, op, grid)
-    assert (op.cached_eigendecomposition is not None) == (solver == "modal")
+    assert ("eigendecomposition" in vars(op)) == (solver == "modal")
+    assert (traj.route is not None) == (solver == "modal" and noise == 0.0)
     identity, l2_slack, energy_slack = _stability_loop(traj, r_mid, data.forcing, op, grid)
     norms = np.linalg.norm(traj.states, axis=1)
     l2_scale = max(1.0, float(np.max(np.abs(l2_slack) + norms[1:])))

@@ -110,23 +110,23 @@ def test_trajectory_validation():
         Trajectory(states=np.zeros(4))
     with pytest.raises(ValueError):
         Trajectory(states=np.full((2, 2), np.nan))
-    # eigenbasis coordinates: only adopted, in place, and checked like the states:
+    # a route's coordinates: only adopted, in place, and checked like the states:
     # shape, NaN and either infinity, wherever it sits
-    assert t.eigenbasis is None
+    assert t.route is None
     with pytest.raises(TypeError):
-        Trajectory(states=np.zeros((3, 4)), eigenbasis=(None, np.ones((3, 4))))
+        Trajectory(states=np.zeros((3, 4)), route=(None, np.ones((3, 4))))
     states, coordinates = np.zeros((3, 4)), np.ones((3, 4))
     adopted = Trajectory.adopt(states, (None, coordinates))
-    assert adopted.states is states and adopted.eigenbasis[1] is coordinates
+    assert adopted.states is states and adopted.route[1] is coordinates
     assert not states.flags.writeable and not coordinates.flags.writeable
-    with pytest.raises(ValueError, match="eigenbasis coordinates: expected shape"):
+    with pytest.raises(ValueError, match="route coordinates: expected shape"):
         Trajectory.adopt(np.zeros((3, 4)), (None, np.zeros((3, 3))))
     for bad in (np.nan, np.inf, -np.inf):
         broken = np.zeros((3, 4))
         broken[1, 2] = bad
         with pytest.raises(ValueError, match="^states: non-finite"):
             Trajectory(states=broken)
-        with pytest.raises(ValueError, match="^eigenbasis coordinates: non-finite"):
+        with pytest.raises(ValueError, match="^route coordinates: non-finite"):
             Trajectory.adopt(np.zeros((3, 4)), (None, broken))
 
 

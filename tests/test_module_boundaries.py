@@ -1,7 +1,9 @@
 """Only ``forward.py``, where ``StepOperators`` and its route subclasses live, knows
 how a solver route works.  Every other module asks a ``StepOperators`` for what it
 needs (``decay``, ``trajectory``, ``to_basis``, ...): it reads no route's private
-``_diagonals`` and compares no ``.solver`` with a route's name."""
+``_diagonals`` and compares no ``.solver`` with a route's name.  Only
+``make_step_operators`` builds a route, and ``grid.py``, whose ``Trajectory`` keeps
+the route a modal run marched on, imports neither the routes nor the solvers."""
 
 import ast
 from pathlib import Path
@@ -53,3 +55,92 @@ def test_no_module_but_forward_knows_the_route():
         for line, what in sorted(_route_leaks(path.read_text()))
     ]
     assert not leaks, "route knowledge outside StepOperators:\n" + "\n".join(leaks)
+
+
+ROUTE_CLASSES = {"_CholeskyStepOperators", "_CgStepOperators", "_ModalStepOperators"}
+
+
+def _route_builds(source):
+    """(line, class) for each call of a route class outside ``make_step_operators``,
+    by its bare name or as an attribute."""
+    tree = ast.parse(source)
+    allowed = {
+        id(inner)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == "make_step_operators"
+        for inner in ast.walk(node)
+    }
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and id(node) not in allowed:
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name in ROUTE_CLASSES:
+                yield node.lineno, name
+
+
+def test_the_checker_sees_a_route_built_elsewhere():
+    source = (
+        "def make_step_operators(grid, op):\n"
+        "    return _ModalStepOperators(grid, op)\n"
+        "def stability_bounds(trajectory, op, grid):\n"
+        "    ops = StepOperators(grid, op) if dec is None else _ModalStepOperators(grid, op)\n"
+        "    return fracheat.forward._CgStepOperators(grid, op, 1e-12, None)\n"
+    )
+    assert sorted(_route_builds(source)) == [
+        (4, "_ModalStepOperators"),
+        (5, "_CgStepOperators"),
+    ]
+
+
+def test_only_make_step_operators_builds_a_route():
+    builds = [
+        f"{path.name}:{line}: {name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for line, name in sorted(_route_builds(path.read_text()))
+    ]
+    assert not builds, "a route built outside make_step_operators:\n" + "\n".join(builds)
+
+
+def _imports(source):
+    """(line, module) for each module an import statement names, relative imports
+    resolved against the package: ``from .solvers import x`` and ``from . import
+    solvers`` both name ``fracheat.solvers``."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield node.lineno, alias.name
+        elif isinstance(node, ast.ImportFrom):
+            base = ".".join(filter(None, ("fracheat" if node.level else "", node.module)))
+            if node.module is None:
+                for alias in node.names:
+                    yield node.lineno, f"{base}.{alias.name}"
+            else:
+                yield node.lineno, base
+
+
+def _grid_leaks(source):
+    for line, module in _imports(source):
+        if module.split(".")[:2] in (["fracheat", "solvers"], ["fracheat", "forward"]):
+            yield line, module
+
+
+def test_the_checker_sees_grid_import_a_route():
+    source = (
+        "from __future__ import annotations\n"
+        "import numpy as np\n"
+        "from .solvers import SpectralDecomposition\n"
+        "from . import forward, riesz\n"
+        "import fracheat.solvers as solvers\n"
+        "from fracheat.forward import StepOperators\n"
+    )
+    assert sorted(_grid_leaks(source)) == [
+        (3, "fracheat.solvers"),
+        (4, "fracheat.forward"),
+        (5, "fracheat.solvers"),
+        (6, "fracheat.forward"),
+    ]
+
+
+def test_grid_imports_neither_solvers_nor_forward():
+    leaks = sorted(_grid_leaks((PACKAGE / "grid.py").read_text()))
+    assert not leaks, f"grid.py imports {leaks}"

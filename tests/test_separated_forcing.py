@@ -77,12 +77,12 @@ def test_separated_forcing_matches_the_plain_callable(s, n_cells, m_steps, log_t
                 reject()
         # the plain callable's rows on the nodal states, against the P x P forms on
         # the same states and on the trajectory as run_forward returns it, which keeps
-        # its eigenbasis coordinates on the modal route
+        # its route and eigenbasis coordinates on the modal route
         traj = Trajectory(states=got)
         reports = [stability_bounds(t, data.coefficient, data.forcing, op, grid)
                    for t in (traj, kept)]
         reference = stability_bounds(traj, data.coefficient, plain.forcing, op, grid)
-    assert (kept.eigenbasis is not None) == (solver == "modal")
+    assert (kept.route is not None) == (solver == "modal")
     if solver == "modal":
         assert _relative_gap(got, ref) <= 1e-12
     else:

@@ -107,7 +107,8 @@ class TestConjugateGradient:
 
         x = cg_solve(op, b, tol=1e-14)
         np.testing.assert_allclose(x, b, atol=1e-14)
-        assert len(applications) == 1
+        # one iteration, then the evaluated b - Ax that every returned x passes
+        assert len(applications) == 2
 
     @pytest.mark.parametrize("n_cells", [32, 256])
     def test_matches_cholesky_with_jacobi(self, n_cells):
