@@ -20,7 +20,7 @@ import numpy as np
 from .forward import SOLVERS, make_step_operators, run_forward
 from .grid import make_grid
 from .inverse import DenominatorNearZero, NoiseSpec
-from .manufactured import build_manufactured
+from .manufactured import EXAMPLE_IDS, SOURCES, build_manufactured
 from .riesz import SCHEMES, QuadratureConvergenceError, assemble, quadrature_oracle
 from .solvers import SolverError
 from .studies import (
@@ -37,7 +37,8 @@ from .studies import (
     write_csv,
 )
 
-_EXAMPLES = {"1": "example1", "2": "example2"}
+# --example n names the benchmark id "example<n>"
+_EXAMPLES = {ident.removeprefix("example"): ident for ident in EXAMPLE_IDS}
 
 # flag -> (StudyConfig field it sets, its argparse keywords); --config names
 # the file the fields are read from.  A field holding a tuple, such as
@@ -55,7 +56,7 @@ _FLAGS = {
     "--delta": ("deltas", dict(type=float, help="relative noise level")),
     "--seed": ("seeds", dict(type=int, help="noise RNG seed")),
     "--smooth-window": ("smooth_window", dict(type=int, help="odd moving-average window")),
-    "--source": ("source", dict(choices=("discrete", "quadrature"))),
+    "--source": ("source", dict(choices=SOURCES)),
     "--scheme": ("scheme", dict(choices=SCHEMES, help="stiffness matrix scheme")),
     "--out": ("out", dict(help="output directory")),
     "--config": ("config", dict(help="key = value config file")),

@@ -24,10 +24,13 @@ diagnostics take their coordinates and their norms in A and A^-1 from a
 route view, a ``StepOperators`` with ``times_a`` and ``solve_a``: the route a
 modal trajectory kept, lambda v and v/lambda in its eigenbasis, or for any
 other trajectory the nodal view, the matvec and one Cholesky factor of the
-dense A per call, whatever the operator has cached.  A spectral
-reference solution (eigenbasis + Duhamel integral in time) provides an
-independent high-order oracle for temporal convergence measurements; it
-reads the operator's cached eigendecomposition, the one a modal march uses.
+dense A per call, whatever the operator has cached.  A run marches the tau
+of its ``StepOperators`` alone: forward runs, the recovery and the
+diagnostics refuse operators, or a kept route, built on a grid other than the
+one they are given.  A spectral reference solution (eigenbasis + Duhamel
+integral in time) provides an independent high-order oracle for temporal
+convergence measurements; it reads the operator's cached eigendecomposition,
+the one a modal march uses.
 """
 
 from __future__ import annotations
@@ -267,9 +270,15 @@ def make_step_operators(
     first solve or march, not here.  By default the route is modal when the
     grid's M steps times the ``series`` marched together pay for the
     decomposition, and otherwise switches on system size.
+
+    A given ``op`` must have the grid's ``interior_dim`` as its size, or this
+    raises ``ValueError``.  An operator assembled for another s or l at the same
+    N passes all the same: ``RieszOperator`` keeps neither.
     """
     if op is None:
         op = assemble(grid)
+    if op.size != grid.interior_dim:
+        raise ValueError(f"operator of size {op.size}, not the grid's {grid.interior_dim}")
     if solver is None:
         if op.size <= EIGEN_SIZE_LIMIT and grid.M * series >= _MODAL_ALPHA * op.size:
             solver = "modal"
@@ -298,7 +307,7 @@ def cn_step(ops: StepOperators, u_n: np.ndarray, r_mid: float, f_mid: np.ndarray
         raise ValueError("state has non-finite entries")
     # one row at a time, as the marches take U^0 and each forcing to the basis
     u = ops.to_basis(u)
-    f = _forcing_rows(lambda t: f_mid, ops.to_basis)(np.empty(u.shape), [0.0])[0]
+    f = _forcing_rows(lambda t: f_mid, [0.0], ops.to_basis, np.empty(u.shape))[0]
     return ops.from_basis(ops.advance(u.T, f, np.array([ops.tau * r_mid])).T)[0]
 
 
@@ -321,42 +330,53 @@ def _check_forcings(rows: np.ndarray, first: int = 0) -> None:
 
 
 def _forcing_rows(
-    forcing: ForcingFn, to_basis: Callable[[np.ndarray], np.ndarray]
-) -> Callable[..., np.ndarray]:
-    """``fill(out, times, first=0)``, which writes the forcings at ``times`` into
-    ``out`` (len(times), n) in the coordinates ``to_basis`` takes nodal rows to, checks
-    them finite, row 0 being step ``first``, and returns ``out``.  Every march takes
-    its forcings from here, so a forward run and the recovery on the same route march
-    the same bits; ``stability_bounds`` takes a plain callable's rows from here.
+    forcing: ForcingFn, times: np.ndarray, to_basis: Callable[[np.ndarray], np.ndarray],
+    out: np.ndarray, first: int = 0,
+) -> np.ndarray:
+    """Write the forcings at ``times`` into ``out`` (len(times), n) in the coordinates
+    ``to_basis`` takes nodal rows to, check them finite, row 0 being step ``first``,
+    and return ``out``.  Every march takes its forcings from here, so a forward run
+    and the recovery on the same route march the same bits; ``stability_bounds``
+    takes a plain callable's rows from here.
 
     A separated forcing, one that carries ``shapes`` and ``coefficients``, has its P
-    shapes taken to the basis here, once; ``fill`` then sums one coefficient table
+    shapes taken to the basis, once per call, and one coefficient table summed
     against them with ``separated_rows``, a block of about ``_STEP_BLOCK_VALUES``
-    values at a time, and neither calls the forcing nor transforms a row.  Any other
-    forcing is called once per time, and its rows are checked, then transformed."""
+    values at a time: the forcing is not called and no row is transformed.  Any
+    other forcing is called once per time, and its rows are checked, then
+    transformed."""
     shapes = getattr(forcing, "shapes", None)
     if shapes is None:
-
-        def fill(out: np.ndarray, times: np.ndarray, first: int = 0) -> np.ndarray:
-            for j, t in enumerate(times):
-                out[j] = forcing(float(t))
-            _check_forcings(out, first)
-            return to_basis(out)
-
-        return fill
-    shapes = to_basis(np.array(shapes, dtype=float))
-    coefficients = forcing.coefficients
-
-    def fill(out: np.ndarray, times: np.ndarray, first: int = 0) -> np.ndarray:
-        table = coefficients(times)
-        rows = max(1, _STEP_BLOCK_VALUES // out.shape[1])
-        for start in range(0, out.shape[0], rows):
-            block = slice(start, start + rows)
-            separated_rows(table[block], shapes, out[block])
+        for j, t in enumerate(times):
+            out[j] = forcing(float(t))
         _check_forcings(out, first)
-        return out
+        return to_basis(out)
+    shapes = to_basis(np.array(shapes, dtype=float))
+    table = forcing.coefficients(times)
+    rows = max(1, _STEP_BLOCK_VALUES // out.shape[1])
+    for start in range(0, out.shape[0], rows):
+        block = slice(start, start + rows)
+        separated_rows(table[block], shapes, out[block])
+    _check_forcings(out, first)
+    return out
 
-    return fill
+
+def _on_grid(ops: StepOperators, grid: Grid) -> StepOperators:
+    """``ops`` itself, if it was built on ``grid``; otherwise ``ValueError``, naming both
+    grids, since its tau and the run's times would describe two different marches."""
+    if ops.grid != grid:
+        raise ValueError(f"step operators built on {ops.grid}, not on the run's {grid}")
+    return ops
+
+
+def _run_operators(
+    problem: ProblemData, grid: Grid, ops: Optional[StepOperators], series: int = 1
+) -> StepOperators:
+    """What a forward run and the recovery check before they march: phi fits ``grid``,
+    and ``ops`` was built on it; without ``ops``, those for ``series`` series on it."""
+    if problem.phi.size != grid.interior_dim:
+        raise ValueError("phi length does not match the grid")
+    return _on_grid(make_step_operators(grid, series=series) if ops is None else ops, grid)
 
 
 def run_forward(
@@ -371,16 +391,15 @@ def run_forward(
     half-step times, where the scheme defines it.  ``ops.trajectory`` ends
     the march: on the modal route the trajectory keeps the eigenbasis
     coordinates it marched, with the route that marched them, beside the nodal
-    states (``Trajectory.route``).
+    states (``Trajectory.route``).  ``ops`` defaults to those
+    ``make_step_operators`` builds on ``grid``; ones built on any other grid, a
+    grid equal to it by value aside, raise ``ValueError``, as the recovery's do.
     """
     if r is None:
         r = problem.coefficient
         if r is None:
             raise ValueError("no coefficient: pass r or set problem.coefficient")
-    if problem.phi.size != grid.interior_dim:
-        raise ValueError("phi length does not match the grid")
-    if ops is None:
-        ops = make_step_operators(grid)
+    ops = _run_operators(problem, grid, ops)
     r_mid = _r_at_midpoints(r, grid)
     if not np.all(np.isfinite(r_mid)):
         raise ValueError("midpoint coefficient is not finite")
@@ -390,7 +409,7 @@ def run_forward(
     u = ops.to_basis(problem.phi[None].copy()).T
     marched = np.empty((grid.M + 1, grid.interior_dim))
     marched[0] = u[:, 0]
-    _forcing_rows(problem.forcing, ops.to_basis)(marched[1:], grid.midpoint_times())
+    _forcing_rows(problem.forcing, grid.midpoint_times(), ops.to_basis, marched[1:])
     rt = ops.tau * r_mid[:, None]
     for n in range(grid.M):  # the recovery's march, with r given
         u = ops.advance(u, marched[n + 1], rt[n])
@@ -463,7 +482,8 @@ def stability_bounds(
     The L2 bound ||U^n|| <= ||U^0|| + sum tau |r| ||F|| and the energy bound
     ||U^n||^2 + tau sum ||U^{j+1/2}||_A^2 <= ||U^0||^2 + sum tau r^2 ||F||_{A^-1}^2
     are evaluated at every step; violations are reported through the slack
-    arrays, never raised; a non-finite forcing raises ``ValueError``.  The
+    arrays, never raised; a non-finite forcing, or a kept route marched on a
+    grid other than ``grid``, raises ``ValueError``.  The
     run is folded over blocks of about ``_STEP_BLOCK_VALUES`` values: each
     block reduces its midpoint states, and forcings, to per-step scalars at
     once, so memory does not grow with M.
@@ -488,7 +508,8 @@ def stability_bounds(
     r_mid = _r_at_midpoints(r, grid)
     times = grid.midpoint_times()
     route = trajectory.route
-    if route is not None and route[0].op is op:
+    # a kept route marched on another grid is refused, whatever its operator
+    if route is not None and _on_grid(route[0], grid).op is op:
         ops, states = route
     else:
         ops, states = StepOperators(grid, op), trajectory.states
@@ -496,9 +517,7 @@ def stability_bounds(
     norms = np.empty(grid.M + 1)
     f_norm, f_dot_mid, mid_energy, dual = np.empty((4, grid.M))
     forms = _separated_forms(forcing, times, ops)
-    if forms is None:
-        fill = _forcing_rows(forcing, ops.to_basis)
-    else:
+    if forms is not None:
         table, shapes, f_norm[:], dual[:] = forms
     rows = max(1, _STEP_BLOCK_VALUES // states.shape[1])
     for start in range(0, grid.M, rows):
@@ -508,7 +527,7 @@ def stability_bounds(
         norms[step.start : step.stop + 1] = np.linalg.norm(u, axis=1)
         mid_energy[step] = _rowdot(ops.times_a(mid), mid)
         if forms is None:
-            f = fill(np.empty(mid.shape), times[step], start)
+            f = _forcing_rows(forcing, times[step], ops.to_basis, np.empty(mid.shape), start)
             f_norm[step] = np.linalg.norm(f, axis=1)
             f_dot_mid[step] = _rowdot(f, mid)
             dual[step] = np.maximum(_rowdot(ops.solve_a(f), f), 0.0)

@@ -74,7 +74,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .forward import StepOperators, _forcing_rows, make_step_operators
+from .forward import StepOperators, _forcing_rows, _run_operators
 from .grid import CoefficientSeries, Grid, MeasurementSeries, ProblemData, Trajectory
 
 __all__ = [
@@ -155,7 +155,7 @@ def recover_r_step(
     and refuses to install without it."""
     weight = np.asarray(weight, dtype=float)
     adjoint = _adjoint_weights(ops, weight)
-    forcings = _forcing_rows(lambda t: f_mid, ops.to_basis)(np.empty((1, weight.size)), [0.0])
+    forcings = _forcing_rows(lambda t: f_mid, [0.0], ops.to_basis, np.empty((1, weight.size)))
     r, u = _march(ops, adjoint, np.array(u_n, float)[:, None],
                   np.array([[w_n], [w_np1]], dtype=float), forcings)
     return float(r[0, 0]), u[:, 0]
@@ -292,10 +292,7 @@ def _recover_series(
     """Recover K series of ``problem`` at once: w is (M+1, K); returns r (M, K) and U^M (n, K)."""
     if w.shape[0] != grid.M + 1:
         raise ValueError(f"expected {grid.M + 1} measurements, got {w.shape[0]}")
-    if problem.phi.size != grid.interior_dim:
-        raise ValueError("phi length does not match the grid")
-    if ops is None:
-        ops = make_step_operators(grid, series=w.shape[1])
+    ops = _run_operators(problem, grid, ops, series=w.shape[1])
 
     w0_discrete = discrete_measurement(problem.phi, problem.weight, grid.h)
     gap = np.max(np.abs(w0_discrete - w[0]) / np.maximum(np.abs(w[0]), 1e-300))
@@ -309,7 +306,7 @@ def _recover_series(
     # forcings fill memory; rows 1..M of a trajectory hold them until the states replace them
     adjoint = _adjoint_weights(ops, problem.weight)
     forcings = np.empty((grid.M, grid.interior_dim)) if states is None else states[1:]
-    _forcing_rows(problem.forcing, ops.to_basis)(forcings, grid.midpoint_times())
+    _forcing_rows(problem.forcing, grid.midpoint_times(), ops.to_basis, forcings)
     u = problem.phi[:, None].copy()
     if states is None and ops.decay is not None:
         return _solve_volterra(ops, adjoint, u, w, forcings)
@@ -330,7 +327,9 @@ def run_inverse(
     Warns when the initial measurement is incompatible with the sampled
     initial profile beyond ``compatibility_tol`` relative (the continuum
     requirement is w(0) = integral of omega * phi).  Step failures propagate
-    with the step index attached.
+    with the step index attached.  ``ops`` is built on ``grid`` when not given,
+    and refused with ``ValueError`` when built on another grid, as in
+    :func:`fracheat.forward.run_forward`.
     """
     if measurements is None:
         measurements = problem.measurements

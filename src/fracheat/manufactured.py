@@ -10,6 +10,10 @@ image of each spatial shape exactly once per grid.  Two source modes:
   order cleaner than the operator's spatial consistency warrants).
 * ``quadrature``: the images come from the singular-integral reference
   quadrature, so runs feel the true spatial consistency defect of A.
+
+This module owns both sets: ``EXAMPLE_IDS``, the keys of its one id -> builder
+mapping, and ``SOURCES``.  The study configuration and the CLI read their
+choices from them, as they read ``SOLVERS`` and ``SCHEMES``.
 """
 
 from __future__ import annotations
@@ -23,9 +27,9 @@ import numpy as np
 from .grid import Grid, MeasurementSeries, ProblemData, SeparatedForcing
 from .riesz import RieszOperator, assemble, quadrature_oracle
 
-__all__ = ["Mode", "ManufacturedProblem", "build_manufactured", "EXAMPLE_IDS"]
+__all__ = ["Mode", "ManufacturedProblem", "build_manufactured", "EXAMPLE_IDS", "SOURCES"]
 
-EXAMPLE_IDS = ("example1", "example2")
+SOURCES = ("discrete", "quadrature")
 
 ArrayFn = Callable[[np.ndarray], np.ndarray]
 ScalarFn = Callable[[float], float]
@@ -113,12 +117,9 @@ def _example2(s: float) -> ManufacturedProblem:
     )
 
 
-def make_problem(ident: str, s: float) -> ManufacturedProblem:
-    if ident == "example1":
-        return _example1(s)
-    if ident == "example2":
-        return _example2(s)
-    raise ValueError(f"unknown benchmark id {ident!r} (expected one of {EXAMPLE_IDS})")
+# benchmark id -> the builder of its closed forms at order s: a new example is one entry
+_BUILDERS = {"example1": _example1, "example2": _example2}
+EXAMPLE_IDS = tuple(_BUILDERS)
 
 
 def build_manufactured(
@@ -129,18 +130,21 @@ def build_manufactured(
 ) -> Tuple[ManufacturedProblem, ProblemData]:
     """Bind a benchmark to a grid and construct its forcing and data.
 
-    ``source`` selects how the operator image of each spatial shape is
-    computed ('discrete' via A, 'quadrature' via the reference integral);
+    ``ident`` is one of ``EXAMPLE_IDS`` and ``source``, one of ``SOURCES``,
+    selects how the operator image of each spatial shape is computed
+    ('discrete' via A, 'quadrature' via the reference integral);
     measurements are the analytic w(t) at the grid times.  The forcing is a
     :class:`SeparatedForcing` of P = 2 x modes shapes, g_k and its image, with
     coefficients c_k'/r and c_k/r.
     """
-    if source not in ("discrete", "quadrature"):
-        raise ValueError(f"unknown source mode {source!r}")
+    if source not in SOURCES:
+        raise ValueError(f"unknown source mode {source!r} (expected one of {SOURCES})")
     if abs(grid.l - 1.0) > 1e-12:
         # the closed-form measurements integrate the state over (0, 1)
         raise ValueError(f"benchmarks are defined on unit domain length, got l={grid.l}")
-    spec = make_problem(ident, grid.s)
+    if ident not in _BUILDERS:
+        raise ValueError(f"unknown benchmark id {ident!r} (expected one of {EXAMPLE_IDS})")
+    spec = _BUILDERS[ident](grid.s)
 
     x = grid.interior_x()
     if op is None:

@@ -9,8 +9,9 @@ the time stepper pairs it with the FFT matvec and the Strang-circulant
 preconditioner of :mod:`fracheat.riesz`.  The validated dense
 eigendecomposition of a centrosymmetric matrix, split into an even and an odd
 half of about n/2 each, backs the modal route, which marches in the
-eigenbasis of A, and the A^{-1} dual norms of the stability diagnostics when
-the operator holds it (a Cholesky block solve otherwise).  SciPy is imported
+eigenbasis of A; the stability diagnostics take their A^{-1} dual norms from
+the route a modal trajectory kept, and on any other trajectory from a
+Cholesky factor of the dense A, whatever the operator caches.  SciPy is imported
 by the first Cholesky solve, so every other route runs on NumPy alone.
 """
 

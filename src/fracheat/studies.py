@@ -28,7 +28,7 @@ from .inverse import (
     run_inverse_batch,
     smooth_measurements,
 )
-from .manufactured import ManufacturedProblem, build_manufactured
+from .manufactured import EXAMPLE_IDS, SOURCES, ManufacturedProblem, build_manufactured
 from .riesz import SCHEMES, RieszOperator, assemble
 
 __all__ = [
@@ -75,16 +75,16 @@ class StudyConfig:
     def __post_init__(self) -> None:
         if not self.n_values or not self.m_values:
             raise ValueError("n_values and m_values must be nonempty")
-        if self.example not in ("example1", "example2"):
-            raise ValueError(f"unknown example {self.example!r}")
+        if self.example not in EXAMPLE_IDS:
+            raise ValueError(f"unknown example {self.example!r} (expected one of {EXAMPLE_IDS})")
         if not 0.0 < self.s < 1.0:
             raise ValueError("s must lie in (0, 1)")
         if self.solver is not None and self.solver not in SOLVERS:
             raise ValueError(f"unknown solver {self.solver!r} (expected one of {SOLVERS})")
         if not 0.0 < self.tol < math.inf:  # NaN fails this test
             raise ValueError(f"tol must be finite and positive, got {self.tol}")
-        if self.source not in ("discrete", "quadrature"):
-            raise ValueError(f"unknown source {self.source!r}")
+        if self.source not in SOURCES:
+            raise ValueError(f"unknown source {self.source!r} (expected one of {SOURCES})")
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if self.smooth_window < 1 or self.smooth_window % 2 == 0:
@@ -499,7 +499,9 @@ def run_inverse_case(
     measurement provenance.  ``scheme`` selects the stiffness matrix (see
     :func:`fracheat.riesz.assemble`); ``op``, when given, is that matrix
     already assembled on a grid of the same N, s and l, with any
-    decomposition it holds.
+    decomposition it holds.  One of another size raises ``ValueError``; one
+    assembled for another s or l at the same N is not caught, since
+    ``RieszOperator`` keeps neither.
     """
     if op is None:
         op = assemble(grid, scheme)

@@ -76,3 +76,30 @@ def test_forward_command_calls_run_forward_with_ops(tmp_path, monkeypatch):
             "--source", "quadrature", "--out", str(tmp_path)]
     assert fracheat.cli.main(argv) == 0
     assert len(calls) == 1 and isinstance(calls[0], fracheat.StepOperators)
+
+
+@pytest.mark.filterwarnings("ignore:initial measurement incompatible")  # example 2 at N = 8
+@pytest.mark.parametrize("argv", [
+    ["forward", "--example", "1", "--source", "quadrature", "--s", "0.3", "--N", "8", "--M", "2"],
+    ["inverse", "--example", "2", "--s", "0.5", "--N", "8", "--M", "2", "--T", "0.1",
+     "--solver", "cg"],
+])
+def test_cli_takes_the_examples_and_source_the_workloads_pass(tmp_path, argv):
+    assert fracheat.cli.main([*argv, "--out", str(tmp_path)]) == 0
+    assert any(tmp_path.glob("*.csv"))
+
+
+def test_study_config_takes_exactly_manufactured_s_ids_and_sources():
+    from fracheat.manufactured import EXAMPLE_IDS, SOURCES
+
+    assert {"example1", "example2"} <= set(EXAMPLE_IDS) and "quadrature" in SOURCES
+    for example in EXAMPLE_IDS:
+        for source in SOURCES:
+            config = fracheat.StudyConfig(example=example, source=source)
+            assert (config.example, config.source) == (example, source)
+    for bad in ({"example": "example0"}, {"example": "1"}, {"source": "Quadrature"},
+                {"source": "midpoint"}):
+        with pytest.raises(ValueError, match="expected one of"):
+            fracheat.StudyConfig(**bad)
+    with pytest.raises(SystemExit):
+        fracheat.cli.main(["forward", "--example", "example1"])

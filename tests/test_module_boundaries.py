@@ -3,10 +3,14 @@ how a solver route works.  Every other module asks a ``StepOperators`` for what 
 needs (``decay``, ``trajectory``, ``to_basis``, ...): it reads no route's private
 ``_diagonals`` and compares no ``.solver`` with a route's name.  Only
 ``make_step_operators`` builds a route, and ``grid.py``, whose ``Trajectory`` keeps
-the route a modal run marched on, imports neither the routes nor the solvers."""
+the route a modal run marched on, imports neither the routes nor the solvers.  Only
+``manufactured.py`` spells out the benchmark ids and the source modes; every other
+module reads ``EXAMPLE_IDS`` and ``SOURCES``."""
 
 import ast
 from pathlib import Path
+
+from fracheat.manufactured import EXAMPLE_IDS, SOURCES
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "fracheat"
 
@@ -144,3 +148,50 @@ def test_the_checker_sees_grid_import_a_route():
 def test_grid_imports_neither_solvers_nor_forward():
     leaks = sorted(_grid_leaks((PACKAGE / "grid.py").read_text()))
     assert not leaks, f"grid.py imports {leaks}"
+
+
+def _spelled_out(source, names):
+    """(line, name) for each element of a tuple, list or set display, and each key or
+    value of a dict display, that is one of the string constants ``names``."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+            elements = node.elts
+        elif isinstance(node, ast.Dict):
+            elements = [key for key in node.keys if key is not None] + node.values
+        else:
+            continue
+        for element in elements:
+            if isinstance(element, ast.Constant) and isinstance(element.value, str) and (
+                element.value in names
+            ):
+                yield element.lineno, element.value
+
+
+def test_the_checker_sees_ids_and_sources_spelled_out():
+    source = (
+        '_EXAMPLES = {"1": "example1", "2": "example2"}\n'
+        '_FLAGS = {"--source": ("source", dict(choices=("discrete", "quadrature")))}\n'
+        'if self.example not in ["example1", other]: pass\n'
+        'modes = {"quadrature": 1, **extra}, {"discrete"}\n'
+        'example = "example1"\n'
+        'build_manufactured("example2", grid, source="quadrature")\n'
+        'names = tuple(ident for ident in EXAMPLE_IDS), ("example3", "midpoint")\n'
+    )
+    assert sorted(_spelled_out(source, ("example1", "example2", "discrete", "quadrature"))) == [
+        (1, "example1"), (1, "example2"),
+        (2, "discrete"), (2, "quadrature"),
+        (3, "example1"),
+        (4, "discrete"), (4, "quadrature"),
+    ]
+
+
+def test_only_manufactured_spells_out_the_ids_and_sources():
+    names = (*EXAMPLE_IDS, *SOURCES)
+    assert {"example1", "example2", "discrete", "quadrature"} <= set(names)
+    leaks = [
+        f"{path.name}:{line}: {name!r}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "manufactured.py"
+        for line, name in sorted(_spelled_out(path.read_text(), names))
+    ]
+    assert not leaks, "ids or sources spelled out outside manufactured.py:\n" + "\n".join(leaks)

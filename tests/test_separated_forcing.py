@@ -63,7 +63,7 @@ def test_separated_forcing_matches_the_plain_callable(s, n_cells, m_steps, log_t
     rng = np.random.default_rng(seed)
     series = data.measurements.values[:, None] * (1.0 + 0.05 * rng.uniform(-1, 1, (m_steps + 1, 3)))
     with mock.patch.object(fracheat.forward, "_STEP_BLOCK_VALUES", block_steps * n):
-        rows = _forcing_rows(data.forcing, lambda rows: rows)(np.empty((m_steps, n)), times)
+        rows = _forcing_rows(data.forcing, times, lambda rows: rows, np.empty((m_steps, n)))
         assert np.array_equal(rows, np.array([data.forcing(float(t)) for t in times]))
         with within_cg_floor(), warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # example 2's w(0) is not h<phi, omega>
