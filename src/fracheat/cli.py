@@ -82,13 +82,9 @@ def _build_config(args: argparse.Namespace) -> StudyConfig:
     return replace(config, **updates)
 
 
-def _single_grid(config: StudyConfig):
-    return make_grid(config.l, config.t_final, config.n_values[0], config.m_values[0], config.s)
-
-
 def _cmd_forward(args: argparse.Namespace) -> int:
     config = _build_config(args)
-    grid = _single_grid(config)
+    grid = config.single_grid()
     op = assemble(grid, config.scheme)
     spec, data = build_manufactured(config.example, grid, source=config.source, op=op)
     ops = make_step_operators(grid, op=op, solver=config.solver, tol=config.tol)
@@ -110,7 +106,7 @@ def _cmd_inverse(args: argparse.Namespace) -> int:
     if args.seeds is not None and args.deltas is None:
         raise ValueError("--seed seeds the noise of --delta: give --delta too, or no --seed")
     config = _build_config(args)
-    grid = _single_grid(config)
+    grid = config.single_grid()
     # single-run noise comes from the explicit flag only; delta lists belong
     # to the noise study
     noise = None if args.deltas is None else NoiseSpec(delta=args.deltas, seed=config.seeds[0])
@@ -182,7 +178,7 @@ def _cmd_oracle_check(args: argparse.Namespace) -> int:
     for n in (n0, 2 * n0):
         grid = make_grid(config.l, config.t_final, n, 1, config.s)
         op = assemble(grid, config.scheme)
-        spec, _ = build_manufactured(config.example, grid, source="discrete", op=op)
+        spec, _ = build_manufactured(config.example, grid, op=op)
         mode = spec.modes[0]
         nodal = mode.shape(grid.interior_x())
         (image,) = quadrature_oracle((mode.shape,), grid, u_xx=(mode.shape_xx,))
@@ -200,7 +196,7 @@ def _cmd_oracle_check(args: argparse.Namespace) -> int:
 
 def _cmd_operator_dump(args: argparse.Namespace) -> int:
     config = _build_config(args)
-    grid = _single_grid(config)
+    grid = config.single_grid()
     dense = assemble(grid, config.scheme).dense()
     header = tuple(f"col{j}" for j in range(dense.shape[1]))
     path = write_csv(Path(config.out) / "operator.csv", header, dense)

@@ -44,6 +44,7 @@ import numpy as np
 from .grid import CoefficientSeries, ForcingFn, Grid, ProblemData, Trajectory, separated_rows
 from .riesz import RieszOperator, assemble
 from .solvers import (
+    CG_TOL,
     EIGEN_SIZE_LIMIT,
     SpdFactorization,
     cg_solve,
@@ -258,7 +259,7 @@ def make_step_operators(
     grid: Grid,
     op: Optional[RieszOperator] = None,
     solver: Optional[str] = None,
-    tol: float = 1e-12,
+    tol: float = CG_TOL,
     series: int = 1,
 ) -> StepOperators:
     """Assemble (or reuse) A and prepare the L-solver for the grid's step.

@@ -8,6 +8,16 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
+__all__ = [
+    "Grid",
+    "make_grid",
+    "MeasurementSeries",
+    "CoefficientSeries",
+    "Trajectory",
+    "SeparatedForcing",
+    "ProblemData",
+]
+
 ForcingFn = Callable[[float], np.ndarray]
 ScalarFn = Callable[[float], float]
 TableFn = Callable[[np.ndarray], np.ndarray]

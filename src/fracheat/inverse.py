@@ -99,6 +99,10 @@ Adjoint = Tuple[np.ndarray, np.ndarray, np.ndarray]
 # at N = M = 200 and K = 60 the three were within 3 % (one BLAS thread)
 _VOLTERRA_BLOCK = 32
 
+# the relative gap between w(0) and h <phi, omega> above which a recovery warns,
+# unless given another tolerance
+COMPATIBILITY_TOL = 1e-2
+
 
 class DenominatorNearZero(ArithmeticError):
     """Identifiability failure: the recovery denominator h<F, L^-1 omega> is numerically zero.
@@ -320,7 +324,7 @@ def run_inverse(
     grid: Grid,
     measurements: Optional[MeasurementSeries] = None,
     ops: Optional[StepOperators] = None,
-    compatibility_tol: float = 1e-2,
+    compatibility_tol: float = COMPATIBILITY_TOL,
 ) -> Tuple[Trajectory, CoefficientSeries]:
     """Recover the full coefficient series and trajectory from measured integrals.
 
@@ -347,7 +351,7 @@ def run_inverse_batch(
     grid: Grid,
     measurements: np.ndarray,
     ops: Optional[StepOperators] = None,
-    compatibility_tol: float = 1e-2,
+    compatibility_tol: float = COMPATIBILITY_TOL,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Recover K measurement series at once: the blocked Volterra solve on the modal
     route, one march over the time steps on the others.

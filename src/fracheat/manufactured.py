@@ -29,6 +29,7 @@ from .riesz import RieszOperator, assemble, quadrature_oracle
 
 __all__ = ["Mode", "ManufacturedProblem", "build_manufactured", "EXAMPLE_IDS", "SOURCES"]
 
+# the first source mode is every run's default
 SOURCES = ("discrete", "quadrature")
 
 ArrayFn = Callable[[np.ndarray], np.ndarray]
@@ -117,7 +118,8 @@ def _example2(s: float) -> ManufacturedProblem:
     )
 
 
-# benchmark id -> the builder of its closed forms at order s: a new example is one entry
+# benchmark id -> the builder of its closed forms at order s: a new example is one
+# entry, and the first is the studies' default
 _BUILDERS = {"example1": _example1, "example2": _example2}
 EXAMPLE_IDS = tuple(_BUILDERS)
 
@@ -125,17 +127,17 @@ EXAMPLE_IDS = tuple(_BUILDERS)
 def build_manufactured(
     ident: str,
     grid: Grid,
-    source: str = "discrete",
+    source: str = SOURCES[0],
     op: Optional[RieszOperator] = None,
 ) -> Tuple[ManufacturedProblem, ProblemData]:
     """Bind a benchmark to a grid and construct its forcing and data.
 
-    ``ident`` is one of ``EXAMPLE_IDS`` and ``source``, one of ``SOURCES``,
-    selects how the operator image of each spatial shape is computed
-    ('discrete' via A, 'quadrature' via the reference integral);
-    measurements are the analytic w(t) at the grid times.  The forcing is a
-    :class:`SeparatedForcing` of P = 2 x modes shapes, g_k and its image, with
-    coefficients c_k'/r and c_k/r.
+    ``ident`` is one of ``EXAMPLE_IDS`` and ``source``, one of ``SOURCES``
+    and by default the first, selects how the operator image of each spatial
+    shape is computed ('discrete' via A, 'quadrature' via the reference
+    integral); measurements are the analytic w(t) at the grid times.  The
+    forcing is a :class:`SeparatedForcing` of P = 2 x modes shapes, g_k and its
+    image, with coefficients c_k'/r and c_k/r.
     """
     if source not in SOURCES:
         raise ValueError(f"unknown source mode {source!r} (expected one of {SOURCES})")

@@ -4,8 +4,8 @@ The operator acts on functions extended by zero outside (0, l).  On the
 uniform interior grid both schemes below yield a symmetric positive definite
 matrix whose off-diagonal part is Toeplitz.
 
-``midpoint`` (the default): a midpoint-quadrature sum over interior nodes plus
-an exactly integrated exterior tail,
+``midpoint``: a midpoint-quadrature sum over interior nodes plus an exactly
+integrated exterior tail,
 
     A_ij  = -(c_s / h^{2s}) |i-j|^{-(1+2s)}            (i != j)
     A_ii  =  (c_s / h^{2s}) [ sum_{j != i} |i-j|^{-(1+2s)}
@@ -234,15 +234,16 @@ def _interpolated_weights(grid: Grid) -> tuple:
     return weights, diag
 
 
+# scheme -> its off-diagonal and diagonal weights; the first is every run's default
 _WEIGHTS = {"midpoint": _midpoint_weights, "interpolated": _interpolated_weights}
 SCHEMES = tuple(_WEIGHTS)
 
 
-def assemble(grid: Grid, scheme: str = "midpoint") -> RieszOperator:
+def assemble(grid: Grid, scheme: str = SCHEMES[0]) -> RieszOperator:
     """Build the stiffness matrix for the grid in Toeplitz-plus-diagonal form.
 
-    ``scheme`` is one of :data:`SCHEMES`; the module docstring gives the
-    entries of each.
+    ``scheme`` is one of :data:`SCHEMES`, by default the first; the module
+    docstring gives the entries of each.
     """
     if scheme not in _WEIGHTS:
         raise ValueError(f"unknown scheme {scheme!r} (expected one of {SCHEMES})")

@@ -98,10 +98,14 @@ def cholesky(mat: np.ndarray) -> SpdFactorization:
     return SpdFactorization(lower=np.asfortranarray(lower))
 
 
+# the relative residual a CG solve stops at unless given another; every run's default
+CG_TOL = 1e-12
+
+
 def cg_solve(
     apply_op: Callable[[np.ndarray], np.ndarray],
     b: np.ndarray,
-    tol: float = 1e-12,
+    tol: float = CG_TOL,
     precond: Optional[Callable[[np.ndarray], np.ndarray]] = None,
 ) -> np.ndarray:
     """Conjugate gradients on an SPD operator given as a matvec closure.

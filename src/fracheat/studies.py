@@ -21,6 +21,7 @@ import numpy as np
 from .forward import SOLVERS, make_step_operators
 from .grid import CoefficientSeries, Grid, Trajectory, make_grid
 from .inverse import (
+    COMPATIBILITY_TOL,
     DenominatorNearZero,
     NoiseSpec,
     perturb_measurements,
@@ -30,6 +31,7 @@ from .inverse import (
 )
 from .manufactured import EXAMPLE_IDS, SOURCES, ManufacturedProblem, build_manufactured
 from .riesz import SCHEMES, RieszOperator, assemble
+from .solvers import CG_TOL
 
 __all__ = [
     "StudyConfig",
@@ -57,19 +59,19 @@ __all__ = [
 class StudyConfig:
     """Settings of one study; file keys and CLI flags map onto these fields."""
 
-    example: str = "example1"
+    example: str = EXAMPLE_IDS[0]
     s: float = 0.5
     l: float = 1.0
     t_final: float = 1.0
     n_values: Tuple[int, ...] = (800,)
     m_values: Tuple[int, ...] = (50, 100, 200, 400, 800)
     solver: Optional[str] = None
-    tol: float = 1e-12
+    tol: float = CG_TOL
     deltas: Tuple[float, ...] = (0.01, 0.03, 0.05)
     seeds: Tuple[int, ...] = tuple(range(10))
-    source: str = "discrete"
-    scheme: str = "midpoint"
-    smooth_window: int = 1
+    source: str = SOURCES[0]
+    scheme: str = SCHEMES[0]
+    smooth_window: int = 1  # points of the moving average; 1 is off
     out: str = "out"
 
     def __post_init__(self) -> None:
@@ -92,6 +94,10 @@ class StudyConfig:
         for delta in self.deltas:
             for seed in self.seeds:
                 NoiseSpec(delta=delta, seed=seed)  # raises on a bad delta or seed
+
+    def single_grid(self) -> Grid:
+        """The grid of a run on one grid: the first N and the first M."""
+        return make_grid(self.l, self.t_final, self.n_values[0], self.m_values[0], self.s)
 
 
 def format_float(x: float) -> str:
@@ -481,15 +487,21 @@ class InverseRunResult:
         return [("r_series.csv", R_COLUMNS, self.r_table), ("u_final.csv", U_COLUMNS, self.u_table)]
 
 
+def _compatibility_tol(noisy: bool) -> float:
+    """The w(0) compatibility tolerance of a recovery: noisy data is incompatible with
+    phi at t=0 by construction, so it skips the check."""
+    return math.inf if noisy else COMPATIBILITY_TOL
+
+
 def run_inverse_case(
     example: str,
     grid: Grid,
-    source: str = "discrete",
+    source: str = SOURCES[0],
     solver: Optional[str] = None,
-    tol: float = 1e-12,
+    tol: float = CG_TOL,
     noise: Optional[NoiseSpec] = None,
-    smooth_window: int = 1,
-    scheme: str = "midpoint",
+    smooth_window: int = StudyConfig.smooth_window,
+    scheme: str = SCHEMES[0],
     op: Optional[RieszOperator] = None,
 ) -> InverseRunResult:
     """Invert one benchmark on one grid from its analytic measurements.
@@ -505,6 +517,8 @@ def run_inverse_case(
     """
     if op is None:
         op = assemble(grid, scheme)
+    # first, so an operator of another size is refused before any image is taken with it
+    ops = make_step_operators(grid, op=op, solver=solver, tol=tol)
     spec, data = build_manufactured(example, grid, source=source, op=op)
     measurements = data.measurements
     noisy = noise is not None and noise.delta > 0.0
@@ -512,11 +526,9 @@ def run_inverse_case(
         measurements = perturb_measurements(measurements, noise)
     if smooth_window > 1:
         measurements = smooth_measurements(measurements, smooth_window)
-    ops = make_step_operators(grid, op=op, solver=solver, tol=tol)
-    # noisy data is incompatible with phi at t=0 by construction
     trajectory, recovered = run_inverse(
         data, grid, measurements=measurements, ops=ops,
-        compatibility_tol=math.inf if noisy else 1e-2,
+        compatibility_tol=_compatibility_tol(noisy),
     )
     r_table, u_table = _exact_tables(grid, spec, recovered.values, trajectory.final)
     linf_u, l2_u = _error_norms(u_table, grid.h)
@@ -710,7 +722,7 @@ def noise_study(config: StudyConfig) -> NoiseStudyResult:
         if tags.count(tag) > 1:
             raise ValueError(f"two noise cases share the output file tag {tag!r}")
 
-    grid = make_grid(config.l, config.t_final, config.n_values[0], config.m_values[0], config.s)
+    grid = config.single_grid()
     op = assemble(grid, config.scheme)
     spec, data = build_manufactured(config.example, grid, source=config.source, op=op)
     smooth = config.smooth_window > 1
@@ -724,13 +736,11 @@ def noise_study(config: StudyConfig) -> NoiseStudyResult:
 
     ops = make_step_operators(grid, op=op, solver=config.solver, tol=config.tol,
                               series=len(series))
-    # noisy data is incompatible with phi at t=0 by construction
-    noisy = any(delta > 0.0 for delta in config.deltas)
     failure = ""
     try:
         recovered, final = run_inverse_batch(
             data, grid, np.column_stack(series), ops,
-            compatibility_tol=math.inf if noisy else 1e-2,
+            compatibility_tol=_compatibility_tol(any(delta > 0.0 for delta in config.deltas)),
         )
     except DenominatorNearZero as exc:
         failure = str(exc)

@@ -5,6 +5,8 @@ default test paths; these checks fail fast when a rename or a removed option
 would break it.
 """
 
+import ast
+import importlib
 import importlib.util
 import sys
 from pathlib import Path
@@ -103,3 +105,76 @@ def test_study_config_takes_exactly_manufactured_s_ids_and_sources():
             fracheat.StudyConfig(**bad)
     with pytest.raises(SystemExit):
         fracheat.cli.main(["forward", "--example", "example1"])
+
+
+def _package_reads(source):
+    """Each dotted name ``fracheat.a.b...`` that a source reads, longest chains only."""
+    tree = ast.parse(source)
+    inner = {id(node.value) for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and id(node) not in inner:
+            chain = []
+            while isinstance(node, ast.Attribute):
+                chain.append(node.attr)
+                node = node.value
+            if isinstance(node, ast.Name) and node.id == "fracheat":
+                yield tuple(reversed(chain))
+
+
+def test_the_reader_sees_chains_of_the_package():
+    source = (
+        "import fracheat\n"
+        "grid = fracheat.make_grid(1, 1, 4, 2, 0.5)\n"
+        "fracheat.cli.run_forward = capture\n"
+        "n = other.fracheat.Grid\n"
+        "x = fracheat.studies.StudyConfig().tol\n"
+    )
+    assert sorted(_package_reads(source)) == [
+        ("cli", "run_forward"), ("make_grid",), ("studies", "StudyConfig"),
+    ]
+
+
+def test_every_name_the_benchmark_reads_resolves():
+    reads = {chain for path in sorted(PERFBENCH.glob("*.py"))
+             for chain in _package_reads(path.read_text())}
+    assert {("run_inverse_case",), ("StudyConfig",), ("cli", "main")} <= reads
+    missing = []
+    for chain in sorted(reads):
+        owner = fracheat
+        for attr in chain:
+            owner = getattr(owner, attr, missing)
+        if owner is missing:
+            missing.append(".".join(("fracheat",) + chain))
+    assert not missing, f"perfbench reads names fracheat lacks: {missing}"
+
+
+# what ``fracheat`` exported when its __init__ listed the names by hand
+FORMER_EXPORTS = (
+    "CoefficientSeries", "ConvergenceTable", "DenominatorNearZero", "Grid",
+    "ManufacturedProblem", "MeasurementSeries", "NoiseSpec", "NoiseStudyResult", "NotSpdError",
+    "ProblemData", "QuadratureConvergenceError", "RieszOperator", "SeparatedForcing",
+    "SolverError", "SpdFactorization", "SpectralDecomposition", "StabilityReport",
+    "StepOperators", "StudyConfig", "Trajectory", "assemble", "build_manufactured", "cg_solve",
+    "cholesky", "cn_step", "convergence_study_space", "convergence_study_time",
+    "discrete_measurement", "eigendecompose", "emit_outputs", "exterior_tail", "load_config",
+    "make_grid", "make_step_operators", "measurements_from_trajectory", "noise_study",
+    "normalization_constant", "perturb_measurements", "quadrature_oracle", "rate_fit",
+    "recover_r_step", "run_forward", "run_inverse", "run_inverse_batch", "run_inverse_case",
+    "smooth_measurements", "spectral_duhamel_oracle", "stability_bounds",
+)
+MODULES = ("forward", "grid", "inverse", "manufactured", "riesz", "solvers", "studies")
+
+
+def test_the_package_exports_each_module_s_public_names():
+    package = Path(fracheat.__file__).parent
+    # every module but the command line is re-exported
+    assert {path.stem for path in package.glob("*.py")} == {"__init__", "cli", *MODULES}
+    modules = [importlib.import_module(f"fracheat.{name}") for name in MODULES]
+    assert fracheat.__all__ == [name for module in modules for name in module.__all__]
+    assert len(set(fracheat.__all__)) == len(fracheat.__all__)
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(fracheat, name) is getattr(module, name), (module.__name__, name)
+    assert len(FORMER_EXPORTS) == 48 and set(FORMER_EXPORTS) <= set(fracheat.__all__)
+    assert {"SOLVERS", "SCHEMES", "EXAMPLE_IDS", "SOURCES", "InverseRunResult"} <= set(
+        fracheat.__all__)

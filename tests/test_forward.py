@@ -124,17 +124,18 @@ class TestCnStep:
 
     def test_step_operators_commute_with_a(self, grid16, op16):
         # L and R are polynomials in A, so the homogeneous step L^-1 R commutes
-        # with A (structural invariant)
-        ops = make_step_operators(grid16, op=op16)
+        # with A (structural invariant); cn_step takes nodal vectors on every route
         rng = np.random.default_rng(6)
         v = rng.standard_normal(15)
+        for solver in SOLVERS:
+            ops = make_step_operators(grid16, op=op16, solver=solver)
 
-        def step(u):
-            return ops.advance(u[:, None], np.zeros(15), np.zeros(1))[:, 0]
+            def step(u):
+                return cn_step(ops, u, 0.0, np.zeros(15))
 
-        left = step(op16.apply(v))
-        right = op16.apply(step(v))
-        assert np.max(np.abs(left - right)) <= 1e-12 * max(1.0, np.max(np.abs(left)))
+            left = step(op16.apply(v))
+            right = op16.apply(step(v))
+            assert np.max(np.abs(left - right)) <= 1e-12 * max(1.0, np.max(np.abs(left))), solver
 
     def test_cg_and_cholesky_steps_agree(self, grid16, op16):
         direct = make_step_operators(grid16, op=op16, solver="cholesky")
@@ -168,9 +169,10 @@ class TestEnergyIdentityResidual:
 
     def test_stacked_homogeneous_steps(self, op16):
         # five homogeneous steps taken outside the march, L^-1 (U - tau/2 A U)
-        # with the dense A, in one block of stability_bounds
+        # with the dense A, in one block of stability_bounds; the Cholesky route's
+        # solve takes nodal vectors
         grid = make_grid(1, 0.5, 16, 5, 0.5)
-        ops = make_step_operators(grid, op=op16)
+        ops = make_step_operators(grid, op=op16, solver="cholesky")
         states = [np.random.default_rng(9).standard_normal(15)]
         for _ in range(grid.M):
             states.append(ops.solve(states[-1] - (ops.tau / 2.0) * (op16.dense() @ states[-1])))

@@ -4,13 +4,23 @@ needs (``decay``, ``trajectory``, ``to_basis``, ...): it reads no route's privat
 ``_diagonals`` and compares no ``.solver`` with a route's name.  Only
 ``make_step_operators`` builds a route, and ``grid.py``, whose ``Trajectory`` keeps
 the route a modal run marched on, imports neither the routes nor the solvers.  Only
-``manufactured.py`` spells out the benchmark ids and the source modes; every other
-module reads ``EXAMPLE_IDS`` and ``SOURCES``."""
+``manufactured.py`` names a benchmark id or a source mode, and only ``riesz.py`` a
+scheme, in any string constant outside a docstring: every other module reads
+``EXAMPLE_IDS``, ``SOURCES`` and ``SCHEMES``, and takes its default from their first
+entries.  Each run default is one statement in the module that owns the choice, and
+every signature that offers it reads that statement."""
 
 import ast
+import inspect
+from dataclasses import fields
 from pathlib import Path
 
-from fracheat.manufactured import EXAMPLE_IDS, SOURCES
+from fracheat.forward import make_step_operators
+from fracheat.inverse import COMPATIBILITY_TOL, run_inverse, run_inverse_batch
+from fracheat.manufactured import EXAMPLE_IDS, SOURCES, build_manufactured
+from fracheat.riesz import SCHEMES, assemble
+from fracheat.solvers import CG_TOL, cg_solve
+from fracheat.studies import StudyConfig, run_inverse_case
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "fracheat"
 
@@ -150,21 +160,28 @@ def test_grid_imports_neither_solvers_nor_forward():
     assert not leaks, f"grid.py imports {leaks}"
 
 
+def _docstrings(tree):
+    """The ids of the string constants that are docstrings: each first statement of a
+    module, class or function body that is a string alone."""
+    return {
+        id(node.body[0].value)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.body and isinstance(node.body[0], ast.Expr)
+        and isinstance(node.body[0].value, ast.Constant)
+        and isinstance(node.body[0].value.value, str)
+    }
+
+
 def _spelled_out(source, names):
-    """(line, name) for each element of a tuple, list or set display, and each key or
-    value of a dict display, that is one of the string constants ``names``."""
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
-            elements = node.elts
-        elif isinstance(node, ast.Dict):
-            elements = [key for key in node.keys if key is not None] + node.values
-        else:
-            continue
-        for element in elements:
-            if isinstance(element, ast.Constant) and isinstance(element.value, str) and (
-                element.value in names
-            ):
-                yield element.lineno, element.value
+    """(line, name) for each string constant outside a docstring that is one of
+    ``names``: in a display, a default, a call, a comparison or an assignment alike."""
+    tree = ast.parse(source)
+    docstrings = _docstrings(tree)
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                and node.value in names and id(node) not in docstrings):
+            yield node.lineno, node.value
 
 
 def test_the_checker_sees_ids_and_sources_spelled_out():
@@ -176,22 +193,69 @@ def test_the_checker_sees_ids_and_sources_spelled_out():
         'example = "example1"\n'
         'build_manufactured("example2", grid, source="quadrature")\n'
         'names = tuple(ident for ident in EXAMPLE_IDS), ("example3", "midpoint")\n'
+        'def run(example: str = "example1", scheme="midpoint"):\n'
+        '    "example2"\n'
+        '    return example == "discrete" or f"{example}example1"\n'
+        'class Config:\n'
+        '    "discrete"\n'
+        '    source: str = "discrete"\n'
+        '    "quadrature"\n'
     )
     assert sorted(_spelled_out(source, ("example1", "example2", "discrete", "quadrature"))) == [
         (1, "example1"), (1, "example2"),
         (2, "discrete"), (2, "quadrature"),
         (3, "example1"),
         (4, "discrete"), (4, "quadrature"),
+        (5, "example1"),
+        (6, "example2"), (6, "quadrature"),
+        (8, "example1"),
+        (10, "discrete"), (10, "example1"),
+        (13, "discrete"),
+        (14, "quadrature"),
+    ]
+    assert sorted(_spelled_out(source, ("midpoint", "interpolated"))) == [(7, "midpoint"),
+                                                                         (8, "midpoint")]
+
+
+def _leaks(owner, names):
+    return [
+        f"{path.name}:{line}: {name!r}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != owner
+        for line, name in sorted(_spelled_out(path.read_text(), names))
     ]
 
 
 def test_only_manufactured_spells_out_the_ids_and_sources():
     names = (*EXAMPLE_IDS, *SOURCES)
     assert {"example1", "example2", "discrete", "quadrature"} <= set(names)
-    leaks = [
-        f"{path.name}:{line}: {name!r}"
-        for path in sorted(PACKAGE.glob("*.py"))
-        if path.name != "manufactured.py"
-        for line, name in sorted(_spelled_out(path.read_text(), names))
-    ]
+    leaks = _leaks("manufactured.py", names)
     assert not leaks, "ids or sources spelled out outside manufactured.py:\n" + "\n".join(leaks)
+
+
+def test_only_riesz_names_a_scheme():
+    assert {"midpoint", "interpolated"} <= set(SCHEMES)
+    leaks = _leaks("riesz.py", SCHEMES)
+    assert not leaks, "schemes named outside riesz.py:\n" + "\n".join(leaks)
+
+
+def _default(fn, name):
+    return inspect.signature(fn).parameters[name].default
+
+
+def test_each_run_default_is_read_from_its_owner():
+    # identity, not equality: a default restated as a literal is another object
+    config = {f.name: f.default for f in fields(StudyConfig)}
+    assert config["example"] is EXAMPLE_IDS[0]
+    for default in (config["source"], _default(build_manufactured, "source"),
+                    _default(run_inverse_case, "source")):
+        assert default is SOURCES[0]
+    for default in (config["scheme"], _default(assemble, "scheme"),
+                    _default(run_inverse_case, "scheme")):
+        assert default is SCHEMES[0]
+    for default in (config["tol"], _default(cg_solve, "tol"),
+                    _default(make_step_operators, "tol"), _default(run_inverse_case, "tol")):
+        assert default is CG_TOL
+    for fn in (run_inverse, run_inverse_batch):
+        assert _default(fn, "compatibility_tol") is COMPATIBILITY_TOL
+    assert _default(run_inverse_case, "smooth_window") is config["smooth_window"]

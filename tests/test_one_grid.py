@@ -1,11 +1,13 @@
 """A run takes its grid from its ``StepOperators``: forward runs, the recovery and the
 stability diagnostics refuse operators, or a kept route, built on another grid, and
-``make_step_operators`` refuses an operator of another size.  A grid rebuilt equal by
-value is the same grid."""
+``make_step_operators`` refuses an operator of another size, before
+``run_inverse_case`` takes any image with it.  A grid rebuilt equal by value is the same
+grid."""
 
 import numpy as np
 import pytest
 
+import fracheat.studies
 from fracheat import (
     assemble,
     build_manufactured,
@@ -14,9 +16,11 @@ from fracheat import (
     run_forward,
     run_inverse,
     run_inverse_batch,
+    run_inverse_case,
     stability_bounds,
 )
 from fracheat.forward import SOLVERS
+from fracheat.manufactured import SOURCES
 
 
 def _grids(n, m):
@@ -64,6 +68,23 @@ def test_make_step_operators_refuses_an_operator_of_another_size(solver):
     grid = make_grid(1, 1, 32, 8, 0.5)
     with pytest.raises(ValueError, match="operator of size 15, not the grid's 31"):
         make_step_operators(grid, op=assemble(make_grid(1, 1, 16, 8, 0.5)), solver=solver)
+
+
+@pytest.mark.parametrize("source", SOURCES)
+def test_run_inverse_case_refuses_an_operator_of_another_size(source, monkeypatch):
+    # at the parent the discrete source failed inside op.apply, on the vector's shape,
+    # and the quadrature source ran the oracle before the refusal
+    grid = make_grid(1, 1, 32, 8, 0.5)
+    op = assemble(make_grid(1, 1, 16, 8, 0.5))
+    with pytest.raises(ValueError, match="operator of size 15, not the grid's 31"):
+        run_inverse_case("example1", grid, source=source, op=op)
+    monkeypatch.setattr(fracheat.studies, "build_manufactured", _refuse_build)
+    with pytest.raises(ValueError, match="operator of size 15"):
+        run_inverse_case("example1", grid, source=source, op=op)
+
+
+def _refuse_build(*args, **kwargs):
+    raise AssertionError("the benchmark was built before the operator was checked")
 
 
 @pytest.mark.parametrize("solver", SOLVERS)
