@@ -2,9 +2,11 @@
 
 Each command takes only the flags it reads, each flag setting one
 ``StudyConfig`` field, and every command accepts a flat ``key = value``
-config file; explicit flags override file values, which override built-in
-defaults.  All numeric output goes to CSV files with 17-significant-digit
-floats, so reruns with the same configuration are byte-identical.
+config file; explicit flags override file values, which override a
+command's default grid and the built-in defaults.  ``main`` builds each
+run's ``StudyConfig`` once and hands it to the command.  All numeric output
+goes to CSV files with 17-significant-digit floats, so reruns with the same
+configuration are byte-identical.
 """
 
 from __future__ import annotations
@@ -12,15 +14,15 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import fields, replace
+from functools import partial
 from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .forward import SOLVERS, make_step_operators, run_forward
-from .grid import make_grid
 from .inverse import DenominatorNearZero, NoiseSpec
-from .manufactured import EXAMPLE_IDS, SOURCES, build_manufactured
+from .manufactured import EXAMPLE_IDS, SOURCES, build_manufactured, manufactured_problem
 from .riesz import SCHEMES, QuadratureConvergenceError, assemble, quadrature_oracle
 from .solvers import SolverError
 from .studies import (
@@ -69,8 +71,10 @@ _RUN_FLAGS = [flag for flag in _NOISE_FLAGS if flag not in ("--delta", "--seed",
 _OPERATOR_FLAGS = ["--s", "--N", "--scheme", "--out", "--config"]
 
 
-def _build_config(args: argparse.Namespace) -> StudyConfig:
-    """defaults < config file < explicit flags"""
+def _build_config(args: argparse.Namespace, default_grid: Optional[dict] = None) -> StudyConfig:
+    """defaults < the command's default grid < config file < explicit flags; the
+    default grid is taken whole, and only when no config file and no flag sets
+    one of its fields"""
     config = load_config(args.config) if args.config else StudyConfig()
     updates = {}
     for field in fields(StudyConfig):
@@ -79,11 +83,12 @@ def _build_config(args: argparse.Namespace) -> StudyConfig:
             updates[field.name] = (value,) if isinstance(field.default, tuple) else value
     if "example" in updates:
         updates["example"] = _EXAMPLES[updates["example"]]
+    if default_grid and args.config is None and not updates.keys() & default_grid:
+        updates.update(default_grid)
     return replace(config, **updates)
 
 
-def _cmd_forward(args: argparse.Namespace) -> int:
-    config = _build_config(args)
+def _cmd_forward(config: StudyConfig, args: argparse.Namespace) -> int:
     grid = config.single_grid()
     op = assemble(grid, config.scheme)
     spec, data = build_manufactured(config.example, grid, source=config.source, op=op)
@@ -102,13 +107,12 @@ def _cmd_forward(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_inverse(args: argparse.Namespace) -> int:
+def _cmd_inverse(config: StudyConfig, args: argparse.Namespace) -> int:
+    # single-run noise comes from the explicit flags only; delta lists belong
+    # to the noise study
     if args.seeds is not None and args.deltas is None:
         raise ValueError("--seed seeds the noise of --delta: give --delta too, or no --seed")
-    config = _build_config(args)
     grid = config.single_grid()
-    # single-run noise comes from the explicit flag only; delta lists belong
-    # to the noise study
     noise = None if args.deltas is None else NoiseSpec(delta=args.deltas, seed=config.seeds[0])
     result = run_inverse_case(
         config.example,
@@ -127,39 +131,20 @@ def _cmd_inverse(args: argparse.Namespace) -> int:
     return 0
 
 
-def _print_table(config: StudyConfig, table, label: str) -> int:
+def _cmd_convergence(study, config: StudyConfig, args: argparse.Namespace) -> int:
+    """A refinement ``study``'s table, with its fitted orders under the command's name."""
+    table = study(config)
     emit_outputs(table, Path(config.out))
     for row in table.rows:
         print(f"h={row.h:.6g} tau={row.tau:.6g} linf_u={row.linf_u:.4e} "
               f"l2_u={row.l2_u:.4e} linf_r={row.linf_r:.4e}")
     if len(table.rows) >= 2:
-        print(f"{label}: fitted order u = {table.fitted_order_u():.3f}, "
+        print(f"{args.command}: fitted order u = {table.fitted_order_u():.3f}, "
               f"r = {table.fitted_order_r():.3f}")
     return 0
 
 
-def _cmd_convergence_time(args: argparse.Namespace) -> int:
-    config = _build_config(args)
-    return _print_table(config, convergence_study_time(config), "convergence-time")
-
-
-def _cmd_convergence_space(args: argparse.Namespace) -> int:
-    config = _build_config(args)
-    if len(config.n_values) == 1:
-        # the study needs a refinement path: expand a single N by doublings
-        n = config.n_values[0]
-        if args.n_values is None and args.config is None:
-            config = replace(config, n_values=(100, 200, 400, 800))
-        else:
-            config = replace(config, n_values=(n, 2 * n, 4 * n))
-    return _print_table(config, convergence_study_space(config), "convergence-space")
-
-
-def _cmd_noise(args: argparse.Namespace) -> int:
-    config = _build_config(args)
-    if args.n_values is None and args.m_values is None and args.config is None:
-        # noise ensembles default to the desk-scale grid
-        config = replace(config, n_values=(100,), m_values=(100,))
+def _cmd_noise(config: StudyConfig, args: argparse.Namespace) -> int:
     study = noise_study(config)
     emit_outputs(study, Path(config.out))
     for delta, mean in study.mean_linf_r().items():
@@ -171,31 +156,24 @@ def _cmd_noise(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_oracle_check(args: argparse.Namespace) -> int:
-    config = _build_config(args)
-    n0 = config.n_values[0]
-    defects, hs, rows = [], [], []
-    for n in (n0, 2 * n0):
-        grid = make_grid(config.l, config.t_final, n, 1, config.s)
+def _cmd_oracle_check(config: StudyConfig, args: argparse.Namespace) -> int:
+    rows = []
+    for n in (config.n_values[0], 2 * config.n_values[0]):
+        grid = config.single_grid(n, 1)
         op = assemble(grid, config.scheme)
-        spec, _ = build_manufactured(config.example, grid, op=op)
-        mode = spec.modes[0]
-        nodal = mode.shape(grid.interior_x())
+        mode = manufactured_problem(config.example, grid).modes[0]
         (image,) = quadrature_oracle((mode.shape,), grid, u_xx=(mode.shape_xx,))
-        defect = op.apply(nodal) - image
+        defect = op.apply(mode.shape(grid.interior_x())) - image
         norm = float(np.sqrt(grid.h * np.sum(defect * defect)))
-        defects.append(norm)
-        hs.append(grid.h)
         rows.append((grid.h, norm))
         print(f"N={n}: consistency defect (L2) = {norm:.6e}")
-    order = rate_fit(defects, hs)
-    print(f"observed consistency order = {order:.3f}")
+    hs, defects = zip(*rows)
+    print(f"observed consistency order = {rate_fit(defects, hs):.3f}")
     write_csv(Path(config.out) / "oracle_defect.csv", ("h", "defect_l2"), rows)
     return 0
 
 
-def _cmd_operator_dump(args: argparse.Namespace) -> int:
-    config = _build_config(args)
+def _cmd_operator_dump(config: StudyConfig, args: argparse.Namespace) -> int:
     grid = config.single_grid()
     dense = assemble(grid, config.scheme).dense()
     header = tuple(f"col{j}" for j in range(dense.shape[1]))
@@ -211,37 +189,39 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     # each command takes the flags its _cmd_ function reads, and argparse
-    # rejects the others
+    # rejects the others; the last entry is the command's default grid
     commands = {
         "forward": ("solve the direct problem with the exact coefficient", _cmd_forward,
-                    _RUN_FLAGS),
-        "inverse": ("recover the coefficient from measured integrals", _cmd_inverse, _NOISE_FLAGS),
-        "convergence-time": ("error table under time refinement", _cmd_convergence_time,
-                             _RUN_FLAGS),
+                    _RUN_FLAGS, None),
+        "inverse": ("recover the coefficient from measured integrals", _cmd_inverse,
+                    _NOISE_FLAGS, None),
+        "convergence-time": ("error table under time refinement",
+                             partial(_cmd_convergence, convergence_study_time), _RUN_FLAGS, None),
         "convergence-space": ("error table under space refinement with tau = h",
-                              _cmd_convergence_space,
-                              [flag for flag in _RUN_FLAGS if flag != "--M"]),
+                              partial(_cmd_convergence, convergence_study_space),
+                              [flag for flag in _RUN_FLAGS if flag != "--M"],
+                              {"n_values": (100, 200, 400, 800)}),
         "noise": ("recovery from noisy measurements over a seed ensemble", _cmd_noise,
-                  _NOISE_FLAGS),
+                  _NOISE_FLAGS, {"n_values": (100,), "m_values": (100,)}),
         "oracle-check": ("consistency defect of the stiffness matrix vs quadrature",
-                         _cmd_oracle_check, ["--example", *_OPERATOR_FLAGS]),
+                         _cmd_oracle_check, ["--example", *_OPERATOR_FLAGS], None),
         "operator-dump": ("write the dense stiffness matrix to CSV", _cmd_operator_dump,
-                          ["--l", *_OPERATOR_FLAGS]),
+                          ["--l", *_OPERATOR_FLAGS], None),
     }
     argv = sys.argv[1:] if argv is None else list(argv)
     # the first word naming a command is the one argparse runs, as the top level
     # takes no option with a value: only its parser gets flags, and the others
     # exist for the command list of --help
     invoked = next((word for word in argv if word in commands), None)
-    for name, (help_text, fn, flags) in commands.items():
+    for name, (help_text, _, flags, _) in commands.items():
         p = sub.add_parser(name, help=help_text)
         for flag in flags if name == invoked else ():
             field, kwargs = _FLAGS[flag]
             p.add_argument(flag, dest=field, **kwargs)
-        p.set_defaults(fn=fn)
     args = parser.parse_args(argv)
+    _, command, _, default_grid = commands[args.command]
     try:
-        return args.fn(args)
+        return command(_build_config(args, default_grid), args)
     except (DenominatorNearZero, SolverError, QuadratureConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -274,8 +274,11 @@ def make_step_operators(
 
     A given ``op`` must have the grid's ``interior_dim`` as its size, or this
     raises ``ValueError``.  An operator assembled for another s or l at the same
-    N passes all the same: ``RieszOperator`` keeps neither.
+    N passes all the same: ``RieszOperator`` keeps neither.  ``tol`` must be
+    finite and positive on every route, since the size alone may pick CG.
     """
+    if not 0.0 < tol < np.inf:  # NaN fails this test
+        raise ValueError(f"tol must be finite and positive, got {tol}")
     if op is None:
         op = assemble(grid)
     if op.size != grid.interior_dim:

@@ -27,7 +27,8 @@ import numpy as np
 from .grid import Grid, MeasurementSeries, ProblemData, SeparatedForcing
 from .riesz import RieszOperator, assemble, quadrature_oracle
 
-__all__ = ["Mode", "ManufacturedProblem", "build_manufactured", "EXAMPLE_IDS", "SOURCES"]
+__all__ = ["Mode", "ManufacturedProblem", "manufactured_problem", "build_manufactured",
+           "EXAMPLE_IDS", "SOURCES"]
 
 # the first source mode is every run's default
 SOURCES = ("discrete", "quadrature")
@@ -124,6 +125,18 @@ _BUILDERS = {"example1": _example1, "example2": _example2}
 EXAMPLE_IDS = tuple(_BUILDERS)
 
 
+def manufactured_problem(ident: str, grid: Grid) -> ManufacturedProblem:
+    """The closed forms of benchmark ``ident``, one of ``EXAMPLE_IDS``, at the
+    grid's order s, without binding them to the grid: no forcing image and no
+    measurement is computed.  A grid of other than unit length is refused."""
+    if abs(grid.l - 1.0) > 1e-12:
+        # the closed-form measurements integrate the state over (0, 1)
+        raise ValueError(f"benchmarks are defined on unit domain length, got l={grid.l}")
+    if ident not in _BUILDERS:
+        raise ValueError(f"unknown benchmark id {ident!r} (expected one of {EXAMPLE_IDS})")
+    return _BUILDERS[ident](grid.s)
+
+
 def build_manufactured(
     ident: str,
     grid: Grid,
@@ -132,21 +145,16 @@ def build_manufactured(
 ) -> Tuple[ManufacturedProblem, ProblemData]:
     """Bind a benchmark to a grid and construct its forcing and data.
 
-    ``ident`` is one of ``EXAMPLE_IDS`` and ``source``, one of ``SOURCES``
-    and by default the first, selects how the operator image of each spatial
-    shape is computed ('discrete' via A, 'quadrature' via the reference
-    integral); measurements are the analytic w(t) at the grid times.  The
-    forcing is a :class:`SeparatedForcing` of P = 2 x modes shapes, g_k and its
-    image, with coefficients c_k'/r and c_k/r.
+    ``ident`` names the benchmark, as in :func:`manufactured_problem`, and
+    ``source``, one of ``SOURCES`` and by default the first, selects how the
+    operator image of each spatial shape is computed ('discrete' via A,
+    'quadrature' via the reference integral); measurements are the analytic
+    w(t) at the grid times.  The forcing is a :class:`SeparatedForcing` of
+    P = 2 x modes shapes, g_k and its image, with coefficients c_k'/r and c_k/r.
     """
     if source not in SOURCES:
         raise ValueError(f"unknown source mode {source!r} (expected one of {SOURCES})")
-    if abs(grid.l - 1.0) > 1e-12:
-        # the closed-form measurements integrate the state over (0, 1)
-        raise ValueError(f"benchmarks are defined on unit domain length, got l={grid.l}")
-    if ident not in _BUILDERS:
-        raise ValueError(f"unknown benchmark id {ident!r} (expected one of {EXAMPLE_IDS})")
-    spec = _BUILDERS[ident](grid.s)
+    spec = manufactured_problem(ident, grid)
 
     x = grid.interior_x()
     if op is None:

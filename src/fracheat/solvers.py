@@ -119,8 +119,8 @@ def cg_solve(
     ``_CG_STALLED_RESTARTS`` restarts fail to lower it below its lowest value:
     ``tol`` is then below the rounding error of evaluating b - Ax.
     """
-    if not tol > 0.0:  # NaN fails this test
-        raise ValueError(f"tol must be positive, got {tol}")
+    if not 0.0 < tol < np.inf:  # NaN fails this test
+        raise ValueError(f"tol must be finite and positive, got {tol}")
     b = np.asarray(b, dtype=float)
     maxit = _CG_ITERS_PER_UNKNOWN * b.size
     if precond is None:

@@ -95,9 +95,10 @@ class StudyConfig:
             for seed in self.seeds:
                 NoiseSpec(delta=delta, seed=seed)  # raises on a bad delta or seed
 
-    def single_grid(self) -> Grid:
-        """The grid of a run on one grid: the first N and the first M."""
-        return make_grid(self.l, self.t_final, self.n_values[0], self.m_values[0], self.s)
+    def single_grid(self, n: Optional[int] = None, m: Optional[int] = None) -> Grid:
+        """Every run's grid: N = n and M = m, by default the first N and the first M."""
+        return make_grid(self.l, self.t_final, self.n_values[0] if n is None else n,
+                         self.m_values[0] if m is None else m, self.s)
 
 
 def format_float(x: float) -> str:
@@ -488,8 +489,7 @@ class InverseRunResult:
 
 
 def _compatibility_tol(noisy: bool) -> float:
-    """The w(0) compatibility tolerance of a recovery: noisy data is incompatible with
-    phi at t=0 by construction, so it skips the check."""
+    """A recovery's w(0) check tolerance: none for noisy data, which phi cannot fit."""
     return math.inf if noisy else COMPATIBILITY_TOL
 
 
@@ -598,7 +598,7 @@ def _refinement_study(
     rows: List[ConvergenceRow] = []
     prev = prev_step = op = None
     for n, m in sizes:
-        grid = make_grid(config.l, config.t_final, n, m, config.s)
+        grid = config.single_grid(n, m)
         if op is None or op.size != grid.interior_dim:
             op = assemble(grid, config.scheme)
         case = run_inverse_case(
@@ -632,8 +632,14 @@ def convergence_study_time(config: StudyConfig) -> ConvergenceTable:
 
 
 def convergence_study_space(config: StudyConfig) -> ConvergenceTable:
-    """Refine h with tau = h: spatial consistency enters through the source mode."""
-    sizes = [(n, max(round(n * config.t_final / config.l), 1)) for n in config.n_values]
+    """Refine h with tau = h: spatial consistency enters through the source mode.
+
+    A single N is refined by two doublings: N, 2N and 4N.
+    """
+    n_values = config.n_values
+    if len(n_values) == 1:
+        n_values = (n_values[0], 2 * n_values[0], 4 * n_values[0])
+    sizes = [(n, max(round(n * config.t_final / config.l), 1)) for n in n_values]
     return _refinement_study(config, sizes, varied="h")
 
 

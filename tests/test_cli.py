@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 import fracheat.cli
+import fracheat.manufactured
 import fracheat.studies
 from fracheat.cli import _FLAGS, _build_config, main
+from fracheat.inverse import DenominatorNearZero
 from fracheat.studies import StudyConfig, load_config
 
 
@@ -408,9 +410,11 @@ def test_each_command_parses_every_flag_it_keeps(tmp_path, monkeypatch, command)
     cfg = tmp_path / "full.cfg"
     cfg.write_text(_FULL_CONFIG, encoding="utf-8")
     configs = []
-    # the command's function builds its config and does no work
-    monkeypatch.setattr(fracheat.cli, "_cmd_" + command.replace("-", "_"),
-                        lambda args: configs.append(_build_config(args)) or 0)
+    # the command's function takes the config main built and does no work; the
+    # two convergence commands share one
+    name = "convergence" if command.startswith("convergence") else command.replace("-", "_")
+    monkeypatch.setattr(fracheat.cli, "_cmd_" + name,
+                        lambda *args: configs.append(args[-2]) or 0)
     cases = {flag: (value, field, expected) for flag, value, field, expected in _FLAG_CASES
              if flag in _KEPT_FLAGS[command]}
     argv = [command, "--config", str(cfg)]
@@ -436,3 +440,107 @@ def test_help_lists_every_command_and_each_command_its_flags(capsys):
         # a flag and then its metavar: "--s S" and not the "--s" of "--solver"
         shown = {flag for flag in (*_ALL_FLAGS, "--config") if re.search(rf"{flag}\s", out)}
         assert shown == {*kept, "--config"}, command
+
+
+# the grid a noise study runs on: N = M = 100 unless a grid flag or any config
+# file is given; a config file without grid keys leaves StudyConfig's defaults
+@pytest.mark.parametrize("argv, config_text, n_values, m_values", [
+    ([], None, (100,), (100,)),
+    (["--N", "40"], None, (40,), StudyConfig.m_values),
+    (["--M", "30"], None, StudyConfig.n_values, (30,)),
+    ([], "seeds = 0\n", StudyConfig.n_values, StudyConfig.m_values),
+], ids=["default", "N", "M", "config"])
+def test_noise_default_grid(tmp_path, monkeypatch, argv, config_text, n_values, m_values):
+    if config_text is not None:
+        (tmp_path / "seeds.cfg").write_text(config_text, encoding="utf-8")
+        argv = [*argv, "--config", str(tmp_path / "seeds.cfg")]
+    configs = []
+
+    def no_study(config):
+        configs.append(config)
+        return fracheat.studies.NoiseStudyResult(cases=())
+
+    monkeypatch.setattr(fracheat.cli, "noise_study", no_study)
+    assert main(["noise", *argv, "--out", str(tmp_path / "o")]) == 0
+    assert [(c.n_values, c.m_values) for c in configs] == [(n_values, m_values)]
+
+
+# the grids a space refinement runs on, with tau = h: N = 100, 200, 400, 800
+# unless --N or any config file is given, and a single N doubled twice
+@pytest.mark.parametrize("argv, config_text, n_values", [
+    ([], None, (100, 200, 400, 800)),
+    (["--N", "32"], None, (32, 64, 128)),
+    ([], "s = 0.5\n", (800, 1600, 3200)),
+    ([], "n_values = 20, 40\n", (20, 40)),
+], ids=["default", "N", "config", "config-N"])
+def test_convergence_space_default_grid(tmp_path, monkeypatch, argv, config_text, n_values):
+    if config_text is not None:
+        (tmp_path / "space.cfg").write_text(config_text, encoding="utf-8")
+        argv = [*argv, "--config", str(tmp_path / "space.cfg")]
+    sizes = []
+
+    def no_study(config, grid_sizes, varied):
+        sizes.append(list(grid_sizes))
+        return fracheat.studies.ConvergenceTable(rows=(), varied=varied)
+
+    monkeypatch.setattr(fracheat.studies, "_refinement_study", no_study)
+    assert main(["convergence-space", *argv, "--out", str(tmp_path / "o")]) == 0
+    assert sizes == [[(n, n) for n in n_values]]
+
+
+def test_noise_failure_exits_1_and_lists_the_failed_cases(tmp_path, capsys, monkeypatch):
+    def no_recovery(*args, **kwargs):
+        raise DenominatorNearZero(0.0, 1e-12, 3)
+
+    monkeypatch.setattr(fracheat.studies, "run_inverse_batch", no_recovery)
+    cfg = tmp_path / "cases.cfg"
+    cfg.write_text("deltas = 0.01, 0.02\nseeds = 0, 1\n", encoding="utf-8")
+    out = tmp_path / "o"
+    assert main(["noise", "--N", "8", "--M", "8", "--config", str(cfg), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "failed cases: [(0.01, 0), (0.01, 1), (0.02, 0), (0.02, 1)]\n"
+    assert captured.out == ("delta=0.01: mean Linf error in r over seeds = nan\n"
+                            "delta=0.02: mean Linf error in r over seeds = nan\n")
+    summary = (out / "noise_summary.csv").read_text().splitlines()
+    assert [row.split(",")[2] for row in summary[1:]] == ["0"] * 4
+    for name, column in (("r_recovered_delta0.01_seed1.csv", "r_recovered"),
+                         ("u_final_delta0.02_seed0.csv", "u_num")):
+        table = np.genfromtxt(out / name, delimiter=",", names=True)
+        assert table.size > 0 and np.all(np.isnan(table[column])), name
+
+
+def test_modal_route_refuses_an_inaccurate_eigendecomposition(tmp_path, capsys):
+    # at s = 0.99 the interpolated A at N = 1000 is too stiff for the residual
+    # check of its eigenpairs, 3e-10 against 1e-10; Cholesky runs it
+    argv = ["forward", "--scheme", "interpolated", "--s", "0.99", "--N", "1000", "--M", "4"]
+    assert main([*argv, "--solver", "modal", "--out", str(tmp_path / "modal")]) == 1
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"error: eigendecomposition residual \S+ exceeds 1\.0e-10\n", err), err
+    assert main([*argv, "--out", str(tmp_path / "auto")]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_oracle_check_binds_no_problem(tmp_path, monkeypatch):
+    # it reads one mode's closed forms: no forcing image and no measurement
+    argv = ["oracle-check", "--N", "16", "--scheme", "interpolated"]
+    assert main([*argv, "--out", str(tmp_path / "bound")]) == 0
+
+    def no_binding(*args, **kwargs):
+        raise AssertionError("oracle-check bound a problem to a grid")
+
+    monkeypatch.setattr(fracheat.cli, "build_manufactured", no_binding)
+    monkeypatch.setattr(fracheat.manufactured, "build_manufactured", no_binding)
+    assert main([*argv, "--out", str(tmp_path / "lookup")]) == 0
+    assert ((tmp_path / "lookup" / "oracle_defect.csv").read_bytes()
+            == (tmp_path / "bound" / "oracle_defect.csv").read_bytes())
+
+
+def test_oracle_check_refuses_a_domain_of_other_length(tmp_path, capsys):
+    # the closed forms are defined on unit domain length, as for every run
+    cfg = tmp_path / "long.cfg"
+    cfg.write_text("l = 2.0\n", encoding="utf-8")
+    assert main(["oracle-check", "--N", "8", "--config", str(cfg),
+                 "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == (
+        "error: benchmarks are defined on unit domain length, got l=2.0\n")
+    assert not (tmp_path / "o").exists()

@@ -18,6 +18,7 @@ from fracheat import (
     make_grid,
     make_step_operators,
     run_forward,
+    run_inverse_case,
     spectral_duhamel_oracle,
     stability_bounds,
 )
@@ -121,6 +122,19 @@ class TestCnStep:
     def test_modal_route_refuses_sizes_eigendecompose_refuses(self):
         with pytest.raises(ValueError, match="n <= 1024"):
             make_step_operators(make_grid(1, 1, 1026, 10, 0.5), solver="modal")
+
+    @pytest.mark.parametrize("solver", [None, *SOLVERS])
+    @pytest.mark.parametrize("tol", [0.0, -1.0, float("inf"), float("nan")])
+    def test_refuses_a_tol_that_is_not_finite_and_positive(self, grid16, op16, solver, tol):
+        # on every route: a study refining past the Cholesky limit lands on CG
+        with pytest.raises(ValueError, match=f"tol must be finite and positive, got {tol}"):
+            make_step_operators(grid16, op=op16, solver=solver, tol=tol)
+
+    def test_an_infinite_tol_cannot_stop_a_recovery_early(self):
+        # CG stopped after one iteration per solve: r off by 1.8e-2, not 6.8e-4
+        with pytest.raises(ValueError, match="tol must be finite and positive, got inf"):
+            run_inverse_case("example2", make_grid(1, 0.1, 64, 10, 0.5), solver="cg",
+                             tol=float("inf"))
 
     def test_step_operators_commute_with_a(self, grid16, op16):
         # L and R are polynomials in A, so the homogeneous step L^-1 R commutes

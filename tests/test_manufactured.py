@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from fracheat import assemble, build_manufactured, discrete_measurement, make_grid
+from fracheat import (
+    assemble,
+    build_manufactured,
+    discrete_measurement,
+    make_grid,
+    manufactured_problem,
+)
 
 WINDOW_INTEGRAL = (math.sqrt(5.0) - 1.0) / (2.0 * math.pi)
 
@@ -101,6 +107,24 @@ class TestForcingConstruction:
     def test_unknown_source_rejected(self):
         with pytest.raises(ValueError):
             build_manufactured("example1", make_grid(1, 1, 10, 10, 0.5), source="spectral")
+
+    @pytest.mark.parametrize("ident", ["example1", "example2"])
+    def test_lookup_gives_the_closed_forms_build_manufactured_binds(self, ident):
+        grid = make_grid(1, 1, 16, 4, 0.3)
+        spec = manufactured_problem(ident, grid)
+        bound, _ = build_manufactured(ident, grid)
+        x = grid.interior_x()
+        for t in (0.0, 0.4, 1.0):
+            assert spec.r_exact(t) == bound.r_exact(t) and spec.w_exact(t) == bound.w_exact(t)
+            np.testing.assert_array_equal(spec.u_exact(t, x), bound.u_exact(t, x))
+
+    @pytest.mark.parametrize("ident, l, message", [
+        ("example3", 1.0, "unknown benchmark id 'example3'"),
+        ("example1", 2.0, "benchmarks are defined on unit domain length, got l=2.0"),
+    ])
+    def test_lookup_refuses_an_unknown_id_and_a_domain_of_other_length(self, ident, l, message):
+        with pytest.raises(ValueError, match=message):
+            manufactured_problem(ident, make_grid(l, 1, 10, 10, 0.5))
 
     def test_analytic_measurements_on_grid_times(self):
         grid = make_grid(1, 1, 10, 8, 0.25)

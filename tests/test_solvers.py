@@ -169,8 +169,13 @@ class TestConjugateGradient:
 
     def test_rejects_nan_tol(self):
         # a NaN tol never stops the iteration; CG then divides by p.Ap = 0
-        with pytest.raises(ValueError, match="tol must be positive"):
+        with pytest.raises(ValueError, match="tol must be finite and positive"):
             cg_solve(lambda v: v, np.ones(3), tol=float("nan"))
+
+    def test_rejects_infinite_tol(self):
+        # any residual meets an infinite tol, so CG would stop after one iteration
+        with pytest.raises(ValueError, match="tol must be finite and positive, got inf"):
+            cg_solve(lambda v: v, np.ones(3), tol=float("inf"))
 
     def test_nan_operator_reports_divergence(self):
         def broken(v):
