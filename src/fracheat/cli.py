@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 from dataclasses import fields, replace
 from functools import partial
 from pathlib import Path
@@ -74,8 +75,10 @@ _OPERATOR_FLAGS = ["--s", "--N", "--scheme", "--out", "--config"]
 def _build_config(args: argparse.Namespace, default_grid: Optional[dict] = None) -> StudyConfig:
     """defaults < the command's default grid < config file < explicit flags; the
     default grid is taken whole, and only when no config file and no flag sets
-    one of its fields"""
-    config = load_config(args.config) if args.config else StudyConfig()
+    one of its fields; an empty --config names no file, and raises ValueError"""
+    if args.config == "":
+        raise ValueError("--config names no file: give a config file's path, or no --config")
+    config = StudyConfig() if args.config is None else load_config(args.config)
     updates = {}
     for field in fields(StudyConfig):
         value = getattr(args, field.name, None)
@@ -220,14 +223,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             p.add_argument(flag, dest=field, **kwargs)
     args = parser.parse_args(argv)
     _, command, _, default_grid = commands[args.command]
-    try:
-        return command(_build_config(args, default_grid), args)
-    except (DenominatorNearZero, SolverError, QuadratureConvergenceError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    # each warning the caller's filters let through is one line, as errors are
+    with warnings.catch_warnings():
+        warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+        try:
+            return command(_build_config(args, default_grid), args)
+        except (DenominatorNearZero, SolverError, QuadratureConvergenceError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+        except (ValueError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
 
 
 if __name__ == "__main__":

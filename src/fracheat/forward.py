@@ -47,6 +47,7 @@ from .solvers import (
     CG_TOL,
     EIGEN_SIZE_LIMIT,
     SpdFactorization,
+    SpectralDecomposition,
     cg_solve,
     cholesky,
 )
@@ -95,8 +96,6 @@ _CHOLESKY_SIZE_LIMIT = 2048
 # single series with M < n, such as N = 16, M = 10, on the factor-once route,
 # where modal would be faster from M ~ 0.1-0.2 n.
 _MODAL_ALPHA = 1.0
-# rows taken to or from the eigenbasis per matrix product
-_BLOCK_ROWS = 512
 # values per block of steps in stability_bounds and in a separated forcing's sum:
 # about 256 KB per (steps, n) temporary whatever n is, where 512 rows would take
 # 2.5 MB at n = 599
@@ -192,25 +191,26 @@ class _CgStepOperators(StepOperators):
 
 class _ModalStepOperators(StepOperators):
     """The eigenbasis of A = Q diag(lambda) Q^T, built on first use and cached on the
-    operator, where L and R are diagonal: ``_diagonals`` is (Q, lambda, d, g) with
-    d = 1 + tau lambda/2, the diagonal of L, and g = (1 - tau lambda/2)/d, that of L^-1 R.
-    Every operation reads Q and lambda from there, so a trajectory that keeps this
-    route stays consistent with it even if the operator's decomposition is rebuilt."""
+    operator, where L and R are diagonal: ``_diagonals`` is (the decomposition, lambda,
+    d, g) with d = 1 + tau lambda/2, the diagonal of L, and g = (1 - tau lambda/2)/d,
+    that of L^-1 R.  Every operation reads the decomposition, which owns the change of
+    basis, and lambda from there, so a trajectory that keeps this route stays
+    consistent with it even if the operator's decomposition is rebuilt."""
 
     solver = "modal"
 
     @cached_property
-    def _diagonals(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    def _diagonals(self) -> Tuple[SpectralDecomposition, np.ndarray, np.ndarray, np.ndarray]:
         dec = self.op.eigendecomposition
         half = (self.tau / 2.0) * dec.eigenvalues
         d = 1.0 + half
-        return dec.eigenvectors, dec.eigenvalues, d, (1.0 - half) / d
+        return dec, dec.eigenvalues, d, (1.0 - half) / d
 
     def to_basis(self, rows: np.ndarray) -> np.ndarray:
-        return _rows_times(rows, self._diagonals[0])
+        return self._diagonals[0].to_basis(rows)
 
     def from_basis(self, rows: np.ndarray) -> np.ndarray:
-        return _rows_times(rows, self._diagonals[0].T)
+        return self._diagonals[0].from_basis(rows)
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         d = self._diagonals[2]
@@ -239,20 +239,8 @@ class _ModalStepOperators(StepOperators):
         ``phi`` itself, not its round trip through Q."""
         states = np.empty_like(marched)
         states[0] = phi
-        _rows_times(marched[1:], self._diagonals[0].T, out=states[1:])
+        self._diagonals[0].from_basis(marched[1:], out=states[1:])
         return Trajectory.adopt(states, (self, marched))
-
-
-def _rows_times(rows: np.ndarray, mat: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-    """rows <- rows @ mat in place for a square ``mat``, a block of rows at a time, or
-    out <- rows @ mat with no temporary when ``out`` is given."""
-    for start in range(0, rows.shape[0], _BLOCK_ROWS):
-        block = slice(start, start + _BLOCK_ROWS)
-        if out is None:
-            rows[block] = rows[block] @ mat
-        else:
-            np.matmul(rows[block], mat, out=out[block])
-    return rows if out is None else out
 
 
 def make_step_operators(
@@ -573,12 +561,11 @@ def spectral_duhamel_oracle(
     m = substeps if substeps % 2 == 0 else substeps + 1
     decomp = op.eigendecomposition
     lam = decomp.eigenvalues
-    q = decomp.eigenvectors
     t_final = grid.T
 
     sigma = np.linspace(0.0, t_final, m + 1)
     r_vals = np.array([r_fn(float(t)) for t in sigma])
-    f_modes = np.array([f_fn(float(t)) for t in sigma], dtype=float) @ q
+    f_modes = decomp.to_basis(np.array([f_fn(float(t)) for t in sigma], dtype=float))
 
     # exp(-lam (T - sigma)) r(sigma) f_k(sigma), Simpson-weighted along sigma
     decay = np.exp(-np.outer(t_final - sigma, lam))
@@ -588,5 +575,6 @@ def spectral_duhamel_oracle(
     step = t_final / m
     integral = step / 3.0 * np.einsum("j,jk,jk->k", weights * r_vals, decay, f_modes)
 
-    coeff = (q.T @ np.asarray(phi, dtype=float)) * np.exp(-lam * t_final) + integral
-    return q @ coeff
+    coeff = decomp.to_basis(np.array(phi, dtype=float, ndmin=2))[0]
+    coeff = coeff * np.exp(-lam * t_final) + integral
+    return decomp.from_basis(coeff[None])[0]

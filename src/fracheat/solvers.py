@@ -165,16 +165,83 @@ def cg_solve(
                       f"(residual {res:.3e})", residual=res)
 
 
+# values per block of rows in a change of basis, 2^15 / n rows, so each of its
+# half-size temporaries holds about 2^14 values (128 KB) whatever n is; 512-row
+# blocks at n = 599 took 1.2 MB per temporary and put the peak RSS of a forward run
+# at N = M = 600 1.8 MB higher (77.7 against 75.9 MB)
+_BASIS_BLOCK_VALUES = 1 << 15
+
+
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """Eigenvalues ascending and orthonormal eigenvectors (columns of q)."""
+    """Eigenvalues ascending and the orthonormal eigenbasis Q of a centrosymmetric A,
+    kept as its even and odd halves (see ``eigendecompose``).
+
+    ``even`` (n-h, n-h) and ``odd`` (h, h), h = floor(n/2), hold the columns of
+    Q = [[V_e, V_o], [J V_e, -J V_o]] / sqrt(2), scaled as they stand in Q: their top
+    h rows divided by sqrt(2), the middle row of V_e unscaled for odd n.  Column j of
+    ``even`` is column ``place[j]`` of Q, and column j of ``odd`` column
+    ``place[n - h + j]``, so the coordinates keep the eigenvalues' ascending order.
+    That is n^2/2 values, not n^2: each change of basis, ``to_basis`` and
+    ``from_basis``, folds or unfolds the rows and takes two half-size products.
+    """
 
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
+    even: np.ndarray
+    odd: np.ndarray
+    place: np.ndarray
 
     @property
     def size(self) -> int:
         return self.eigenvalues.size
+
+    @property
+    def eigenvectors(self) -> np.ndarray:
+        """Q itself (n, n), assembled on each call: the columns are the eigenvectors,
+        each even or odd under the reversal, q[::-1] = +-q bit for bit."""
+        n, h = self.size, self.odd.shape[0]
+        even, odd = self.place[: n - h], self.place[n - h :]
+        q = np.empty((n, n))
+        q[:h, even], q[:h, odd] = self.even[:h], self.odd
+        q[h : n - h, even], q[h : n - h, odd] = self.even[h:], 0.0  # odd n only
+        q[n - h :, even], q[n - h :, odd] = self.even[:h][::-1], np.negative(self.odd)[::-1]
+        return q
+
+    def _blocks(self, rows: np.ndarray):
+        """Slices of ``rows`` (K, n), each of about ``_BASIS_BLOCK_VALUES`` values."""
+        step = max(1, _BASIS_BLOCK_VALUES // self.size)
+        return (slice(start, start + step) for start in range(0, rows.shape[0], step))
+
+    def to_basis(self, rows: np.ndarray) -> np.ndarray:
+        """rows <- rows Q in place for stacked vectors (K, n), returned: the coordinates
+        in the eigenbasis.  U Q is [U_top + U_bot J, U_mid] V_e beside
+        (U_top - U_bot J) V_o, each column scattered to its ascending place."""
+        n, h = self.size, self.odd.shape[0]
+        even, odd = self.place[: n - h], self.place[n - h :]
+        for block in self._blocks(rows):
+            u = rows[block]
+            top, flipped = u[:, :h], u[:, ::-1][:, :h]  # U_top and U_bot J
+            minus = top - flipped
+            top += flipped  # u[:, :n - h] is now the even half's input
+            u[:, even] = u[:, : n - h] @ self.even
+            u[:, odd] = minus @ self.odd
+        return rows
+
+    def from_basis(self, rows: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """rows Q^T for stacked coordinates (K, n): in place, or into ``out`` (K, n)
+        when given, leaving ``rows`` as they are; returns the nodal vectors.  The
+        gathered halves give C_e V_e^T = [P, U_mid] and C_o V_o^T = D, and the nodal
+        rows are [P + D, U_mid, (P - D) J]."""
+        n, h = self.size, self.odd.shape[0]
+        even, odd = self.place[: n - h], self.place[n - h :]
+        out = rows if out is None else out
+        for block in self._blocks(rows):
+            u = out[block]
+            minus = rows[block][:, odd] @ self.odd.T  # gathered before u is written
+            np.matmul(rows[block][:, even], self.even.T, out=u[:, : n - h])
+            np.subtract(u[:, :h], minus, out=u[:, ::-1][:, :h])
+            u[:, :h] += minus
+        return out
 
 
 def eigendecompose(mat: np.ndarray) -> SpectralDecomposition:
@@ -185,9 +252,11 @@ def eigendecompose(mat: np.ndarray) -> SpectralDecomposition:
     into an even and an odd symmetric eigenproblem (Cantoni & Butler,
     Linear Algebra Appl. 13, 1976): E = A11 + A12 J and O = A11 - A12 J,
     where E gains the middle node for odd n, its coupling scaled by
-    sqrt(2).  Each half is solved and validated on its own, and the columns
-    of Q = [[V_e, V_o], [J V_e, -J V_o]] / sqrt(2), with the middle row of
-    V_e unscaled between them for odd n, satisfy q[::-1] = +-q bit for bit.
+    sqrt(2).  Each half is solved and validated on its own, and kept, scaled
+    as it stands in Q, as ``even`` and ``odd``: no n x n matrix is stored.
+    The columns of Q = [[V_e, V_o], [J V_e, -J V_o]] / sqrt(2), with the
+    middle row of V_e unscaled between them for odd n, which ``eigenvectors``
+    assembles, satisfy q[::-1] = +-q bit for bit.
     ||A q - lambda q|| is the norm of its half's residual B v - lambda v, and
     Q^T Q is block diagonal with the halves' Gram matrices, so every check
     below holds for Q as a whole.
@@ -225,18 +294,12 @@ def eigendecompose(mat: np.ndarray) -> SpectralDecomposition:
 
     lam = np.concatenate((lam_e, lam_o))
     order = np.argsort(lam, kind="stable")
-    # each half's columns go, scaled in place, straight to their sorted places in Q
+    # each half's column j goes to the sorted place of its eigenvalue
     place = np.empty(n, dtype=np.intp)
     place[order] = np.arange(n)
-    even, odd = place[: n - h], place[n - h :]
     v_e[:h] /= np.sqrt(2.0)
     v_o /= np.sqrt(2.0)
-    q = np.empty((n, n))
-    q[:h, even], q[:h, odd] = v_e[:h], v_o
-    q[h : n - h, even], q[h : n - h, odd] = v_e[h:], 0.0  # odd n only
-    np.negative(v_o, out=v_o)
-    q[n - h :, even], q[n - h :, odd] = v_e[:h][::-1], v_o[::-1]
-    return SpectralDecomposition(eigenvalues=lam[order], eigenvectors=q)
+    return SpectralDecomposition(eigenvalues=lam[order], even=v_e, odd=v_o, place=place)
 
 
 def _validated_eigh(mat: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:

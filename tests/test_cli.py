@@ -1,5 +1,6 @@
 import argparse
 import re
+import warnings
 from dataclasses import fields, replace
 
 import numpy as np
@@ -463,6 +464,31 @@ def test_noise_default_grid(tmp_path, monkeypatch, argv, config_text, n_values, 
     monkeypatch.setattr(fracheat.cli, "noise_study", no_study)
     assert main(["noise", *argv, "--out", str(tmp_path / "o")]) == 0
     assert [(c.n_values, c.m_values) for c in configs] == [(n_values, m_values)]
+
+
+def test_noise_refuses_an_empty_config_before_any_work(tmp_path, capsys, monkeypatch):
+    # an empty --config read no file and ran the StudyConfig grid, N = 800 and
+    # M = 50...800, in place of the command's default N = M = 100
+    def no_study(config):
+        raise AssertionError("ran a noise study for an empty --config")
+
+    monkeypatch.setattr(fracheat.cli, "noise_study", no_study)
+    assert main(["noise", "--config", "", "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == (
+        "error: --config names no file: give a config file's path, or no --config\n")
+    assert not (tmp_path / "o").exists()
+
+
+def test_a_warning_prints_as_one_line(tmp_path, capsys):
+    # no source path and no source line, and the caller's filters still apply
+    argv = ["inverse", "--example", "2", "--N", "40", "--M", "40", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    assert capsys.readouterr().err == (
+        "warning: initial measurement incompatible with phi: relative gap 1.203e-01\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        assert main(argv) == 0
+    assert capsys.readouterr().err == ""
 
 
 # the grids a space refinement runs on, with tau = h: N = 100, 200, 400, 800

@@ -1,5 +1,5 @@
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 from unittest import mock
 
 import numpy as np
@@ -21,9 +21,11 @@ from fracheat import (
     run_inverse_case,
     spectral_duhamel_oracle,
     stability_bounds,
+    write_csv,
 )
 from fracheat.forward import SOLVERS, StabilityReport, StepOperators
 from fracheat.grid import Trajectory
+from fracheat.solvers import SpectralDecomposition
 from conftest import within_cg_floor
 
 
@@ -323,11 +325,40 @@ class TestRouteInterface:
         assert np.array_equal(ops.decay, (1.0 - half) / (1.0 + half))
         rng = np.random.default_rng(3)
         phi, marched = rng.standard_normal(15), rng.standard_normal((grid16.M + 1, 15))
-        want = marched[1:] @ dec.eigenvectors.T
+        want = dec.from_basis(marched[1:].copy())
         traj = ops.trajectory(phi, marched)
         assert traj.route[0] is ops and traj.route[1] is marched
         assert np.array_equal(traj.states[0], phi)
         assert np.array_equal(traj.states[1:], want)
+
+    def test_modal_run_and_write_keep_half_of_q(self, tmp_path):
+        # the decomposition keeps A's even and odd halves, n^2/2 values, and no n x n
+        # matrix: a modal run and its trajectory.csv write peak below two (M+1, n)
+        # arrays, the states and the coordinates, plus the halves plus 1.25 MB, the
+        # writer's chunk temporaries (about 1.05 MB) and 0.2 MB; with an n x n Q kept
+        # as well the peak stood 0.45 MB above that bound (4.90 against 4.45 MB)
+        grid = make_grid(1, 1, 400, 400, 0.3)
+        op = assemble(grid)
+        _, data = build_manufactured("example1", grid, source="quadrature", op=op)
+        ops = make_step_operators(grid, op=op, solver="modal")
+        warm = make_grid(1, 1, 8, 8, 0.5)  # imports and first calls outside the trace
+        write_csv(tmp_path / "warm.csv", ("t", "x", "u"),
+                  run_forward(build_manufactured("example1", warm)[1], warm).states,
+                  index=(warm.times(), warm.interior_x()))
+        tracemalloc.start()
+        try:
+            traj = run_forward(data, grid, ops=ops)
+            write_csv(tmp_path / "trajectory.csv", ("t", "x", "u"), traj.states,
+                      index=(grid.times(), grid.interior_x()))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        n = grid.interior_dim
+        assert traj.route is not None
+        assert peak < 8 * (2 * (grid.M + 1) * n + n * n / 2) + 1.25e6
+        dec = op.eigendecomposition
+        assert all(getattr(dec, f.name).ndim == 1 or getattr(dec, f.name).shape[0] < n
+                   for f in fields(dec))
 
 
 class TestStabilityBounds:
@@ -363,13 +394,13 @@ class TestStabilityBounds:
         traj = run_forward(data, grid, ops=ops)
         route, coordinates = traj.route
         assert route is ops and "eigendecomposition" in vars(op)
-        # the nodal states are the in-place block products of the coordinates, bit for bit
-        assert np.array_equal(traj.states[1:], fracheat.forward._rows_times(
-            coordinates[1:].copy(), op.eigendecomposition.eigenvectors.T))
-        transformed, rows_times = [], fracheat.forward._rows_times
-        monkeypatch.setattr(fracheat.forward, "_rows_times",
-                            lambda rows, *a, **k: transformed.append(len(rows)) or
-                            rows_times(rows, *a, **k))
+        # the nodal states are the in-place basis change of the coordinates, bit for bit
+        assert np.array_equal(traj.states[1:], op.eigendecomposition.from_basis(
+            coordinates[1:].copy()))
+        transformed, to_basis = [], SpectralDecomposition.to_basis
+        monkeypatch.setattr(SpectralDecomposition, "to_basis",
+                            lambda dec, rows: transformed.append(len(rows)) or
+                            to_basis(dec, rows))
         kept = stability_bounds(traj, spec.r_exact, data.forcing, op, grid)
         assert transformed == [4]
         # on another operator, decomposed or not, the report is that of the nodal

@@ -235,6 +235,41 @@ class TestEigendecompose:
         assert np.all(np.linalg.norm(a @ q - q * lam, axis=0) <= 1e-10 * lam)
         assert np.max(np.abs(q.T @ q - np.eye(dec.size))) <= 1e-12
 
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(s=st.floats(0.01, 0.99), n_cells=st.integers(2, 400),
+           scheme=st.sampled_from(("midpoint", "interpolated")), rows=st.integers(1, 200),
+           transposed=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    @example(s=0.5, n_cells=2, scheme="midpoint", rows=3, transposed=False, seed=0)  # n = 1
+    @example(s=0.5, n_cells=3, scheme="interpolated", rows=1, transposed=True, seed=1)  # n = 2
+    @example(s=0.5, n_cells=4, scheme="midpoint", rows=2, transposed=False, seed=2)  # n = 3
+    # n = 398 and 399 in three blocks of rows, and the columns of an (n, K) array
+    @example(s=0.99, n_cells=399, scheme="interpolated", rows=200, transposed=False, seed=3)
+    @example(s=0.01, n_cells=400, scheme="midpoint", rows=200, transposed=True, seed=4)
+    def test_basis_changes_match_q(self, s, n_cells, scheme, rows, transposed, seed):
+        # the halves' change of basis agrees with the products by the assembled Q, and
+        # its round trip returns the rows, each row within 4 n eps of its norm; Q
+        # keeps q[::-1] = +-q bit for bit
+        dec = eigendecompose(assemble(make_grid(1, 1, n_cells, 1, s), scheme=scheme).dense())
+        q, n = dec.eigenvectors, dec.size
+        flipped = q[::-1]
+        assert np.all(np.all(flipped == q, axis=0) | np.all(flipped == -q, axis=0))
+        u = np.random.default_rng(seed).standard_normal((rows, n))
+        bound = 4 * n * np.finfo(float).eps * np.linalg.norm(u, axis=1)
+
+        def within(got, want):
+            return np.all(np.max(np.abs(got - want), axis=1) <= bound)
+
+        # inverse.py hands over the rows of an (n, K) array as its transpose
+        work = u.T.copy().T if transposed else u.copy()
+        coordinates = dec.to_basis(work)
+        assert coordinates is work and within(coordinates, u @ q)
+        nodal = np.empty((rows, n))
+        assert dec.from_basis(coordinates, out=nodal) is nodal
+        assert within(nodal, coordinates @ q.T) and within(nodal, u)
+        assert dec.from_basis(coordinates) is coordinates and within(coordinates, u)
+        if not transposed:  # in place on C-ordered rows: the bits written to ``out``
+            assert np.array_equal(coordinates, nodal)
+
     @pytest.mark.parametrize("n_cells", [2, 3, 4, 5, 8, 17, 600, 601])
     @pytest.mark.parametrize("scheme", ["midpoint", "interpolated"])
     def test_q_has_the_bits_of_the_stacked_assembly(self, n_cells, scheme):
