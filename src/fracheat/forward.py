@@ -12,19 +12,21 @@ or g U + tau r F/d with g = (1 - tau lambda/2)/d on the modal route, where
 L^-1 R is diagonal.  So a modal step costs O(n) after one
 eigendecomposition.  No caller tests the route's name: ``decay`` is g where
 L^-1 R is diagonal and None elsewhere, which is what the recovery's blocked
-solve asks, and ``trajectory`` ends a forward march, adopting nodal states as
-they are or forming U = Q c from eigenbasis coordinates and keeping those
-beside them.  Every march takes its stacked forcings from one
-helper, ``_forcing_rows``: a separated forcing sum_p phi_p(t) v_p is one
-coefficient table against its P shapes, taken to the route's coordinates
-once, so the modal route transforms P rows, not M.  The scheme satisfies an exact energy identity in the
+solve asks, and ``trajectory`` ends every march, forward and inverse: it
+takes the march's own buffer back to nodal states in place, U = Q c on the
+modal route, and adopts that one array, which keeps the modal route itself.
+Every march takes its stacked forcings from one helper, ``_forcing_rows``: a
+separated forcing sum_p phi_p(t) v_p is one coefficient table against its P
+shapes, taken to the route's coordinates once, so the modal route transforms
+P rows, not M.  The scheme satisfies an exact energy identity in the
 homogeneous case and two unconditional stability bounds with forcing; those
 are evaluated here as runtime diagnostics rather than assumed.  The
 diagnostics take their coordinates and their norms in A and A^-1 from a
 route view, a ``StepOperators`` with ``times_a`` and ``solve_a``: the route a
-modal trajectory kept, lambda v and v/lambda in its eigenbasis, or for any
-other trajectory the nodal view, the matvec and one Cholesky factor of the
-dense A per call, whatever the operator has cached.  A run marches the tau
+modal trajectory kept, lambda v and v/lambda in its eigenbasis, to which they
+take the states a block at a time, or for any other trajectory the nodal
+view, the matvec and one Cholesky factor of the dense A per call, whatever
+the operator has cached.  A run marches the tau
 of its ``StepOperators`` alone: forward runs, the recovery and the
 diagnostics refuse operators, or a kept route, built on a grid other than the
 one they are given.  A spectral reference solution (eigenbasis + Duhamel
@@ -50,6 +52,7 @@ from .solvers import (
     SpectralDecomposition,
     cg_solve,
     cholesky,
+    row_blocks,
 )
 
 __all__ = [
@@ -96,10 +99,6 @@ _CHOLESKY_SIZE_LIMIT = 2048
 # single series with M < n, such as N = 16, M = 10, on the factor-once route,
 # where modal would be faster from M ~ 0.1-0.2 n.
 _MODAL_ALPHA = 1.0
-# values per block of steps in stability_bounds and in a separated forcing's sum:
-# about 256 KB per (steps, n) temporary whatever n is, where 512 rows would take
-# 2.5 MB at n = 599
-_STEP_BLOCK_VALUES = 1 << 15
 
 RCoefficient = Union[Callable[[float], float], CoefficientSeries, Sequence[float], np.ndarray]
 
@@ -155,8 +154,12 @@ class StepOperators:
         return self.solve(u - (self.tau / 2.0) * self.op.apply(u) + np.multiply.outer(f, rt))
 
     def trajectory(self, phi: np.ndarray, marched: np.ndarray) -> Trajectory:
-        """End a forward march from U^0 = phi whose states ``marched`` (M+1, n), in
-        route coordinates, the caller hands over: nodal ones are adopted as they are."""
+        """End a march from U^0 = phi whose states ``marched`` (M+1, n), rows 1.. in route
+        coordinates, the caller hands over: phi goes into row 0, rows 1.. go back to
+        nodal values in place, and that one array is adopted.  A nodal route keeps no
+        route."""
+        marched[0] = phi
+        self.from_basis(marched[1:])
         return Trajectory.adopt(marched)
 
 
@@ -234,13 +237,12 @@ class _ModalStepOperators(StepOperators):
         return u
 
     def trajectory(self, phi: np.ndarray, marched: np.ndarray) -> Trajectory:
-        """The nodal states U^n = Q c^n, written straight into their array, beside the
-        eigenbasis coordinates ``marched`` and this route, which they belong to; U^0 is
-        ``phi`` itself, not its round trip through Q."""
-        states = np.empty_like(marched)
-        states[0] = phi
-        self._diagonals[0].from_basis(marched[1:], out=states[1:])
-        return Trajectory.adopt(states, (self, marched))
+        """The nodal states U^n = Q c^n, written over the coordinates c^n in ``marched``
+        itself, with this route, whose eigenbasis they were marched in; U^0 is ``phi``
+        itself, not its round trip through Q."""
+        marched[0] = phi
+        self.from_basis(marched[1:])
+        return Trajectory.adopt(marched, self)
 
 
 def make_step_operators(
@@ -333,10 +335,9 @@ def _forcing_rows(
 
     A separated forcing, one that carries ``shapes`` and ``coefficients``, has its P
     shapes taken to the basis, once per call, and one coefficient table summed
-    against them with ``separated_rows``, a block of about ``_STEP_BLOCK_VALUES``
-    values at a time: the forcing is not called and no row is transformed.  Any
-    other forcing is called once per time, and its rows are checked, then
-    transformed."""
+    against them with ``separated_rows``, one ``row_blocks`` block at a time: the
+    forcing is not called and no row is transformed.  Any other forcing is called
+    once per time, and its rows are checked, then transformed."""
     shapes = getattr(forcing, "shapes", None)
     if shapes is None:
         for j, t in enumerate(times):
@@ -345,9 +346,7 @@ def _forcing_rows(
         return to_basis(out)
     shapes = to_basis(np.array(shapes, dtype=float))
     table = forcing.coefficients(times)
-    rows = max(1, _STEP_BLOCK_VALUES // out.shape[1])
-    for start in range(0, out.shape[0], rows):
-        block = slice(start, start + rows)
+    for block in row_blocks(*out.shape):
         separated_rows(table[block], shapes, out[block])
     _check_forcings(out, first)
     return out
@@ -381,9 +380,9 @@ def run_forward(
 
     ``r`` defaults to the problem's exact coefficient; it is evaluated at the
     half-step times, where the scheme defines it.  ``ops.trajectory`` ends
-    the march: on the modal route the trajectory keeps the eigenbasis
-    coordinates it marched, with the route that marched them, beside the nodal
-    states (``Trajectory.route``).  ``ops`` defaults to those
+    the march, in the march's own buffer: on the modal route the trajectory
+    keeps the route that marched it (``Trajectory.route``), not its
+    coordinates.  ``ops`` defaults to those
     ``make_step_operators`` builds on ``grid``; ones built on any other grid, a
     grid equal to it by value aside, raise ``ValueError``, as the recovery's do.
     """
@@ -400,7 +399,6 @@ def run_forward(
     # fill memory; row n+1 holds F^{n+1/2} until U^{n+1} replaces it.
     u = ops.to_basis(problem.phi[None].copy()).T
     marched = np.empty((grid.M + 1, grid.interior_dim))
-    marched[0] = u[:, 0]
     _forcing_rows(problem.forcing, grid.midpoint_times(), ops.to_basis, marched[1:])
     rt = ops.tau * r_mid[:, None]
     for n in range(grid.M):  # the recovery's march, with r given
@@ -476,50 +474,45 @@ def stability_bounds(
     are evaluated at every step; violations are reported through the slack
     arrays, never raised; a non-finite forcing, or a kept route marched on a
     grid other than ``grid``, raises ``ValueError``.  The
-    run is folded over blocks of about ``_STEP_BLOCK_VALUES`` values: each
+    run is folded over the blocks of steps ``row_blocks`` gives: each
     block reduces its midpoint states, and forcings, to per-step scalars at
     once, so memory does not grow with M.
 
     Coordinates and cost.  Every change of basis, ||.||_A and ||.||_{A^-1}
     comes from one route view, a ``StepOperators``.  A trajectory that keeps
-    the modal route ``run_forward`` marched it on over ``op`` itself
-    (``Trajectory.route``) takes that route: the states are read from its
-    coordinates, the norms are sums over its eigenbasis, a step costs O(n) with
-    no product by Q, and no dense matrix is formed.  Any other trajectory takes
-    the nodal view of ``op``, whatever the operator has cached: ||.||_A takes
-    its matvec and ||.||_{A^-1} one Cholesky factor of the dense A, made once
-    per call on first use.  A separated forcing's norms are
-    P x P forms in its coefficient table (see ``_separated_forms``), and
+    the modal route its march ran on over ``op`` itself (``Trajectory.route``)
+    takes that route: each block of states is taken to its eigenbasis, two
+    half-size products by Q, and the norms are sums over that eigenbasis, so
+    no dense matrix is formed.  Any other trajectory takes the nodal view of
+    ``op``, whatever the operator has cached, where the change of basis is the
+    identity: ||.||_A takes its matvec and ||.||_{A^-1} one Cholesky factor of
+    the dense A, made once per call on first use.  A separated forcing's norms
+    are P x P forms in its coefficient table (see ``_separated_forms``), and
     <F, U^{n+1/2}> the midpoints' products with its P shapes, so no forcing
-    row is formed; any other forcing is called once per step.  Keeping the
-    coordinates costs a modal trajectory a second (M+1, n) array.
+    row is formed; any other forcing is called once per step.
     """
     if not trajectory.matches_grid(grid):
         raise ValueError("trajectory shape does not match the grid")
     tau = grid.tau
     r_mid = _r_at_midpoints(r, grid)
     times = grid.midpoint_times()
-    route = trajectory.route
+    ops = trajectory.route
     # a kept route marched on another grid is refused, whatever its operator
-    if route is not None and _on_grid(route[0], grid).op is op:
-        ops, states = route
-    else:
-        ops, states = StepOperators(grid, op), trajectory.states
+    if ops is None or _on_grid(ops, grid).op is not op:
+        ops = StepOperators(grid, op)
     # per step n: ||U^n||, ||F||, <F, U^{n+1/2}>, ||U^{n+1/2}||_A^2 and ||F||_{A^-1}^2
     norms = np.empty(grid.M + 1)
     f_norm, f_dot_mid, mid_energy, dual = np.empty((4, grid.M))
     forms = _separated_forms(forcing, times, ops)
     if forms is not None:
         table, shapes, f_norm[:], dual[:] = forms
-    rows = max(1, _STEP_BLOCK_VALUES // states.shape[1])
-    for start in range(0, grid.M, rows):
-        step = slice(start, min(start + rows, grid.M))
-        u = states[step.start : step.stop + 1]
+    for step in row_blocks(grid.M, grid.interior_dim):
+        u = ops.to_basis(trajectory.states[step.start : step.stop + 1].copy())
         mid = 0.5 * (u[:-1] + u[1:])
         norms[step.start : step.stop + 1] = np.linalg.norm(u, axis=1)
         mid_energy[step] = _rowdot(ops.times_a(mid), mid)
         if forms is None:
-            f = _forcing_rows(forcing, times[step], ops.to_basis, np.empty(mid.shape), start)
+            f = _forcing_rows(forcing, times[step], ops.to_basis, np.empty(mid.shape), step.start)
             f_norm[step] = np.linalg.norm(f, axis=1)
             f_dot_mid[step] = _rowdot(f, mid)
             dual[step] = np.maximum(_rowdot(ops.solve_a(f), f), 0.0)

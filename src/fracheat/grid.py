@@ -4,7 +4,7 @@ data only, so it imports none of the solver routes that ``forward.py`` defines."
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Tuple
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -129,27 +129,25 @@ class CoefficientSeries:
 class Trajectory:
     """Interior nodal states U^0 .. U^M stacked as a (M+1, N-1) array.
 
-    ``route`` is None, or the pair (ops, coordinates) of a run marched in the
-    eigenbasis of A = Q diag(lambda) Q^T: the modal ``StepOperators`` that
-    marched it, which holds its own lambda and Q, and the states' coordinates
-    U Q, the same shape as ``states``.  Only :meth:`adopt` sets it, for the
-    march that computed both arrays; the constructor copies ``states`` alone.
-    The stability diagnostics take that route as their view and read the
-    coordinates instead of taking every state back to the eigenbasis.
+    ``route`` is None, or the modal ``StepOperators`` whose eigenbasis of
+    A = Q diag(lambda) Q^T the run was marched in, which holds its own lambda and
+    Q.  Only :meth:`adopt` sets it, for the march that computed the states; the
+    constructor copies ``states`` alone.  The stability diagnostics take that
+    route as their view and take the states to its eigenbasis themselves.
     """
 
     states: np.ndarray
-    route: Optional[Tuple[object, np.ndarray]] = field(default=None, init=False)
+    route: Optional[object] = field(default=None, init=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "states", np.array(self.states, dtype=float))
         self._freeze()
 
     @classmethod
-    def adopt(cls, states: np.ndarray, route: Optional[tuple] = None) -> Trajectory:
-        """A trajectory of float64 arrays its caller hands over and no longer writes:
+    def adopt(cls, states: np.ndarray, route: Optional[object] = None) -> Trajectory:
+        """A trajectory of a float64 array its caller hands over and no longer writes:
         checked and frozen in place, without the copy the constructor makes, and with
-        the march's route and coordinates when it kept them."""
+        the march's route when it kept one."""
         trajectory = object.__new__(cls)
         object.__setattr__(trajectory, "states", states)
         object.__setattr__(trajectory, "route", route)
@@ -157,19 +155,14 @@ class Trajectory:
         return trajectory
 
     def _freeze(self) -> None:
-        if self.states.ndim != 2:
-            raise ValueError(f"states: expected a 2-D array, got shape {self.states.shape}")
-        arrays = {"states": self.states}
-        if self.route is not None:
-            arrays["route coordinates"] = self.route[1]
-        for name, arr in arrays.items():
-            if arr.shape != self.states.shape:
-                raise ValueError(f"{name}: expected shape {self.states.shape}, got {arr.shape}")
-            # NaN propagates through min and max, and an infinite entry is one of
-            # them: no boolean array the size of the run
-            if arr.size and not (np.isfinite(arr.min()) and np.isfinite(arr.max())):
-                raise ValueError(f"{name}: non-finite entries")
-            arr.setflags(write=False)
+        states = self.states
+        if states.ndim != 2:
+            raise ValueError(f"states: expected a 2-D array, got shape {states.shape}")
+        # NaN propagates through min and max, and an infinite entry is one of them:
+        # no boolean array the size of the run
+        if states.size and not (np.isfinite(states.min()) and np.isfinite(states.max())):
+            raise ValueError("states: non-finite entries")
+        states.setflags(write=False)
 
     def __len__(self) -> int:
         return self.states.shape[0]

@@ -59,7 +59,10 @@ digits than the march's: 3.3e-13 against 1.4e-14 relative to a long-double
 march at s = 0.99, tau = 1e3, N = 2, M = 2049 (interpolated).  The march
 stays for one series, whose output is every state, for ``recover_r_step``,
 and for batches on the Cholesky and CG routes, where U^M of K series would
-still cost a K-column solve per step.
+still cost a K-column solve per step.  One series writes its states, in
+route coordinates, into the one (M+1, n) array that held its forcings, and
+``StepOperators.trajectory`` ends it as it ends a forward run: in place, with
+the modal route kept.
 
 Measurement utilities cover the three data provenances: exact analytic
 values, discrete pairings of a computed trajectory, and seeded noisy copies
@@ -211,7 +214,8 @@ def _march(
     """The march: r (M, K) and U^M (n, K) of K series from U^0 = u, w (M+1, K), the
     M forcings as rows in route coordinates and ``_adjoint_weights``.  ``u`` is (n, K),
     or (n, 1) for a U^0 that every series shares; it is overwritten.  U^n of the
-    first series goes to ``states[n]`` when ``states`` is given."""
+    first series goes to ``states[n]``, n >= 1, in route coordinates, when ``states``
+    is given, for ``ops.trajectory`` to end."""
     u, denominators = _prologue(ops, adjoint, u, forcings)
     tau = ops.tau
     hz = ops.grid.h * adjoint[2]  # the numerator's h <z, U^n> is hz @ U^n
@@ -223,8 +227,6 @@ def _march(
         u = ops.advance(u, forcings[n], tau * recovered[n])
         if states is not None:  # states[n + 1] may share memory with the spent forcings[n]
             states[n + 1] = u[:, 0]
-    if states is not None:
-        ops.from_basis(states[1:])
     return _nodal_and_finite(ops, recovered, u)
 
 
@@ -314,8 +316,6 @@ def _recover_series(
     u = problem.phi[:, None].copy()
     if states is None and ops.decay is not None:
         return _solve_volterra(ops, adjoint, u, w, forcings)
-    if states is not None:
-        states[0] = problem.phi
     return _march(ops, adjoint, u, w, forcings, states)
 
 
@@ -333,17 +333,20 @@ def run_inverse(
     requirement is w(0) = integral of omega * phi).  Step failures propagate
     with the step index attached.  ``ops`` is built on ``grid`` when not given,
     and refused with ``ValueError`` when built on another grid, as in
-    :func:`fracheat.forward.run_forward`.
+    :func:`fracheat.forward.run_forward`.  The march writes its states into one
+    array, which ``ops.trajectory`` ends as it ends a forward run: on the modal
+    route the trajectory keeps its route.
     """
     if measurements is None:
         measurements = problem.measurements
         if measurements is None:
             raise ValueError("no measurements: pass them or set problem.measurements")
+    ops = _run_operators(problem, grid, ops)
     states = np.empty((grid.M + 1, grid.interior_dim))
     recovered, _ = _recover_series(
         problem, grid, measurements.values[:, None], ops, compatibility_tol, states
     )
-    return Trajectory.adopt(states), CoefficientSeries(values=recovered[:, 0])
+    return ops.trajectory(problem.phi, states), CoefficientSeries(values=recovered[:, 0])
 
 
 def run_inverse_batch(

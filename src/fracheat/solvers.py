@@ -165,11 +165,21 @@ def cg_solve(
                       f"(residual {res:.3e})", residual=res)
 
 
-# values per block of rows in a change of basis, 2^15 / n rows, so each of its
-# half-size temporaries holds about 2^14 values (128 KB) whatever n is; 512-row
-# blocks at n = 599 took 1.2 MB per temporary and put the peak RSS of a forward run
-# at N = M = 600 1.8 MB higher (77.7 against 75.9 MB)
-_BASIS_BLOCK_VALUES = 1 << 15
+# values per block of rows, 2^15 / n rows, wherever stacked (rows, n) vectors are
+# worked a block at a time (``row_blocks``), so each temporary stays small whatever
+# n is: about 2^14 values (128 KB) per half-size temporary of a change of basis, and
+# about 256 KB per (rows, n) temporary of a separated forcing's sum or of the
+# stability diagnostics' fold.  512-row blocks at n = 599 took 1.2 MB per basis
+# temporary, which put the peak RSS of a forward run at N = M = 600 1.8 MB higher
+# (77.7 against 75.9 MB), and 2.5 MB per fold temporary
+BLOCK_VALUES = 1 << 15
+
+
+def row_blocks(count: int, width: int):
+    """Slices of ``count`` stacked rows of ``width`` values, each of about
+    ``BLOCK_VALUES`` values and at least one row."""
+    step = max(1, BLOCK_VALUES // width)
+    return (slice(start, min(start + step, count)) for start in range(0, count, step))
 
 
 @dataclass(frozen=True)
@@ -207,18 +217,13 @@ class SpectralDecomposition:
         q[n - h :, even], q[n - h :, odd] = self.even[:h][::-1], np.negative(self.odd)[::-1]
         return q
 
-    def _blocks(self, rows: np.ndarray):
-        """Slices of ``rows`` (K, n), each of about ``_BASIS_BLOCK_VALUES`` values."""
-        step = max(1, _BASIS_BLOCK_VALUES // self.size)
-        return (slice(start, start + step) for start in range(0, rows.shape[0], step))
-
     def to_basis(self, rows: np.ndarray) -> np.ndarray:
         """rows <- rows Q in place for stacked vectors (K, n), returned: the coordinates
         in the eigenbasis.  U Q is [U_top + U_bot J, U_mid] V_e beside
         (U_top - U_bot J) V_o, each column scattered to its ascending place."""
         n, h = self.size, self.odd.shape[0]
         even, odd = self.place[: n - h], self.place[n - h :]
-        for block in self._blocks(rows):
+        for block in row_blocks(*rows.shape):
             u = rows[block]
             top, flipped = u[:, :h], u[:, ::-1][:, :h]  # U_top and U_bot J
             minus = top - flipped
@@ -227,21 +232,19 @@ class SpectralDecomposition:
             u[:, odd] = minus @ self.odd
         return rows
 
-    def from_basis(self, rows: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-        """rows Q^T for stacked coordinates (K, n): in place, or into ``out`` (K, n)
-        when given, leaving ``rows`` as they are; returns the nodal vectors.  The
-        gathered halves give C_e V_e^T = [P, U_mid] and C_o V_o^T = D, and the nodal
-        rows are [P + D, U_mid, (P - D) J]."""
+    def from_basis(self, rows: np.ndarray) -> np.ndarray:
+        """rows <- rows Q^T in place for stacked coordinates (K, n), returned: the nodal
+        vectors.  The gathered halves give C_e V_e^T = [P, U_mid] and C_o V_o^T = D,
+        and the nodal rows are [P + D, U_mid, (P - D) J]."""
         n, h = self.size, self.odd.shape[0]
         even, odd = self.place[: n - h], self.place[n - h :]
-        out = rows if out is None else out
-        for block in self._blocks(rows):
-            u = out[block]
-            minus = rows[block][:, odd] @ self.odd.T  # gathered before u is written
-            np.matmul(rows[block][:, even], self.even.T, out=u[:, : n - h])
+        for block in row_blocks(*rows.shape):
+            u = rows[block]
+            minus = u[:, odd] @ self.odd.T  # gathered before u is written
+            np.matmul(u[:, even], self.even.T, out=u[:, : n - h])
             np.subtract(u[:, :h], minus, out=u[:, ::-1][:, :h])
             u[:, :h] += minus
-        return out
+        return rows
 
 
 def eigendecompose(mat: np.ndarray) -> SpectralDecomposition:

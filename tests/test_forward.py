@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fracheat.forward
+import fracheat.solvers
 from fracheat import (
     ProblemData,
     RieszOperator,
@@ -318,7 +319,9 @@ class TestRouteInterface:
         assert traj.states is marched and traj.route is None
         assert not marched.flags.writeable
 
-    def test_modal_route_keeps_its_coordinates(self, grid16):
+    def test_modal_route_ends_the_march_in_place(self, grid16):
+        # the march's own buffer becomes the nodal states, and the trajectory keeps the
+        # route, not a second array of eigenbasis coordinates
         ops = make_step_operators(grid16, solver="modal")
         dec = ops.op.eigendecomposition
         half = grid16.tau * dec.eigenvalues / 2.0
@@ -327,16 +330,18 @@ class TestRouteInterface:
         phi, marched = rng.standard_normal(15), rng.standard_normal((grid16.M + 1, 15))
         want = dec.from_basis(marched[1:].copy())
         traj = ops.trajectory(phi, marched)
-        assert traj.route[0] is ops and traj.route[1] is marched
+        assert traj.states is marched and traj.route is ops
+        assert not marched.flags.writeable
         assert np.array_equal(traj.states[0], phi)
         assert np.array_equal(traj.states[1:], want)
 
     def test_modal_run_and_write_keep_half_of_q(self, tmp_path):
         # the decomposition keeps A's even and odd halves, n^2/2 values, and no n x n
-        # matrix: a modal run and its trajectory.csv write peak below two (M+1, n)
-        # arrays, the states and the coordinates, plus the halves plus 1.25 MB, the
-        # writer's chunk temporaries (about 1.05 MB) and 0.2 MB; with an n x n Q kept
-        # as well the peak stood 0.45 MB above that bound (4.90 against 4.45 MB)
+        # matrix, and the trajectory is the march's one (M+1, n) array: a modal run
+        # and its trajectory.csv write peak below that array plus the halves plus
+        # 1.5 MB, the writer's chunk temporaries (about 1.05 MB) and 0.45 MB (3.42 MB
+        # here); with the eigenbasis coordinates kept beside the states as a second
+        # (M+1, n) array the peak stood at 4.26 MB
         grid = make_grid(1, 1, 400, 400, 0.3)
         op = assemble(grid)
         _, data = build_manufactured("example1", grid, source="quadrature", op=op)
@@ -354,8 +359,8 @@ class TestRouteInterface:
         finally:
             tracemalloc.stop()
         n = grid.interior_dim
-        assert traj.route is not None
-        assert peak < 8 * (2 * (grid.M + 1) * n + n * n / 2) + 1.25e6
+        assert traj.route is ops
+        assert peak < 8 * ((grid.M + 1) * n + n * n / 2) + 1.5e6
         dec = op.eigendecomposition
         assert all(getattr(dec, f.name).ndim == 1 or getattr(dec, f.name).shape[0] < n
                    for f in fields(dec))
@@ -384,25 +389,21 @@ class TestStabilityBounds:
         assert np.all(rep.energy_slack >= 0.0)
         assert np.max(np.abs(rep.identity_residuals)) <= 1e-9
 
-    def test_kept_coordinates_need_the_operator_s_own_decomposition(self, monkeypatch):
-        # a modal run keeps its route and eigenbasis coordinates, which stability_bounds
-        # reads in place of the states, taking only the P = 4 shapes to the eigenbasis
+    def test_kept_route_needs_the_operator_s_own_decomposition(self, monkeypatch):
+        # a modal run keeps its route, whose eigenbasis stability_bounds takes the P = 4
+        # shapes to, then the states a block at a time: one block of all 41 at n = 39
         grid = make_grid(1, 1, 40, 40, 0.5)
         op = assemble(grid)
         spec, data = build_manufactured("example1", grid, op=op)
         ops = make_step_operators(grid, op=op, solver="modal")
         traj = run_forward(data, grid, ops=ops)
-        route, coordinates = traj.route
-        assert route is ops and "eigendecomposition" in vars(op)
-        # the nodal states are the in-place basis change of the coordinates, bit for bit
-        assert np.array_equal(traj.states[1:], op.eigendecomposition.from_basis(
-            coordinates[1:].copy()))
+        assert traj.route is ops and "eigendecomposition" in vars(op)
         transformed, to_basis = [], SpectralDecomposition.to_basis
         monkeypatch.setattr(SpectralDecomposition, "to_basis",
                             lambda dec, rows: transformed.append(len(rows)) or
                             to_basis(dec, rows))
         kept = stability_bounds(traj, spec.r_exact, data.forcing, op, grid)
-        assert transformed == [4]
+        assert transformed == [4, grid.M + 1]
         # on another operator, decomposed or not, the report is that of the nodal
         # states alone, bit for bit
         nodal = Trajectory(states=traj.states)
@@ -614,7 +615,7 @@ def test_stability_bounds_match_per_step_loop(s, n_cells, m_steps, log_tau, seed
     states[1:] += noise * rng.standard_normal((m_steps, n))
     traj = run if solver == "modal" and noise == 0.0 else Trajectory(states=states)
 
-    with mock.patch.object(fracheat.forward, "_STEP_BLOCK_VALUES", block_steps * n):
+    with mock.patch.object(fracheat.solvers, "BLOCK_VALUES", block_steps * n):
         report = stability_bounds(traj, r_mid, data.forcing, op, grid)
     assert ("eigendecomposition" in vars(op)) == (solver == "modal")
     assert (traj.route is not None) == (solver == "modal" and noise == 0.0)
@@ -682,3 +683,24 @@ class TestSpectralDuhamelOracle:
             gaps.append(np.max(np.abs(traj.final - oracle)))
         assert gaps[0] / gaps[1] == pytest.approx(4.0, rel=0.15)
         assert gaps[1] / gaps[2] == pytest.approx(4.0, rel=0.15)
+
+
+@pytest.mark.parametrize("refused, message", [
+    (lambda grid, data: make_step_operators(grid, solver="lu"),
+     r"^unknown solver 'lu' \(expected one of"),
+    (lambda grid, data: run_forward(data, grid, r=np.ones(grid.M - 1)),
+     "^expected 4 midpoint coefficients, got 3$"),
+    (lambda grid, data: run_forward(replace(data, phi=np.zeros(14), weight=np.ones(14)), grid,
+                                    r=np.ones(grid.M)),
+     "^phi length does not match the grid$"),
+    (lambda grid, data: run_forward(data, grid, r=np.full(grid.M, np.nan)),
+     "^midpoint coefficient is not finite$"),
+    (lambda grid, data: stability_bounds(Trajectory(states=np.zeros((grid.M + 2, 15))),
+                                         data.coefficient, data.forcing, assemble(grid), grid),
+     "^trajectory shape does not match the grid$"),
+], ids=["solver", "coefficients", "phi", "nan-coefficient", "trajectory"])
+def test_refusals_name_what_they_refuse(refused, message):
+    grid = make_grid(1, 1, 16, 4, 0.5)
+    _, data = build_manufactured("example1", grid)
+    with pytest.raises(ValueError, match=message):
+        refused(grid, data)

@@ -110,24 +110,24 @@ def test_trajectory_validation():
         Trajectory(states=np.zeros(4))
     with pytest.raises(ValueError):
         Trajectory(states=np.full((2, 2), np.nan))
-    # a route's coordinates: only adopted, in place, and checked like the states:
-    # shape, NaN and either infinity, wherever it sits
+    # a route: only adopted, in place, whatever object it is; the adopted states are
+    # checked like the constructor's: shape, NaN and either infinity, wherever it sits
     assert t.route is None
     with pytest.raises(TypeError):
-        Trajectory(states=np.zeros((3, 4)), route=(None, np.ones((3, 4))))
-    states, coordinates = np.zeros((3, 4)), np.ones((3, 4))
-    adopted = Trajectory.adopt(states, (None, coordinates))
-    assert adopted.states is states and adopted.route[1] is coordinates
-    assert not states.flags.writeable and not coordinates.flags.writeable
-    with pytest.raises(ValueError, match="route coordinates: expected shape"):
-        Trajectory.adopt(np.zeros((3, 4)), (None, np.zeros((3, 3))))
+        Trajectory(states=np.zeros((3, 4)), route=object())
+    states, route = np.zeros((3, 4)), object()
+    adopted = Trajectory.adopt(states, route)
+    assert adopted.states is states and adopted.route is route
+    assert not states.flags.writeable
+    with pytest.raises(ValueError, match="^states: expected a 2-D array"):
+        Trajectory.adopt(np.zeros(4), route)
     for bad in (np.nan, np.inf, -np.inf):
         broken = np.zeros((3, 4))
         broken[1, 2] = bad
         with pytest.raises(ValueError, match="^states: non-finite"):
             Trajectory(states=broken)
-        with pytest.raises(ValueError, match="^route coordinates: non-finite"):
-            Trajectory.adopt(np.zeros((3, 4)), (None, broken))
+        with pytest.raises(ValueError, match="^states: non-finite"):
+            Trajectory.adopt(broken, route)
 
 
 def test_problem_data_length_checks():
@@ -136,3 +136,15 @@ def test_problem_data_length_checks():
     data = ProblemData(phi=np.zeros(4), forcing=lambda t: np.zeros(4), weight=np.ones(4))
     assert not data.phi.flags.writeable
     assert not data.weight.flags.writeable
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: MeasurementSeries(values=np.ones((2, 3))),
+     r"^measurements: expected a 1-D array, got shape \(2, 3\)$"),
+    # h = l/N is subnormal, so h*N misses l by far more than rounding
+    (lambda: make_grid(1e-310, 1.0, 10**10, 1, 0.5),
+     r"^h\*N does not reproduce l to floating tolerance$"),
+], ids=["2-d-measurements", "subnormal-h"])
+def test_refusals_name_what_they_refuse(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()

@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,11 +21,13 @@ from fracheat import (
     recover_r_step,
     run_forward,
     run_inverse,
+    run_inverse_batch,
     run_inverse_case,
     smooth_measurements,
+    stability_bounds,
 )
 from fracheat.forward import SOLVERS
-from fracheat.grid import MeasurementSeries
+from fracheat.grid import MeasurementSeries, Trajectory
 
 WINDOW_INTEGRAL = (math.sqrt(5.0) - 1.0) / (2.0 * math.pi)
 
@@ -247,6 +250,25 @@ class TestRunInverse:
         traj, rec = run_inverse(data, grid, ops=ops)
         assert np.array_equal(run_forward(data, grid, r=rec, ops=ops).states, traj.states)
 
+    def test_modal_run_keeps_its_route(self):
+        # the recovery ends its march as run_forward does: the trajectory keeps the
+        # modal route, and stability_bounds' eigenbasis view of it agrees with the
+        # nodal view of the same states, with the recovered r as the coefficient
+        grid = make_grid(1, 1, 48, 60, 0.5)
+        op = assemble(grid)
+        _, data = build_manufactured("example1", grid, op=op)
+        ops = make_step_operators(grid, op=op, solver="modal")
+        traj, rec = run_inverse(data, grid, ops=ops)
+        assert traj.route is ops
+        kept = stability_bounds(traj, rec, data.forcing, op, grid)
+        want = stability_bounds(Trajectory(states=traj.states), rec, data.forcing, op, grid)
+        for name in ("l2_slack", "energy_slack"):
+            gap = np.max(np.abs(getattr(kept, name) - getattr(want, name)))
+            assert gap <= 1e-12 * np.max(np.abs(getattr(want, name)))
+        identity_scale = float(np.max(np.sum(traj.states**2, axis=1))) / grid.tau
+        gap = np.max(np.abs(kept.identity_residuals - want.identity_residuals))
+        assert gap <= 1e-12 * identity_scale
+
     @pytest.mark.parametrize("solver", SOLVERS)
     def test_memory_is_bounded_by_the_states(self, solver):
         # the trajectory adopts the (M+1, n) states the recovery wrote, with no copy:
@@ -390,3 +412,25 @@ class TestSmoothing:
         assert smoothed.linf_r < raw.linf_r, (
             f"smoothed {smoothed.linf_r:.4f} not below raw {raw.linf_r:.4f}"
         )
+
+
+def _infinite_measurement(grid, data):
+    series = np.column_stack([data.measurements.values] * 2)
+    series[2, 1] = np.inf
+    with np.errstate(invalid="ignore"):  # inf - inf on the way to the refusal
+        run_inverse_batch(data, grid, series)
+
+
+@pytest.mark.parametrize("refused, message", [
+    (_infinite_measurement, "^recovery produced non-finite values$"),
+    (lambda grid, data: run_inverse(replace(data, measurements=None), grid),
+     "^no measurements: pass them or set problem.measurements$"),
+    (lambda grid, data: measurements_from_trajectory(Trajectory(states=np.zeros((3, 15))),
+                                                     data.weight, grid),
+     "^trajectory shape does not match the grid$"),
+], ids=["infinite-measurement", "no-measurements", "trajectory"])
+def test_refusals_name_what_they_refuse(refused, message):
+    grid = make_grid(1, 1, 16, 10, 0.5)
+    _, data = build_manufactured("example1", grid)
+    with pytest.raises(ValueError, match=message):
+        refused(grid, data)

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import fracheat.forward
 import fracheat.inverse
+import fracheat.solvers
 from fracheat import (
     DenominatorNearZero,
     SeparatedForcing,
@@ -62,7 +63,7 @@ def test_separated_forcing_matches_the_plain_callable(s, n_cells, m_steps, log_t
     times = grid.midpoint_times()
     rng = np.random.default_rng(seed)
     series = data.measurements.values[:, None] * (1.0 + 0.05 * rng.uniform(-1, 1, (m_steps + 1, 3)))
-    with mock.patch.object(fracheat.forward, "_STEP_BLOCK_VALUES", block_steps * n):
+    with mock.patch.object(fracheat.solvers, "BLOCK_VALUES", block_steps * n):
         rows = _forcing_rows(data.forcing, times, lambda rows: rows, np.empty((m_steps, n)))
         assert np.array_equal(rows, np.array([data.forcing(float(t)) for t in times]))
         with within_cg_floor(), warnings.catch_warnings():
@@ -77,7 +78,7 @@ def test_separated_forcing_matches_the_plain_callable(s, n_cells, m_steps, log_t
                 reject()
         # the plain callable's rows on the nodal states, against the P x P forms on
         # the same states and on the trajectory as run_forward returns it, which keeps
-        # its route and eigenbasis coordinates on the modal route
+        # its route on the modal route
         traj = Trajectory(states=got)
         reports = [stability_bounds(t, data.coefficient, data.forcing, op, grid)
                    for t in (traj, kept)]
@@ -132,7 +133,7 @@ def test_non_finite_separated_coefficients_raise_before_any_step(solver, bad, mo
     for owner in (StepOperators, fracheat.forward._ModalStepOperators):
         monkeypatch.setattr(owner, "advance", _refuse)
     monkeypatch.setattr(fracheat.inverse, "_volterra_block", _refuse)
-    monkeypatch.setattr(fracheat.forward, "_STEP_BLOCK_VALUES", 8 * grid.interior_dim)
+    monkeypatch.setattr(fracheat.solvers, "BLOCK_VALUES", 8 * grid.interior_dim)
     zero = Trajectory(states=np.zeros((grid.M + 1, grid.interior_dim)))
     runs = (lambda: run_forward(broken, grid, ops=ops),
             lambda: run_inverse(broken, grid, ops=ops),

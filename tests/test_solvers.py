@@ -54,6 +54,11 @@ class TestCholesky:
         with pytest.raises(NotSpdError):
             cholesky(np.array([[1.0, 2.0], [2.0, 1.0]]))
 
+    @pytest.mark.parametrize("shape", [(2, 3), (3,), (0, 0)])
+    def test_rejects_a_matrix_that_is_not_square(self, shape):
+        with pytest.raises(ValueError, match=r"^expected a square matrix, got shape \("):
+            cholesky(np.ones(shape))
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_non_finite(self, bad):
         # a NaN compares false, so it would slip through the symmetry test
@@ -263,12 +268,9 @@ class TestEigendecompose:
         work = u.T.copy().T if transposed else u.copy()
         coordinates = dec.to_basis(work)
         assert coordinates is work and within(coordinates, u @ q)
-        nodal = np.empty((rows, n))
-        assert dec.from_basis(coordinates, out=nodal) is nodal
-        assert within(nodal, coordinates @ q.T) and within(nodal, u)
-        assert dec.from_basis(coordinates) is coordinates and within(coordinates, u)
-        if not transposed:  # in place on C-ordered rows: the bits written to ``out``
-            assert np.array_equal(coordinates, nodal)
+        want = coordinates @ q.T
+        nodal = dec.from_basis(coordinates)
+        assert nodal is work and within(nodal, want) and within(nodal, u)
 
     @pytest.mark.parametrize("n_cells", [2, 3, 4, 5, 8, 17, 600, 601])
     @pytest.mark.parametrize("scheme", ["midpoint", "interpolated"])
